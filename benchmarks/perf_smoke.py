@@ -45,7 +45,7 @@ N_FEATURES = 16
 SEED = 0
 
 
-def _workload_dasc_fit(data_plane: str) -> None:
+def _workload_dasc_fit() -> None:
     X, _ = make_blobs(
         N_SAMPLES, n_clusters=N_CLUSTERS, n_features=N_FEATURES,
         cluster_std=0.03, seed=SEED,
@@ -53,13 +53,13 @@ def _workload_dasc_fit(data_plane: str) -> None:
     DASC(N_CLUSTERS, seed=SEED).fit_predict(X)
 
 
-def _workload_distributed_dasc(data_plane: str) -> None:
+def _workload_distributed_dasc() -> None:
     X, _ = make_blobs(
         N_SAMPLES, n_clusters=N_CLUSTERS, n_features=N_FEATURES,
         cluster_std=0.03, seed=SEED,
     )
     config = DASCConfig(n_clusters=N_CLUSTERS, seed=SEED)
-    DistributedDASC(n_nodes=4, config=config, data_plane=data_plane).run(X)
+    DistributedDASC(n_nodes=4, config=config).run(X)
 
 
 WORKLOADS = {
@@ -77,12 +77,6 @@ def main(argv=None) -> int:
         help="keep the raw JSON-lines traces in this directory "
         "(default: a temporary directory, discarded)",
     )
-    parser.add_argument(
-        "--data-plane", default="record", choices=("record", "batched"),
-        help="MapReduce data plane for the distributed workload "
-        "(default: record — the committed baseline's path; 'batched' runs "
-        "the vectorized columnar path for the CI comparison leg)",
-    )
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -92,11 +86,8 @@ def main(argv=None) -> int:
         for name, workload in WORKLOADS.items():
             trace_path = os.path.join(trace_dir, f"{name}.jsonl")
             with trace_to(trace_path) as tracer:
-                tracer.meta(
-                    benchmark=name, tag=args.tag, seed=SEED,
-                    data_plane=args.data_plane,
-                )
-                workload(args.data_plane)
+                tracer.meta(benchmark=name, tag=args.tag, seed=SEED)
+                workload()
             entries.append(snapshot_from_trace(read_trace(trace_path), name))
             print(f"ran {name}: trace {trace_path}", file=sys.stderr)
         write_snapshot(build_snapshot(args.tag, entries), args.output)

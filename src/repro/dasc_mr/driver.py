@@ -46,8 +46,6 @@ from repro.dasc_mr.stage2 import make_clustering_job, make_similarity_job
 from repro.kernels.bandwidth import median_heuristic
 from repro.lsh.axis import AxisParallelHasher
 from repro.mapreduce.emr import ElasticMapReduce
-from repro.mapreduce.engine import resolve_data_plane
-from repro.mapreduce.types import RecordBatch
 from repro.observability import get_tracer
 from repro.utils.memory import block_diagonal_bytes
 from repro.utils.validation import check_2d
@@ -143,13 +141,6 @@ class DistributedDASC:
         filesystem) and the spectral step is delegated to the Mahout-role
         :class:`repro.mr_ml.spectral.MRSpectralClustering`, one MR spectral
         run per bucket. Same partitions, different job structure.
-    data_plane:
-        ``"batched"`` (default): ship columnar splits and use the
-        vectorized stage-1/shuffle/stage-2 operators; ``"record"``: pin the
-        record-at-a-time reference path. ``None`` consults the
-        ``REPRO_DATA_PLANE`` environment variable (unset = batched).
-        Labels, counters and simulated makespans are bit-identical either
-        way — only real wall-clock differs.
     autoscaler:
         Optional :class:`~repro.mapreduce.autoscale.Autoscaler` making the
         provisioned cluster elastic: it resizes between the flow's phases
@@ -169,7 +160,6 @@ class DistributedDASC:
         split_size: int = 1024,
         spectral_mode: str = "inline",
         n_jobs: int | None = None,
-        data_plane: str | None = None,
         autoscaler=None,
     ):
         self.config = config if config is not None else DASCConfig()
@@ -190,8 +180,6 @@ class DistributedDASC:
             self.emr = ElasticMapReduce(executor=resolve_executor(n_jobs))
         self.split_size = int(split_size)
         self.spectral_mode = spectral_mode
-        self.data_plane = resolve_data_plane(data_plane)
-        self._batched = self.data_plane == "batched"
         self.autoscaler = autoscaler
         self._pending: dict[str, dict] = {}
 
@@ -246,18 +234,10 @@ class DistributedDASC:
         # "Upload to S3" through the hardened client: the write is
         # checksummed, atomic, and retried under transient storage faults.
         self.emr.storage.put(f"{flow_id}/input", X)
-        if self._batched:
-            # Columnar upload: index column + the (n, d) matrix itself, so
-            # stage-1 splits are array views rather than per-record tuples.
-            input_file = RecordBatch(keys=np.arange(n, dtype=np.int64), values=X)
-        else:
-            input_file = [(i, X[i]) for i in range(n)]
-        flow.fs.write("input", input_file, split_size=self.split_size)
+        flow.fs.write("input", [(i, X[i]) for i in range(n)], split_size=self.split_size)
 
         # Step 1: LSH partitioning (Algorithm 1, map-only).
-        stage1 = make_signature_job(
-            hasher.dimensions_, hasher.thresholds_, batched=self._batched
-        )
+        stage1 = make_signature_job(hasher.dimensions_, hasher.thresholds_)
         flow.add_job(stage1, "input", "signatures")
 
         # Between-stage driver action: Eq.-6 merge + small-bucket folding +
@@ -272,7 +252,6 @@ class DistributedDASC:
         span.set("sigma", sigma)
         span.set("n_nodes", self.n_nodes)
         span.set("spectral_mode", self.spectral_mode)
-        span.set("data_plane", self.data_plane)
         self._pending[flow_id] = {"flow": flow, "state": state, "n": n, "sigma": sigma}
         return flow_id
 
@@ -319,13 +298,8 @@ class DistributedDASC:
         # Final step: collect labels from the output file into S3 and terminate.
         label_records = flow.fs.read("labels")
         labels = np.full(n, -1, dtype=np.int64)
-        if isinstance(label_records, RecordBatch):
-            labels[np.asarray(label_records.keys, dtype=np.int64)] = np.asarray(
-                label_records.values, dtype=np.int64
-            )
-        else:
-            for idx, lab in label_records:
-                labels[idx] = lab
+        for idx, lab in label_records:
+            labels[idx] = lab
         labels, n_repaired = self._validate_and_repair(flow_id, labels)
         self.emr.storage.put(f"{flow_id}/output/labels", labels)
         self.emr.terminate(flow_id)
@@ -373,40 +347,23 @@ class DistributedDASC:
     def _merge_action(self, state: dict, sigma: float, n_bits: int, k_total: int):
         def merge_action(fl):
             records = fl.fs.read("signatures")  # (signature, (index, vector))
-            columnar = isinstance(records, RecordBatch)
-            if columnar:
-                sigs = np.asarray(records.keys, dtype=np.uint64)
-                n_records = len(records)
-            else:
-                sigs = np.array([r[0] for r in records], dtype=np.uint64)
-                payloads = [r[1] for r in records]
-                n_records = len(payloads)
+            sigs = np.array([r[0] for r in records], dtype=np.uint64)
+            payloads = [r[1] for r in records]
             buckets = group_by_signature(sigs, n_bits)
             p = self.config.resolve_min_shared_bits(n_bits)
             buckets = merge_buckets(buckets, p, strategy=self.config.merge_strategy)
             buckets = fold_small_buckets(buckets, self.config.min_bucket_size)
             if validation_enabled(self.config.validate):
                 check_buckets(
-                    buckets, n_records, point_signatures=sigs, stage="driver.merge"
+                    buckets, len(payloads), point_signatures=sigs, stage="driver.merge"
                 )
             sizes = buckets.sizes
             ks = allocate_clusters(sizes, k_total, policy=self.config.allocation)
             offsets = np.concatenate([[0], np.cumsum(ks)[:-1]])
             allocation = {int(b): (int(ks[b]), int(offsets[b])) for b in range(buckets.n_buckets)}
-            if columnar and self.spectral_mode == "inline":
-                # Re-key the columnar signature file by bucket id; the
-                # payload columns (index, vectors) ride through untouched.
-                bucket_records = RecordBatch(
-                    keys=np.asarray(buckets.assignments, dtype=np.int64),
-                    values=records.values,
-                )
-            else:
-                if columnar:
-                    # Mahout mode keeps its record-path stage-2 jobs.
-                    payloads = [row for _, row in records.to_records()]
-                bucket_records = [
-                    (int(buckets.assignments[i]), payloads[i]) for i in range(n_records)
-                ]
+            bucket_records = [
+                (int(buckets.assignments[i]), payloads[i]) for i in range(len(payloads))
+            ]
             fl.fs.write("buckets", bucket_records, split_size=self.split_size, overwrite=True)
             state["buckets"] = buckets
             state["allocation"] = allocation
@@ -424,7 +381,6 @@ class DistributedDASC:
                     kmeans_n_init=self.config.kmeans_n_init,
                     seed=self.config.seed if isinstance(self.config.seed, int) else 0,
                     validate=validation_enabled(self.config.validate),
-                    batched=self._batched,
                 )
                 fl.add_job(stage2, "buckets", "labels")
             else:

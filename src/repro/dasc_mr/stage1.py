@@ -9,23 +9,16 @@ string. It emits ``(signature, index)``.
 We additionally carry the vector in the value so stage 2's reducers are
 self-contained (the Hadoop original re-reads vectors from HDFS; carrying
 them through the shuffle is the in-process equivalent).
-
-Two operator implementations share the job: :func:`signature_mapper` is the
-record-at-a-time semantic reference (one Python-level bit loop per vector),
-and :func:`signature_batch_mapper` hashes a whole split in one broadcast
-comparison plus a bit-packing reduction. The engine picks the batched one
-whenever the input splits are columnar; both emit identical records.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.mapreduce.types import JobSpec, RecordBatch
+from repro.mapreduce.types import JobSpec
 
 __all__ = [
     "signature_mapper",
-    "signature_batch_mapper",
     "ConstantMapCost",
     "make_signature_job",
 ]
@@ -45,15 +38,6 @@ class ConstantMapCost:
 
     def __call__(self, key, value) -> float:
         return self.cost
-
-    def batch_cost(self, batch) -> float:
-        """Whole-split cost for the batched plane.
-
-        Bit-identical to summing the per-record calls whenever ``cost`` is
-        integer-valued (every DASC job uses the hash width M), since adding
-        an integer float n times is exact in IEEE double.
-        """
-        return self.cost * len(batch)
 
     def __repr__(self) -> str:
         return f"ConstantMapCost({self.cost!r})"
@@ -78,30 +62,7 @@ def signature_mapper(index, vector, ctx):
     yield (np.uint64(sig), (index, vector))
 
 
-def signature_batch_mapper(batch, ctx):
-    """Algorithm 1 over a whole split: broadcast compare + bit-pack.
-
-    ``batch.values`` must be the (n, d) vector matrix (the driver writes the
-    input file columnar; ``RecordBatch.from_records`` stacks record splits
-    into the same shape). Emits the batch twin of the record mapper's
-    output: keys = packed uint64 signatures, values = (index column, the
-    original vector rows).
-    """
-    dims = ctx.job.params["dimensions"]
-    thresholds = ctx.job.params["thresholds"]
-    X = batch.values
-    if not isinstance(X, np.ndarray) or X.ndim != 2:
-        raise TypeError("stage-1 batch mapper expects a single (n, d) vector column")
-    bits = np.asarray(X, dtype=np.float64)[:, dims] <= thresholds[None, :]
-    weights = np.uint64(1) << np.arange(dims.shape[0], dtype=np.uint64)
-    sigs = (bits.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
-    ctx.increment("dasc", "signatures_emitted", len(batch))
-    return RecordBatch(keys=sigs, values=(batch.keys, X))
-
-
-def make_signature_job(
-    dimensions, thresholds, *, name: str = "dasc-stage1-lsh", batched: bool = True
-) -> JobSpec:
+def make_signature_job(dimensions, thresholds, *, name: str = "dasc-stage1-lsh") -> JobSpec:
     """Build the map-only stage-1 JobSpec.
 
     Parameters
@@ -109,10 +70,6 @@ def make_signature_job(
     dimensions / thresholds:
         The fitted per-bit hash parameters (from
         :class:`repro.lsh.axis.AxisParallelHasher`).
-    batched:
-        Attach the columnar mapper (default). The engine still falls back
-        to :func:`signature_mapper` for non-columnar splits or when the
-        batched plane is disabled; ``batched=False`` pins the record path.
     """
     dims = np.asarray(dimensions, dtype=np.int64)
     thr = np.asarray(thresholds, dtype=np.float64)
@@ -125,5 +82,4 @@ def make_signature_job(
         reducer=None,  # map-only: the driver merges buckets before stage 2
         map_cost=ConstantMapCost(m),  # O(M) hash work per vector
         params={"dimensions": dims, "thresholds": thr},
-        batch_mapper=signature_batch_mapper if batched else None,
     )

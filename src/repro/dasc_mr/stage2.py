@@ -15,20 +15,17 @@ import numpy as np
 
 from repro.kernels.functions import GaussianKernel
 from repro.kernels.matrix import gram_matrix_auto
-from repro.mapreduce.types import JobSpec, RecordBatch
+from repro.mapreduce.types import JobSpec
 from repro.spectral.embedding import spectral_embedding
 from repro.spectral.kmeans import KMeans
 
 __all__ = [
     "similarity_reducer",
-    "similarity_batch_reducer",
     "make_clustering_job",
     "similarity_matrix_reducer",
     "make_similarity_job",
     "identity_mapper",
-    "identity_batch_mapper",
     "bucket_partitioner",
-    "bucket_batch_partitioner",
     "SpectralReduceCost",
 ]
 
@@ -42,19 +39,9 @@ def identity_mapper(key, value, ctx):
     yield (key, value)
 
 
-def identity_batch_mapper(batch, ctx):
-    """Columnar twin of :func:`identity_mapper`: the split passes through."""
-    return batch
-
-
 def bucket_partitioner(key, n: int) -> int:
     """Bucket ids are small ints; partition them round-robin."""
     return int(key) % n
-
-
-def bucket_batch_partitioner(keys, n: int):
-    """Vectorized twin of :func:`bucket_partitioner` over a key column."""
-    return np.asarray(keys).astype(np.int64, copy=False) % np.int64(n)
 
 
 def quadratic_reduce_cost(bucket_id, members) -> float:
@@ -155,48 +142,6 @@ def similarity_reducer(bucket_id, members, ctx):
         yield (idx, offset + int(lab))
 
 
-def similarity_batch_reducer(bucket_id, group, ctx):
-    """Columnar twin of :func:`similarity_reducer` for one bucket's group.
-
-    ``group`` is a :class:`RecordBatch` whose keys all equal ``bucket_id``
-    and whose values are the shuffled ``(index column, vector rows)`` pair
-    emitted by stage 1. The spectral math is byte-for-byte the record
-    reducer's — same Gram block, same seed, same K-means — only the member
-    gather is a column view instead of a Python list comprehension.
-    """
-    params = ctx.job.params
-    k_i, offset = params["allocation"][bucket_id]
-    idx_col, vecs = group.values
-    X = np.asarray(vecs, dtype=np.float64)
-    n_i = X.shape[0]
-    ctx.increment("dasc", "buckets_reduced")
-    ctx.increment("dasc", "similarity_entries", n_i * n_i)
-
-    validate = bool(params.get("validate", False))
-    if k_i >= n_i:
-        local = np.arange(n_i, dtype=np.int64)
-    elif k_i == 1:
-        local = np.zeros(n_i, dtype=np.int64)
-    else:
-        S = gram_matrix_auto(X, GaussianKernel(params["sigma"]), zero_diagonal=True)
-        if validate:
-            from repro.verify.invariants import check_gram_block
-
-            check_gram_block(
-                S, zero_diagonal=True, unit_range=True,
-                stage="mr.stage2", bucket_id=int(bucket_id),
-            )
-        seed = (params["seed"] + int(bucket_id)) % (2**31)
-        Y = spectral_embedding(
-            S, k_i, backend=params["eig_backend"], seed=seed, validate=validate
-        )
-        local = KMeans(k_i, n_init=params["kmeans_n_init"], seed=seed).fit_predict(Y)
-
-    return RecordBatch(
-        keys=np.asarray(idx_col), values=np.int64(offset) + local.astype(np.int64)
-    )
-
-
 def make_clustering_job(
     *,
     sigma: float,
@@ -207,7 +152,6 @@ def make_clustering_job(
     seed: int = 0,
     validate: bool = False,
     name: str = "dasc-stage2-spectral",
-    batched: bool = True,
 ) -> JobSpec:
     """Build the stage-2 JobSpec.
 
@@ -215,10 +159,7 @@ def make_clustering_job(
     driver computes it from the bucket sizes (Section 4.1's K_i split).
     The reduce cost model is the paper's per-bucket complexity,
     ``2 N_i^2 + 2 K_i N_i`` (Eq. 3's bucket terms), which is what makes the
-    simulated makespans follow the paper's analysis. ``batched`` (default)
-    additionally attaches the columnar mapper/partitioner/reducer trio; the
-    engine falls back to the record operators when the input is not
-    columnar or the batched plane is disabled.
+    simulated makespans follow the paper's analysis.
     """
     if n_reducers < 1:
         raise ValueError(f"n_reducers must be >= 1, got {n_reducers}")
@@ -229,9 +170,6 @@ def make_clustering_job(
         n_reducers=n_reducers,
         partitioner=bucket_partitioner,
         reduce_cost=SpectralReduceCost(allocation),
-        batch_mapper=identity_batch_mapper if batched else None,
-        batch_reducer=similarity_batch_reducer if batched else None,
-        batch_partitioner=bucket_batch_partitioner if batched else None,
         params={
             "sigma": float(sigma),
             "allocation": allocation,

@@ -72,15 +72,26 @@ def histogram_valley_threshold(values: np.ndarray, n_bins: int = N_BINS) -> floa
     point except the exact minima — silently wasting one of the M signature
     bits. In that case the threshold falls back to the least-populated bin
     with an interior (non-degenerate) lower edge.
+
+    A span too narrow (a few ulps) or too wide (past the float64 range) to
+    cut into ``n_bins`` distinct finite bins has no histogram to read a
+    valley from; the threshold is then the column's midpoint, which still
+    lies in ``[min, max]``.
     """
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
         raise ValueError("values must be non-empty")
     lo = values.min()
     hi = values.max()
-    span = hi - lo
-    if span == 0:
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("values must be finite")
+    if lo == hi:
         return float(lo)
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = hi - lo
+        edges = np.linspace(lo, hi, n_bins + 1)
+    if not np.isfinite(span) or (edges[:-1] >= edges[1:]).any():
+        return float(np.clip(lo / 2 + hi / 2, lo, hi))
     counts, _ = np.histogram(values, bins=n_bins, range=(lo, hi))
     s = int(np.argmin(counts))
     if s == 0 and n_bins > 1:

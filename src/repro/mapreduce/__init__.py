@@ -26,14 +26,9 @@ deployment story needs:
   backends for real-core task parallelism (``REPRO_N_JOBS``).
 """
 
-from repro.mapreduce.types import KeyValue, MapTaskResult, JobSpec, RecordBatch
+from repro.mapreduce.types import KeyValue, MapTaskResult, JobSpec
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.engine import (
-    MapReduceEngine,
-    stable_hash,
-    data_plane_enabled,
-    resolve_data_plane,
-)
+from repro.mapreduce.engine import MapReduceEngine, stable_hash
 from repro.mapreduce.executor import (
     ExecutorError,
     ParallelExecutor,
@@ -91,12 +86,9 @@ __all__ = [
     "KeyValue",
     "MapTaskResult",
     "JobSpec",
-    "RecordBatch",
     "Counters",
     "MapReduceEngine",
     "stable_hash",
-    "data_plane_enabled",
-    "resolve_data_plane",
     "ExecutorError",
     "SerialExecutor",
     "ParallelExecutor",

@@ -23,20 +23,17 @@ engine's retries — run literally the same code.
 
 from __future__ import annotations
 
-import os
 import time
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from repro.mapreduce.cluster import SimulatedCluster, TaskStats
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.executor import default_executor, is_picklable, load_batch, ship_batch
+from repro.mapreduce.executor import default_executor, is_picklable
 from repro.mapreduce.hdfs import FileSplit
-from repro.mapreduce.types import JobSpec, MapTaskResult, RecordBatch
+from repro.mapreduce.types import JobSpec, MapTaskResult
 from repro.observability import get_tracer
 from repro.observability.metrics import time_buckets
 
@@ -48,31 +45,7 @@ __all__ = [
     "approx_bytes",
     "execute_map_task",
     "execute_reduce_task",
-    "execute_batch_map_task",
-    "execute_batch_reduce_task",
-    "DATA_PLANE_ENV",
-    "data_plane_enabled",
-    "resolve_data_plane",
 ]
-
-#: Environment variable selecting the data plane ("record" disables batching).
-DATA_PLANE_ENV = "REPRO_DATA_PLANE"
-
-
-def data_plane_enabled() -> bool:
-    """Whether batched execution is allowed (``REPRO_DATA_PLANE`` kill switch)."""
-    return os.environ.get(DATA_PLANE_ENV, "").strip().lower() != "record"
-
-
-def resolve_data_plane(mode: str | None = None) -> str:
-    """Resolve a data-plane choice: explicit value > environment > batched."""
-    if mode is None:
-        raw = os.environ.get(DATA_PLANE_ENV, "").strip().lower()
-        mode = raw if raw else "batched"
-    if mode not in ("batched", "record"):
-        raise ValueError(f"data plane must be 'batched' or 'record', got {mode!r}")
-    return mode
-
 
 def approx_bytes(obj) -> int:
     """Cheap recursive estimate of a payload's in-memory size.
@@ -133,9 +106,6 @@ class JobResult:
     reduce_stats: TaskStats
     partitions: dict[int, list[tuple]] = field(default_factory=dict)
     from_checkpoint: bool = False  # restored by job-flow recovery, not re-executed
-    #: Columnar twin of ``output`` when the job ran on the batched path
-    #: (None otherwise); downstream stages read it to stay columnar.
-    output_batch: RecordBatch | None = None
 
     @property
     def makespan(self) -> float:
@@ -258,101 +228,6 @@ def _reduce_task_worker(payload):
     return ("ok", (out, cost), counters, time.perf_counter() - start)
 
 
-# -- batched task bodies -----------------------------------------------------
-#
-# The columnar twins of execute_map_task / execute_reduce_task. The contract
-# is bit-identity with the record path: same counter totals, same costs (in
-# the same floating-point summation order), same emitted records.
-
-
-def _batch_map_cost(job: JobSpec, batch: RecordBatch) -> float:
-    if job.map_cost is None:
-        return float(len(batch))
-    # _batched_enabled only admits cost models exposing the vectorized hook.
-    return float(job.map_cost.batch_cost(batch))
-
-
-def execute_batch_map_task(job: JobSpec, batch: RecordBatch, ctx: TaskContext) -> MapTaskResult:
-    """Run one batched map task (one ``batch_mapper`` call per split)."""
-    out = job.batch_mapper(batch, ctx)
-    if not isinstance(out, RecordBatch):
-        raise TypeError(
-            f"batch_mapper must return a RecordBatch, got {type(out).__name__}"
-        )
-    cost = _batch_map_cost(job, batch)
-    ctx.counters.increment("map", "input_records", len(batch))
-    ctx.counters.increment("map", "output_records", len(out))
-    return MapTaskResult(records=out, n_input_records=len(batch), cost=cost)
-
-
-def execute_batch_reduce_task(job: JobSpec, batch: RecordBatch, ctx: TaskContext):
-    """Run one batched reduce task (one ``batch_reducer`` call per key group).
-
-    Groups are formed with one ``np.unique`` + stable argsort pass and
-    visited in first-seen key order — the record path's grouping semantics —
-    so reducer call order, cost summation order, and output order all match.
-    """
-    keys = batch.keys
-    uniq, first_idx, inv = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(inv, kind="stable")
-    starts = np.searchsorted(inv[order], np.arange(uniq.shape[0]))
-    ends = np.append(starts[1:], keys.shape[0])
-    rank = np.argsort(first_idx, kind="stable")
-    out_batches: list[RecordBatch] = []
-    cost = 0.0
-    n_out = 0
-    for u in rank.tolist():
-        group = batch.take(order[starts[u] : ends[u]])
-        key = uniq[u]
-        result = job.batch_reducer(key, group, ctx)
-        if not isinstance(result, RecordBatch):
-            raise TypeError(
-                f"batch_reducer must return a RecordBatch, got {type(result).__name__}"
-            )
-        if len(result):
-            out_batches.append(result)
-        n_out += len(result)
-        cost += job.reduce_cost(key, group) if job.reduce_cost else float(len(group))
-    ctx.counters.increment("reduce", "input_groups", int(uniq.shape[0]))
-    ctx.counters.increment("reduce", "output_records", n_out)
-    out = RecordBatch.concat(out_batches) if out_batches else None
-    return out, cost
-
-
-def _batch_map_task_worker(payload):
-    """Process-pool entry point for one batched map task."""
-    from repro.mapreduce.executor import _null_child_tracer
-
-    _null_child_tracer()
-    job, shipped, task_id = payload
-    counters = Counters()
-    ctx = TaskContext(job=job, counters=counters, task_id=task_id)
-    start = time.perf_counter()
-    try:
-        batch = load_batch(shipped)
-        result = execute_batch_map_task(job, batch, ctx)
-    except Exception as exc:
-        return ("error", exc, counters, time.perf_counter() - start)
-    return ("ok", result, counters, time.perf_counter() - start)
-
-
-def _batch_reduce_task_worker(payload):
-    """Process-pool entry point for one batched reduce task."""
-    from repro.mapreduce.executor import _null_child_tracer
-
-    _null_child_tracer()
-    job, shipped, task_id = payload
-    counters = Counters()
-    ctx = TaskContext(job=job, counters=counters, task_id=task_id)
-    start = time.perf_counter()
-    try:
-        batch = load_batch(shipped)
-        out, cost = execute_batch_reduce_task(job, batch, ctx)
-    except Exception as exc:
-        return ("error", exc, counters, time.perf_counter() - start)
-    return ("ok", (out, cost), counters, time.perf_counter() - start)
-
-
 class MapReduceEngine:
     """Runs JobSpecs on a :class:`SimulatedCluster`.
 
@@ -406,47 +281,6 @@ class MapReduceEngine:
             return False
         return is_picklable(job)
 
-    def _batched_enabled(self, job: JobSpec) -> bool:
-        """Whether this job may run on the batched columnar path.
-
-        Requires batched twins for every record-path hook the job uses, an
-        un-subclassed engine core (the fault engine's per-attempt retries
-        and any test double override the record hooks, so they fall back to
-        the record path cleanly), a vectorizable cost model, and the
-        ``REPRO_DATA_PLANE`` switch not forcing "record". Falling back is
-        silent: behavior, not performance, is the contract.
-        """
-        if job.batch_mapper is None or not data_plane_enabled():
-            return False
-        if job.combiner is not None:
-            return False
-        if job.reducer is not None:
-            if job.batch_reducer is None:
-                return False
-            if job.n_reducers > 1 and job.batch_partitioner is None:
-                return False
-        if job.map_cost is not None and not hasattr(job.map_cost, "batch_cost"):
-            return False
-        cls = type(self)
-        for hook in ("_run_map_task", "_run_reduce_task", "_shuffle", "_combine"):
-            if getattr(cls, hook) is not getattr(MapReduceEngine, hook):
-                return False
-        return True
-
-    @staticmethod
-    def _as_batches(split_records) -> list[RecordBatch] | None:
-        """Every split as a RecordBatch, or ``None`` (→ record path)."""
-        batches = []
-        for records in split_records:
-            if isinstance(records, RecordBatch):
-                batches.append(records)
-                continue
-            batch = RecordBatch.from_records(records)
-            if batch is None:
-                return None
-            batches.append(batch)
-        return batches
-
     def _run_job(self, job: JobSpec, splits, tracer, job_span) -> JobResult:
         parallel = self._parallel_tasks_enabled(job)
         if tracer.enabled:
@@ -462,16 +296,6 @@ class MapReduceEngine:
             else:
                 split_records.append(split)
                 placements.append(())
-        batches = self._as_batches(split_records) if self._batched_enabled(job) else None
-        if tracer.enabled:
-            job_span.set("data_plane", "batched" if batches is not None else "record")
-        if batches is not None:
-            return self._run_job_batched(job, batches, placements, tracer, parallel)
-        # Columnar splits run through the record path whenever the job (or
-        # the engine subclass) cannot take the batched one.
-        split_records = [
-            r.to_records() if isinstance(r, RecordBatch) else r for r in split_records
-        ]
         counters = Counters()
         validate = _validation_enabled()
         phase_start = time.perf_counter()
@@ -555,274 +379,6 @@ class MapReduceEngine:
             reduce_stats=reduce_stats,
             partitions=partition_outputs,
         )
-
-    # -- batched columnar path ----------------------------------------------
-
-    def _run_job_batched(self, job, batches, placements, tracer, parallel) -> JobResult:
-        """The columnar twin of the record-path body of :meth:`_run_job`.
-
-        Phase structure, span names/attributes, counter totals, scheduling
-        inputs, and byte accounting all mirror the record path bit for bit;
-        only the per-record Python loops are replaced by array passes.
-        """
-        counters = Counters()
-        validate = _validation_enabled()
-        phase_start = time.perf_counter()
-        if parallel:
-            map_results = self._batch_map_phase_parallel(job, batches, counters, tracer)
-        else:
-            map_results = self._batch_map_phase_serial(job, batches, counters, tracer)
-        map_wall = time.perf_counter() - phase_start
-        with tracer.span("mr.schedule", phase="map"):
-            map_stats = self._schedule_map_phase(map_results, placements, counters)
-        map_stats.real_elapsed = map_wall
-        counters.increment("job", "map_tasks", len(map_results))
-        if validate:
-            from repro.verify.invariants import check_counter_equals
-
-            check_counter_equals(
-                counters, "map", "input_records",
-                sum(len(batch) for batch in batches),
-                stage=f"mr.job:{job.name}",
-            )
-
-        if job.reducer is None:
-            out_batches = [r.records for r in map_results if len(r.records)]
-            output_batch = RecordBatch.concat(out_batches) if out_batches else None
-            output = output_batch.to_records() if output_batch is not None else []
-            return JobResult(
-                job_name=job.name,
-                output=output,
-                counters=counters,
-                map_stats=map_stats,
-                reduce_stats=TaskStats(n_tasks=0, total_cost=0.0, makespan=0.0),
-                output_batch=output_batch,
-            )
-
-        # -- shuffle + reduce phase -----------------------------------------
-        with tracer.span("mr.shuffle") as shuffle_span:
-            partitions = self._shuffle_batched(job, map_results, counters)
-            shuffle_span.set("n_partitions", len(partitions))
-            shuffle_span.set("n_records", counters.value("shuffle", "records"))
-            if tracer.enabled:
-                ordered = sorted(partitions)
-                shuffle_span.set(
-                    "partition_records", [len(partitions[p]) for p in ordered]
-                )
-                shuffle_span.set(
-                    "bytes", sum(approx_bytes(partitions[p]) for p in ordered)
-                )
-        phase_start = time.perf_counter()
-        if parallel:
-            output, partition_outputs, reduce_costs, output_batch = (
-                self._batch_reduce_phase_parallel(job, partitions, counters, tracer)
-            )
-        else:
-            output, partition_outputs, reduce_costs, output_batch = (
-                self._batch_reduce_phase_serial(job, partitions, counters, tracer)
-            )
-        reduce_wall = time.perf_counter() - phase_start
-        # Same between-phase decision point as the record path — identical
-        # scheduling inputs keep the two data planes' makespans bit-identical.
-        if self.autoscaler is not None:
-            self.autoscaler.between_phases(job.name, map_stats, reduce_costs)
-        with tracer.span("mr.schedule", phase="reduce"):
-            reduce_stats = self._schedule_reduce_phase(reduce_costs, counters)
-        reduce_stats.real_elapsed = reduce_wall
-        counters.increment("job", "reduce_tasks", len(reduce_costs))
-        if validate:
-            from repro.verify.invariants import check_counter_equals
-
-            check_counter_equals(
-                counters, "reduce", "output_records", len(output),
-                stage=f"mr.job:{job.name}",
-            )
-        return JobResult(
-            job_name=job.name,
-            output=output,
-            counters=counters,
-            map_stats=map_stats,
-            reduce_stats=reduce_stats,
-            partitions=partition_outputs,
-            output_batch=output_batch,
-        )
-
-    def _shuffle_batched(self, job: JobSpec, map_results, counters: Counters):
-        """Vectorized shuffle: one partition-id pass + argsort grouping.
-
-        Reproduces the record shuffle exactly: same partition membership
-        (via ``batch_partitioner``), same record order within a partition
-        (map-task emission order, then — under ``sort_keys`` — a stable
-        sort by the key's decimal string, which orders identically to the
-        record path's ``repr``-based comparator for uniform numeric keys).
-        """
-        out_batches = [r.records for r in map_results if len(r.records)]
-        if not out_batches:
-            counters.increment("shuffle", "records", 0)
-            return {}
-        merged = RecordBatch.concat(out_batches)
-        n = len(merged)
-        if job.n_reducers == 1:
-            pids = np.zeros(n, dtype=np.int64)
-        else:
-            pids = np.asarray(job.batch_partitioner(merged.keys, job.n_reducers))
-            bad = (pids < 0) | (pids >= job.n_reducers)
-            if bad.any():
-                p = int(pids[np.argmax(bad)])
-                raise ValueError(
-                    f"partitioner returned {p}, valid range [0, {job.n_reducers})"
-                )
-        counters.increment("shuffle", "records", n)
-        order = np.argsort(pids, kind="stable")
-        sorted_pids = pids[order]
-        present = np.unique(sorted_pids)
-        starts = np.searchsorted(sorted_pids, present, side="left")
-        ends = np.searchsorted(sorted_pids, present, side="right")
-        partitions: dict[int, RecordBatch] = {}
-        for p, s, e in zip(present.tolist(), starts.tolist(), ends.tolist()):
-            part = merged.take(order[s:e])
-            if job.sort_keys:
-                part = part.take(np.argsort(part.keys.astype(str), kind="stable"))
-            partitions[int(p)] = part
-        return partitions
-
-    def _batch_map_phase_serial(self, job, batches, counters, tracer):
-        map_results = []
-        try:
-            for i, batch in enumerate(batches):
-                ctx = TaskContext(job=job, counters=counters, task_id=f"map-{i}")
-                with tracer.span("mr.map_task", task=ctx.task_id) as task_span:
-                    before = counters.copy() if tracer.enabled else None
-                    start = time.perf_counter()
-                    result = execute_batch_map_task(job, batch, ctx)
-                    if tracer.enabled:
-                        elapsed = time.perf_counter() - start
-                        task_span.set("cost", result.cost)
-                        task_span.set("n_input_records", result.n_input_records)
-                        task_span.set("n_output_records", len(result.records))
-                        task_span.set("bytes_in", approx_bytes(batch))
-                        task_span.set("bytes_out", approx_bytes(result.records))
-                        task_span.set("counters", counters.diff(before).as_dict())
-                        tracer.metrics.histogram(
-                            "mr.task_seconds", time_buckets()
-                        ).observe(elapsed)
-                map_results.append(result)
-        except Exception as exc:
-            exc.counters = counters
-            raise
-        return map_results
-
-    def _batch_map_phase_parallel(self, job, batches, counters, tracer):
-        payloads = []
-        owners = []
-        for i, batch in enumerate(batches):
-            shipped, own = ship_batch(batch)
-            owners.extend(own)
-            payloads.append((job, shipped, f"map-{i}"))
-        try:
-            outcomes = self.executor.map_ordered(_batch_map_task_worker, payloads)
-        finally:
-            for handle in owners:
-                handle.unlink()
-        map_results = []
-        for i, (status, value, task_counters, elapsed) in enumerate(outcomes):
-            counters.merge(task_counters)
-            if status == "error":
-                value.counters = counters
-                raise value
-            with tracer.span("mr.map_task", task=f"map-{i}") as task_span:
-                if tracer.enabled:
-                    task_span.set("cost", value.cost)
-                    task_span.set("n_input_records", value.n_input_records)
-                    task_span.set("n_output_records", len(value.records))
-                    task_span.set("bytes_in", approx_bytes(batches[i]))
-                    task_span.set("bytes_out", approx_bytes(value.records))
-                    task_span.set("counters", task_counters.as_dict())
-                    task_span.set("worker_time", elapsed)
-                    tracer.metrics.histogram(
-                        "mr.task_seconds", time_buckets()
-                    ).observe(elapsed)
-            map_results.append(value)
-        return map_results
-
-    def _batch_reduce_phase_serial(self, job, partitions, counters, tracer):
-        output: list[tuple] = []
-        reduce_costs = []
-        partition_outputs: dict[int, list[tuple]] = {}
-        part_batches: list[RecordBatch] = []
-        try:
-            for p in sorted(partitions):
-                ctx = TaskContext(job=job, counters=counters, task_id=f"reduce-{p}")
-                with tracer.span("mr.reduce_task", task=ctx.task_id) as task_span:
-                    before = counters.copy() if tracer.enabled else None
-                    start = time.perf_counter()
-                    part_out, cost = execute_batch_reduce_task(job, partitions[p], ctx)
-                    if tracer.enabled:
-                        elapsed = time.perf_counter() - start
-                        task_span.set("cost", cost)
-                        task_span.set("n_input_records", len(partitions[p]))
-                        task_span.set("n_output_records", len(part_out) if part_out else 0)
-                        task_span.set("bytes_in", approx_bytes(partitions[p]))
-                        task_span.set("bytes_out", approx_bytes(part_out) if part_out else 0)
-                        task_span.set("counters", counters.diff(before).as_dict())
-                        tracer.metrics.histogram(
-                            "mr.task_seconds", time_buckets()
-                        ).observe(elapsed)
-                part_records = part_out.to_records() if part_out is not None else []
-                if part_out is not None:
-                    part_batches.append(part_out)
-                partition_outputs[p] = part_records
-                output.extend(part_records)
-                reduce_costs.append(cost)
-        except Exception as exc:
-            exc.counters = counters
-            raise
-        output_batch = RecordBatch.concat(part_batches) if part_batches else None
-        return output, partition_outputs, reduce_costs, output_batch
-
-    def _batch_reduce_phase_parallel(self, job, partitions, counters, tracer):
-        order = sorted(partitions)
-        payloads = []
-        owners = []
-        for p in order:
-            shipped, own = ship_batch(partitions[p])
-            owners.extend(own)
-            payloads.append((job, shipped, f"reduce-{p}"))
-        try:
-            outcomes = self.executor.map_ordered(_batch_reduce_task_worker, payloads)
-        finally:
-            for handle in owners:
-                handle.unlink()
-        output: list[tuple] = []
-        reduce_costs = []
-        partition_outputs: dict[int, list[tuple]] = {}
-        part_batches: list[RecordBatch] = []
-        for p, (status, value, task_counters, elapsed) in zip(order, outcomes):
-            counters.merge(task_counters)
-            if status == "error":
-                value.counters = counters
-                raise value
-            part_out, cost = value
-            with tracer.span("mr.reduce_task", task=f"reduce-{p}") as task_span:
-                if tracer.enabled:
-                    task_span.set("cost", cost)
-                    task_span.set("n_input_records", len(partitions[p]))
-                    task_span.set("n_output_records", len(part_out) if part_out else 0)
-                    task_span.set("bytes_in", approx_bytes(partitions[p]))
-                    task_span.set("bytes_out", approx_bytes(part_out) if part_out else 0)
-                    task_span.set("counters", task_counters.as_dict())
-                    task_span.set("worker_time", elapsed)
-                    tracer.metrics.histogram(
-                        "mr.task_seconds", time_buckets()
-                    ).observe(elapsed)
-            part_records = part_out.to_records() if part_out is not None else []
-            if part_out is not None:
-                part_batches.append(part_out)
-            partition_outputs[p] = part_records
-            output.extend(part_records)
-            reduce_costs.append(cost)
-        output_batch = RecordBatch.concat(part_batches) if part_batches else None
-        return output, partition_outputs, reduce_costs, output_batch
 
     # -- phase drivers (serial / parallel) -----------------------------------
 
@@ -962,9 +518,6 @@ class MapReduceEngine:
 
     def _run_map_task(self, job: JobSpec, records, ctx: TaskContext) -> MapTaskResult:
         return execute_map_task(job, records, ctx)
-
-    def _combine(self, job: JobSpec, records: list[tuple], ctx: TaskContext) -> list[tuple]:
-        return _combine_records(job, records, ctx)
 
     def _shuffle(self, job: JobSpec, map_results: list[MapTaskResult], counters: Counters):
         partitioner = job.partitioner or _default_partitioner

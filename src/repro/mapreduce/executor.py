@@ -53,7 +53,6 @@ from repro.observability import get_logger, get_tracer
 
 __all__ = [
     "N_JOBS_ENV",
-    "SHARED_BATCH_MIN_BYTES",
     "ExecutorError",
     "SerialExecutor",
     "ParallelExecutor",
@@ -62,8 +61,6 @@ __all__ = [
     "resolve_executor",
     "default_executor",
     "is_picklable",
-    "ship_batch",
-    "load_batch",
 ]
 
 #: Environment variable selecting the default worker count (0/1/unset = serial).
@@ -416,66 +413,3 @@ class SharedArray:
     def __repr__(self) -> str:
         return f"SharedArray(name={self.name!r}, shape={self.shape}, dtype={self.dtype!r})"
 
-
-# -- columnar batch shipping -------------------------------------------------
-#
-# The batched engine's task payloads carry whole RecordBatch columns. Small
-# columns ride the normal pickle channel; columns at or above the threshold
-# are broadcast through SharedArray so the pool's pipe moves a few-byte
-# handle instead of megabytes of data. The parent owns the segments and
-# unlinks them once the phase's results are collected.
-
-#: Columns at least this large travel through shared memory (1 MiB).
-SHARED_BATCH_MIN_BYTES = 1 << 20
-
-
-def _pack_column(col, owners: list, min_bytes: int):
-    if isinstance(col, tuple):
-        return tuple(_pack_column(c, owners, min_bytes) for c in col)
-    if isinstance(col, np.ndarray) and col.nbytes >= min_bytes:
-        handle = SharedArray.create(col)
-        owners.append(handle)
-        return handle
-    return col
-
-
-def _unpack_column(col):
-    if isinstance(col, tuple):
-        return tuple(_unpack_column(c) for c in col)
-    if isinstance(col, SharedArray):
-        # Copy out of the segment immediately: the worker's result may hold
-        # (views of) these rows and must not dangle once the parent unlinks.
-        array = np.array(col.asarray())
-        col.close()
-        return array
-    return col
-
-
-def ship_batch(batch, *, min_bytes: int | None = None):
-    """Prepare a RecordBatch for a task payload.
-
-    Returns ``(shipped, owners)`` where ``shipped`` is either the batch
-    itself (all columns small) or a compact form with large columns replaced
-    by :class:`SharedArray` handles, and ``owners`` are the created segments
-    — the caller must ``unlink()`` each after the phase completes.
-    """
-    if min_bytes is None:
-        min_bytes = SHARED_BATCH_MIN_BYTES
-    owners: list = []
-    keys = _pack_column(batch.keys, owners, min_bytes)
-    values = _pack_column(batch.values, owners, min_bytes)
-    if not owners:
-        return batch, []
-    return ("record-batch", keys, values), owners
-
-
-def load_batch(shipped):
-    """Worker-side inverse of :func:`ship_batch`."""
-    from repro.mapreduce.types import RecordBatch
-
-    if isinstance(shipped, RecordBatch):
-        return shipped
-    kind, keys, values = shipped
-    if kind != "record-batch":
-        raise TypeError(f"not a shipped batch: {shipped!r}")
-    return RecordBatch(_unpack_column(keys), _unpack_column(values))

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.mapreduce.storage import StorageError
-from repro.mapreduce.types import RecordBatch
 
 __all__ = ["FileSplit", "SimulatedHDFS", "ReplicaUnavailableError"]
 
@@ -50,7 +49,7 @@ class FileSplit:
 
     path: str
     index: int
-    records: tuple | RecordBatch  # columnar files split into batch views
+    records: tuple
     preferred_nodes: tuple = ()
 
     def __len__(self) -> int:
@@ -206,11 +205,7 @@ class SimulatedHDFS:
         size = split_size or self.default_split_size
         if size < 1:
             raise ValueError(f"split_size must be >= 1, got {size}")
-        # Columnar files are stored as-is (batches are treated as immutable);
-        # record files are materialised into an owned list.
-        if not isinstance(records, RecordBatch):
-            records = list(records)
-        stored = _StoredFile(records=records, split_size=size)
+        stored = _StoredFile(records=list(records), split_size=size)
         n_splits = max(1, -(-len(stored.records) // size))
         live = [n for n in range(self.n_nodes) if n not in self._dead]
         replication = min(self.replication, len(live))
@@ -246,8 +241,6 @@ class SimulatedHDFS:
         for s in sorted(stored.placements):
             if not self._live_replicas(stored.placements[s]):
                 raise ReplicaUnavailableError(path, s, stored.placements[s])
-        if isinstance(stored.records, RecordBatch):
-            return stored.records
         return list(stored.records)
 
     def splits(self, path: str) -> list[FileSplit]:
@@ -264,13 +257,10 @@ class SimulatedHDFS:
             live = self._live_replicas(stored.placements[s])
             if not live:
                 raise ReplicaUnavailableError(path, s, stored.placements[s])
-            if isinstance(stored.records, RecordBatch):
-                chunk = stored.records[s * size : (s + 1) * size]  # column views
-            else:
-                chunk = tuple(stored.records[s * size : (s + 1) * size])
             out.append(
                 FileSplit(
-                    path=path, index=s, records=chunk,
+                    path=path, index=s,
+                    records=tuple(stored.records[s * size : (s + 1) * size]),
                     preferred_nodes=live,
                 )
             )

@@ -68,16 +68,10 @@ class Job:
     output_path: str
 
     def run(self, engine: MapReduceEngine, fs: SimulatedHDFS, *, overwrite: bool = False) -> JobResult:
-        """Read splits from ``input_path``, run, write output to ``output_path``.
-
-        A job that ran on the batched data plane writes its columnar output
-        so the next stage's splits stay columnar; checkpoints (and the
-        record path) keep the materialised record list.
-        """
+        """Read splits from ``input_path``, run, write output to ``output_path``."""
         splits = fs.splits(self.input_path)
         result = engine.run(self.spec, splits)
-        out = result.output_batch if result.output_batch is not None else result.output
-        fs.write(self.output_path, out, overwrite=overwrite)
+        fs.write(self.output_path, result.output, overwrite=overwrite)
         return result
 
 

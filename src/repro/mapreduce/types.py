@@ -5,18 +5,6 @@ A *mapper* is a callable ``(key, value, context) -> iterable[(k2, v2)]``; a
 exposes Hadoop-style counters. A :class:`JobSpec` bundles the callables with
 shuffle policy (partitioner, comparator, combiner) — enough surface to
 express the paper's Algorithms 1 and 2 idiomatically.
-
-Batched data plane
-------------------
-:class:`RecordBatch` is the columnar twin of a list of ``(key, value)``
-tuples: one 1-D ``keys`` array plus aligned value columns (a single array
-whose leading axis is the record axis, or a tuple of such columns — row
-``i``'s value is then a tuple). A JobSpec may additionally carry
-``batch_mapper`` / ``batch_reducer`` / ``batch_partitioner`` callables that
-consume and emit whole batches; the engine uses them when every input split
-is (convertible to) a batch and falls back to the record-at-a-time
-callables otherwise. The record path stays the semantic reference: a
-batched operator must emit exactly the records its per-record twin would.
 """
 
 from __future__ import annotations
@@ -24,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-import numpy as np
-
-__all__ = ["KeyValue", "RecordBatch", "MapTaskResult", "JobSpec"]
+__all__ = ["KeyValue", "MapTaskResult", "JobSpec"]
 
 
 @dataclass(frozen=True)
@@ -40,205 +26,11 @@ class KeyValue:
         return (self.key, self.value)
 
 
-def _check_columns(values, n: int) -> None:
-    if isinstance(values, tuple):
-        for col in values:
-            _check_columns(col, n)
-        return
-    if not isinstance(values, np.ndarray):
-        raise TypeError(
-            f"value columns must be numpy arrays or tuples of them, got {type(values).__name__}"
-        )
-    if values.ndim < 1 or values.shape[0] != n:
-        raise ValueError(
-            f"value column of shape {values.shape} does not align with {n} keys"
-        )
-
-
-def _take_columns(values, indices):
-    if isinstance(values, tuple):
-        return tuple(_take_columns(col, indices) for col in values)
-    return values[indices]
-
-
-def _row_bytes(column) -> int:
-    """What one row of this column costs under ``approx_bytes``.
-
-    A 1-D column's row is a numpy scalar (``nbytes`` = itemsize); a k-D
-    column's row is an array; a tuple of columns yields a tuple row with the
-    list/tuple per-slot overhead. Matches the record path exactly for 8-byte
-    dtypes (the engine's scalar estimate is one machine word).
-    """
-    if isinstance(column, tuple):
-        return 8 * len(column) + sum(_row_bytes(col) for col in column)
-    n_inner = 1
-    for s in column.shape[1:]:
-        n_inner *= int(s)
-    return int(column.dtype.itemsize) * n_inner
-
-
-def _iter_rows(values):
-    if isinstance(values, tuple):
-        return zip(*(_iter_rows(col) for col in values))
-    return iter(values)
-
-
-def _build_column(items: list):
-    """Infer one column from a list of per-record objects (or raise).
-
-    Conservative by design: anything ambiguous (mixed types, ragged arrays,
-    object dtypes, non-8-byte scalars) raises so the engine falls back to
-    the record path instead of silently changing record semantics.
-    """
-    first = items[0]
-    if isinstance(first, tuple):
-        width = len(first)
-        if any(not isinstance(it, tuple) or len(it) != width for it in items):
-            raise TypeError("mixed tuple shapes")
-        return tuple(_build_column([it[i] for it in items]) for i in range(width))
-    if isinstance(first, np.ndarray):
-        if any(
-            not isinstance(it, np.ndarray)
-            or it.shape != first.shape
-            or it.dtype != first.dtype
-            for it in items
-        ):
-            raise TypeError("mixed array shapes or dtypes")
-        return np.stack(items)
-    first_type = type(first)
-    if any(type(it) is not first_type for it in items):
-        raise TypeError("mixed scalar types")
-    column = np.asarray(items)
-    # Only 8-byte numeric columns keep approx_bytes identical to the
-    # record path (scalars count one machine word there).
-    if column.dtype.kind not in "iuf" or column.dtype.itemsize != 8:
-        raise TypeError(f"unsupported column dtype {column.dtype}")
-    return column
-
-
-class RecordBatch:
-    """A columnar slab of keyed records.
-
-    Parameters
-    ----------
-    keys:
-        (n,) array — record ``i``'s key is ``keys[i]`` (a numpy scalar).
-    values:
-        Either one array whose leading axis is the record axis (row ``i`` is
-        the value), or a tuple of such columns (row ``i``'s value is the
-        tuple of per-column rows). Nested tuples mirror nested record
-        values.
-
-    Batches are treated as immutable; slicing and :meth:`take` return
-    views/copies without touching the originals. ``nbytes`` reports the
-    *record-equivalent* size — what ``approx_bytes`` would charge for
-    ``to_records()`` — so shuffle-volume and task byte attributes stay
-    bit-identical between the two data planes.
-    """
-
-    __slots__ = ("keys", "values")
-
-    def __init__(self, keys, values):
-        keys = np.asarray(keys)
-        if keys.ndim != 1:
-            raise ValueError(f"keys must be 1-D, got shape {keys.shape}")
-        _check_columns(values, keys.shape[0])
-        self.keys = keys
-        self.values = values
-
-    def __len__(self) -> int:
-        return int(self.keys.shape[0])
-
-    def __getitem__(self, item) -> "RecordBatch":
-        if not isinstance(item, slice):
-            raise TypeError("RecordBatch supports slice indexing only; use take()")
-        return RecordBatch(self.keys[item], _take_columns(self.values, item))
-
-    def take(self, indices) -> "RecordBatch":
-        """A new batch holding rows ``indices`` (fancy indexing, copies)."""
-        indices = np.asarray(indices)
-        n = len(self)
-        # Bounds-check up front: a zero-column batch has no value arrays to
-        # catch a bad index, and the error should name the batch, not leak
-        # from whichever column happened to be indexed first.
-        if indices.size and indices.dtype.kind in "iu" and (
-            int(indices.min()) < -n or int(indices.max()) >= n
-        ):
-            raise IndexError(
-                f"take indices out of range for RecordBatch of {n} row(s)"
-            )
-        return RecordBatch(self.keys[indices], _take_columns(self.values, indices))
-
-    @property
-    def nbytes(self) -> int:
-        """Record-equivalent ``approx_bytes`` estimate of this batch."""
-        n = len(self)
-        return 8 * n + n * (16 + _row_bytes(self.keys) + _row_bytes(self.values))
-
-    def to_records(self) -> list[tuple]:
-        """Materialise the equivalent list of ``(key, value)`` tuples."""
-        if isinstance(self.values, tuple) and not self.values:
-            # zip(*()) is the empty iterator, which would silently drop
-            # every key of a zero-column batch; each row's value is ().
-            return [(key, ()) for key in self.keys]
-        return list(zip(self.keys, _iter_rows(self.values)))
-
-    @classmethod
-    def from_records(cls, records) -> "RecordBatch | None":
-        """Build a batch from ``(key, value)`` tuples, or ``None``.
-
-        Returns ``None`` whenever the records do not admit an unambiguous
-        columnar layout (empty input, non-pair records, mixed types, ragged
-        arrays) — the engine then keeps the job on the record path.
-        """
-        records = list(records)
-        if not records:
-            return None
-        if any(not isinstance(r, tuple) or len(r) != 2 for r in records):
-            return None
-        try:
-            keys = _build_column([r[0] for r in records])
-            values = _build_column([r[1] for r in records])
-        except TypeError:
-            return None
-        if isinstance(keys, tuple) or keys.ndim != 1:
-            return None
-        return cls(keys, values)
-
-    @classmethod
-    def concat(cls, batches: list["RecordBatch"]) -> "RecordBatch":
-        """Concatenate batches row-wise (they must share column structure)."""
-        if not batches:
-            raise ValueError("cannot concatenate zero batches")
-        if len(batches) == 1:
-            return batches[0]
-
-        def cat(cols):
-            if isinstance(cols[0], tuple):
-                width = len(cols[0])
-                if any(not isinstance(c, tuple) or len(c) != width for c in cols):
-                    raise TypeError("batches have mismatched value structure")
-                return tuple(cat([c[i] for c in cols]) for i in range(width))
-            return np.concatenate(cols)
-
-        return cls(
-            np.concatenate([b.keys for b in batches]),
-            cat([b.values for b in batches]),
-        )
-
-    def __repr__(self) -> str:
-        return f"RecordBatch(n={len(self)}, keys={self.keys.dtype})"
-
-
 @dataclass
 class MapTaskResult:
-    """Output of one map task: emitted records plus cost accounting.
+    """Output of one map task: emitted records plus cost accounting."""
 
-    ``records`` is a list of tuples on the record path and a
-    :class:`RecordBatch` on the batched path (both support ``len``).
-    """
-
-    records: list[tuple] | RecordBatch
+    records: list[tuple]
     n_input_records: int
     cost: float  # abstract work units consumed (drives the simulated clock)
 
@@ -267,23 +59,7 @@ class JobSpec:
     map_cost / reduce_cost:
         Optional cost models ``(key, value) -> float`` and
         ``(key, values) -> float`` feeding the simulated clock; default cost
-        is one unit per record. For the batched path, ``map_cost`` must
-        expose ``batch_cost(batch) -> float`` (summing what the per-record
-        calls would) and ``reduce_cost`` is called once per key group with
-        the group's :class:`RecordBatch` (it may only rely on ``len`` and
-        the key — which is all the shipped cost models use).
-    batch_mapper:
-        Optional ``(RecordBatch, context) -> RecordBatch`` twin of
-        ``mapper``; must emit exactly the records the per-record mapper
-        would, in the same order.
-    batch_reducer:
-        Optional ``(key, group: RecordBatch, context) -> RecordBatch`` twin
-        of ``reducer``, called once per key group.
-    batch_partitioner:
-        Optional vectorized ``(keys: ndarray, n_partitions) -> ndarray``
-        twin of ``partitioner``. Required for batched execution when
-        ``n_reducers > 1``: the engine will not guess that a scalar
-        partitioner is type-insensitive.
+        is one unit per record.
     """
 
     name: str
@@ -296,12 +72,7 @@ class JobSpec:
     map_cost: Callable[[Any, Any], float] | None = None
     reduce_cost: Callable[[Any, Any], float] | None = None
     params: dict = field(default_factory=dict)
-    batch_mapper: Callable[[RecordBatch, Any], RecordBatch] | None = None
-    batch_reducer: Callable[[Any, RecordBatch, Any], RecordBatch] | None = None
-    batch_partitioner: Callable[[np.ndarray, int], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.n_reducers < 1:
             raise ValueError(f"n_reducers must be >= 1, got {self.n_reducers}")
-        if self.batch_reducer is not None and self.reducer is None:
-            raise ValueError("batch_reducer requires a reducer (the semantic reference)")

@@ -9,6 +9,10 @@ symmetric (normalized-affinity) matrix:
 * ``"dense"`` — LAPACK ``eigh`` via numpy; the exact reference.
 * ``"arpack"`` — :func:`scipy.sparse.linalg.eigsh`, the implicitly restarted
   Lanczos the PSC baseline's PARPACK dependency corresponds to.
+
+When ``"lanczos"`` cannot deliver (it raises, returns too few Ritz pairs, or
+returns non-finite values) the front-end falls back to the dense solver and,
+with tracing on, records an ``eigen.fallback`` event and counter.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from repro.observability import get_tracer
 from repro.spectral.lanczos import lanczos_top_eigenpairs
 from repro.spectral.tridiagonal import tridiagonal_eigh  # noqa: F401 (re-exported)
 
@@ -66,19 +71,22 @@ def top_eigenvectors(L, k: int, *, backend: str = "dense", seed=0) -> tuple[np.n
         dense = _densify(L)
         try:
             vals, vecs = lanczos_top_eigenpairs(lambda v: dense @ v, n, k, seed=seed)
-        except (RuntimeError, np.linalg.LinAlgError):
+        except (RuntimeError, np.linalg.LinAlgError) as exc:
             # Non-convergence (e.g. the tridiagonal QL hit its sweep cap):
             # degrade gracefully to the exact dense solver.
-            vals = vecs = None
-        if (
-            vals is not None
-            and vals.shape[0] == k
-            and np.isfinite(vals).all()
-            and np.isfinite(vecs).all()
-        ):
-            return vals, vecs
-        # Space exhausted early (tiny matrices), non-convergence, or a
-        # numerically broken result: fall through to dense.
+            reason = f"{type(exc).__name__}: {exc}"
+        else:
+            if vals.shape[0] != k:
+                # Space exhausted early (tiny or degenerate matrices).
+                reason = f"{vals.shape[0]} of {k} Ritz pairs"
+            elif not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
+                reason = "non-finite Ritz pairs"
+            else:
+                return vals, vecs
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.event("eigen.fallback", backend=backend, n=n, k=k, reason=reason)
+            tracer.metrics.counter("eigen.fallback").inc()
 
     # Dense fallback (also the small-n path for the iterative backends).
     vals, vecs = np.linalg.eigh(_densify(L))

@@ -23,11 +23,7 @@ synthetic workload (the shape of the paper's Section-5.3 comparison):
    resume, quarantine the damaged object (``<key>.corrupt``),
    re-execute that step, and still match the uninterrupted run
    bit-for-bit (labels and counters);
-7. **batched vs record data plane** — the vectorized columnar path and
-   the record-at-a-time reference path must produce bit-identical
-   labels, counters, and simulated makespans (only real wall-clock may
-   differ);
-8. **serving assign vs fit** — the exported :class:`~repro.serving.DASCModel`
+7. **serving assign vs fit** — the exported :class:`~repro.serving.DASCModel`
    must route every training point by exact signature and reproduce the
    fit labels bit-identically (the serving plane's self-consistency
    contract).
@@ -191,11 +187,9 @@ def run_differential_suite(
     _run_check(report, "dasc.serial_vs_parallel", check_serial_vs_parallel)
 
     # -- 2. serial vs process-pool DistributedDASC --------------------------
-    def distributed(executor, emr=None, **kwargs):
+    def distributed(executor, emr=None):
         service = emr if emr is not None else ElasticMapReduce(executor=executor)
-        return DistributedDASC(
-            n_nodes=n_nodes, config=config(), emr=service, **kwargs
-        )
+        return DistributedDASC(n_nodes=n_nodes, config=config(), emr=service)
 
     serial_dist = distributed(SerialExecutor()).run(X)
 
@@ -288,26 +282,7 @@ def run_differential_suite(
 
     _run_check(report, "storage.corrupt_checkpoint_resume", check_corrupt_checkpoint_resume)
 
-    # -- 7. batched vs record data plane -------------------------------------
-    def check_batched_vs_record():
-        # serial_dist ran on the session default (batched unless disabled);
-        # pin both planes explicitly so the check is meaningful either way.
-        batched = distributed(SerialExecutor(), data_plane="batched").run(X)
-        record = distributed(SerialExecutor(), data_plane="record").run(X)
-        same_labels = bool(np.array_equal(batched.labels, record.labels))
-        same_counters = _counters_equal(batched.counters, record.counters)
-        same_makespan = batched.makespan == record.makespan
-        same_stage_makespans = batched.stage_makespans == record.stage_makespans
-        return same_labels and same_counters and same_makespan and same_stage_makespans, {
-            "labels_identical": same_labels,
-            "counters_identical": same_counters,
-            "makespan_identical": same_makespan,
-            "stage_makespans_identical": same_stage_makespans,
-        }
-
-    _run_check(report, "data_plane.batched_vs_record", check_batched_vs_record)
-
-    # -- 8. serving assign vs fit --------------------------------------------
+    # -- 7. serving assign vs fit --------------------------------------------
     def check_serving_assign_vs_fit():
         model = serial_model.export_model(X)
         assigned, details = model.assign(X, return_details=True)

@@ -42,6 +42,15 @@ class TestFit:
         with pytest.raises(ValueError, match="non-finite"):
             DASC(4, seed=0).fit(X)
 
+    def test_column_spanning_one_ulp_does_not_crash(self):
+        # Table 3's top_span policy picks the column whose two values are
+        # one ulp apart; its histogram cannot hold 20 finite bins.
+        X = np.random.default_rng(0).random((300, 4))
+        X[:, 3] = np.where(np.arange(300) % 2 == 0, 1.0, np.nextafter(1.0, 2.0))
+        model = DASC(3, n_bits=4, dimension_policy="top_span").fit(X)
+        assert model.labels_.shape == (300,)
+        assert (model.labels_ >= 0).all()
+
     def test_defaults_resolved_from_data(self, blobs_small):
         X, _ = blobs_small
         dasc = DASC(seed=0).fit(X)  # no explicit K or M

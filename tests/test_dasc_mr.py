@@ -1,11 +1,14 @@
 """Tests for the MapReduce implementation of DASC (Algorithms 1-2 + driver)."""
 
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.core import DASC, DASCConfig
 from repro.dasc_mr import DistributedDASC, make_signature_job, signature_mapper
 from repro.dasc_mr.stage2 import make_clustering_job
+from repro.data.synthetic import make_blobs
 from repro.lsh.axis import AxisParallelHasher
 from repro.mapreduce import MapReduceEngine
 from repro.metrics import clustering_accuracy, normalized_mutual_info
@@ -124,6 +127,38 @@ class TestDistributedDASC:
         keys = emr.s3.list_keys()
         assert any(k.endswith("/input") for k in keys)
         assert any(k.endswith("/output/labels") for k in keys)
+
+    def test_parallel_vs_serial_bit_identical(self, blobs_small):
+        from repro.mapreduce import ElasticMapReduce, ParallelExecutor, SerialExecutor
+
+        X, _ = blobs_small
+
+        def run(executor):
+            emr = ElasticMapReduce(executor=executor)
+            return DistributedDASC(6, n_nodes=4, split_size=64, emr=emr).run(X)
+
+        serial = run(SerialExecutor())
+        parallel = run(ParallelExecutor(2))
+        assert np.array_equal(serial.labels, parallel.labels)
+        assert serial.counters == parallel.counters
+        assert serial.makespan == parallel.makespan
+
+    def test_exact_output_pinned(self):
+        """Golden labels, buckets, makespans and task counts of one seeded run.
+
+        Holds serially, under ``REPRO_N_JOBS=2`` and under
+        ``REPRO_VALIDATE=1``: none of them may move a label or a makespan.
+        """
+        X, _ = make_blobs(n_samples=400, n_clusters=4, n_features=16, seed=3)
+        res = DistributedDASC(
+            4, n_nodes=4, config=DASCConfig(seed=0), split_size=64
+        ).run(X)
+        assert zlib.crc32(res.labels.astype(np.int64).tobytes()) == 1680017207
+        assert res.n_buckets == 3
+        assert res.makespan == 81056.0
+        assert res.stage_makespans == {"lsh": 192.0, "spectral": 80864.0}
+        assert res.counters["stage1"]["job"] == {"map_tasks": 7}
+        assert res.counters["stage2"]["job"] == {"map_tasks": 7, "reduce_tasks": 3}
 
 
 class TestMahoutSpectralMode:

@@ -12,7 +12,7 @@ from repro.verify import (
     run_differential_suite,
 )
 
-# One suite run covers all six checks; share it across assertions.
+# One suite run covers all seven checks; share it across assertions.
 SUITE_KW = dict(n_samples=200, n_clusters=4, n_features=8, seed=0, n_jobs=2, n_nodes=4)
 
 
@@ -52,7 +52,6 @@ class TestSuite:
             "dasc.local_vs_distributed",
             "quality.dasc_vs_exact_sc",
             "storage.corrupt_checkpoint_resume",
-            "data_plane.batched_vs_record",
             "serving.assign_vs_fit",
         }
 
@@ -78,13 +77,6 @@ class TestSuite:
         assert check.details["counters_identical"]
         assert check.details["quarantined"]
         assert check.details["step0_reexecuted"]
-
-    def test_data_planes_bit_identical(self, report):
-        check = {c.name: c for c in report.checks}["data_plane.batched_vs_record"]
-        assert check.details["labels_identical"]
-        assert check.details["counters_identical"]
-        assert check.details["makespan_identical"]
-        assert check.details["stage_makespans_identical"]
 
     def test_serving_assigns_fit_labels(self, report):
         check = {c.name: c for c in report.checks}["serving.assign_vs_fit"]

@@ -15,6 +15,7 @@ from repro.mapreduce import (
     SimulatedHDFS,
     TABLE2_DEFAULTS,
 )
+from repro.mapreduce.engine import approx_bytes
 
 
 # -- word count: the canonical end-to-end job --------------------------------
@@ -288,3 +289,17 @@ class TestEngineProperties:
         plain = MapReduceEngine().run(make_wc_job(), splits)
         combined = MapReduceEngine().run(make_wc_job(combiner=wc_reducer), splits)
         assert dict(plain.output) == dict(combined.output)
+
+
+class TestApproxBytesDict:
+    def test_dict_charges_per_slot_overhead(self):
+        # Two pointer words per entry, consistent with list/tuple's one word
+        # per slot, plus the recursive content estimate.
+        assert approx_bytes({}) == 0
+        assert approx_bytes({1: 2}) == 16 + 8 + 8
+        assert approx_bytes({"ab": [1, 2]}) == 16 + 2 + (8 * 2 + 16)
+
+    def test_dict_consistent_with_item_tuples(self):
+        d = {1: 2.0, 3: 4.0}
+        items = list(d.items())
+        assert approx_bytes(d) == approx_bytes(items) - 8 * len(items)

@@ -172,6 +172,28 @@ class TestTopEigenvectors:
         ref, _ = top_eigenvectors(L.toarray(), 3, backend="dense")
         assert np.allclose(vals, ref, atol=1e-6)
 
+    def test_lanczos_fallback_is_traced(self, monkeypatch):
+        from repro.observability import Tracer, use_tracer
+
+        def diverge(*args, **kwargs):
+            raise RuntimeError("QL sweep cap reached")
+
+        monkeypatch.setattr("repro.spectral.eigen.lanczos_top_eigenpairs", diverge)
+        L = normalized_laplacian(random_affinity(9, n=20))
+        tracer = Tracer()
+        with use_tracer(tracer):
+            vals, vecs = top_eigenvectors(L, 3, backend="lanczos", seed=0)
+        events = [r for r in tracer.sink.records if r["name"] == "eigen.fallback"]
+        assert len(events) == 1
+        assert events[0]["attributes"] == {
+            "backend": "lanczos", "n": 20, "k": 3,
+            "reason": "RuntimeError: QL sweep cap reached",
+        }
+        assert tracer.metrics.counter("eigen.fallback").value == 1
+        ref_vals, ref_vecs = top_eigenvectors(L, 3, backend="dense")
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(vecs, ref_vecs)
+
 
 class TestRestartedLanczos:
     def test_degenerate_spectrum_resolved(self):
