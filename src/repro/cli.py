@@ -300,15 +300,32 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_matrix(path: str, label_column: int | None):
     stream = sys.stdin if path == "-" else open(path, newline="")
     try:
-        rows = [row for row in csv.reader(stream) if row]
+        reader = csv.reader(stream)
+        rows = [(reader.line_num, row) for row in reader if row]
     finally:
         if stream is not sys.stdin:
             stream.close()
     if not rows:
         raise SystemExit("error: empty input")
-    data = np.array([[float(v) for v in row] for row in rows])
+    n_columns = len(rows[0][1])
+    values = []
+    for line, row in rows:
+        if len(row) != n_columns:
+            raise SystemExit(
+                f"error: line {line} has {len(row)} columns, expected {n_columns}"
+            )
+        try:
+            values.append([float(v) for v in row])
+        except ValueError as exc:
+            raise SystemExit(f"error: line {line}: {exc}") from None
+    data = np.array(values)
     labels = None
     if label_column is not None:
+        if not -n_columns <= label_column < n_columns:
+            raise SystemExit(
+                f"error: --label-column {label_column} is out of range "
+                f"for {n_columns} columns"
+            )
         labels = data[:, label_column].astype(np.int64)
         data = np.delete(data, label_column, axis=1)
     return data, labels

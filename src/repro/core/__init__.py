@@ -20,7 +20,6 @@ from repro.core.approx_kernel import ApproximateKernel, build_approximate_kernel
 from repro.core.allocation import allocate_clusters, choose_k_eigengap
 from repro.core.refine import merge_clusters_to_k
 from repro.core.streaming import StreamingDASC
-from repro.core.tuning import approximation_profile, choose_n_bits
 from repro.core.dasc import DASC
 
 __all__ = [
@@ -38,7 +37,5 @@ __all__ = [
     "choose_k_eigengap",
     "merge_clusters_to_k",
     "StreamingDASC",
-    "approximation_profile",
-    "choose_n_bits",
     "DASC",
 ]

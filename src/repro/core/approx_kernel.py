@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.buckets import Buckets
 from repro.kernels.functions import Kernel
@@ -76,21 +75,6 @@ class ApproximateKernel:
         for idx, block in zip(self.bucket_indices, self.blocks):
             K[np.ix_(idx, idx)] = block
         return K
-
-    def to_sparse(self) -> sp.csr_matrix:
-        """The approximate matrix as CSR (useful for sparse downstream solvers)."""
-        rows, cols, vals = [], [], []
-        for idx, block in zip(self.bucket_indices, self.blocks):
-            grid_r, grid_c = np.meshgrid(idx, idx, indexing="ij")
-            rows.append(grid_r.ravel())
-            cols.append(grid_c.ravel())
-            vals.append(block.ravel())
-        if not rows:
-            return sp.csr_matrix((self.n_samples, self.n_samples))
-        return sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_samples, self.n_samples),
-        )
 
 
 def _bucket_block_worker(payload):

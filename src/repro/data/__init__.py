@@ -26,7 +26,6 @@ from repro.data.wikipedia import (
     make_wikipedia_dataset,
 )
 from repro.data.crawler import SyntheticWikipedia, Crawler
-from repro.data.loaders import save_csv, load_csv, train_test_split
 
 __all__ = [
     "make_blobs",
@@ -47,7 +46,4 @@ __all__ = [
     "make_wikipedia_dataset",
     "SyntheticWikipedia",
     "Crawler",
-    "save_csv",
-    "load_csv",
-    "train_test_split",
 ]

@@ -20,7 +20,6 @@ from repro.lsh.axis import AxisParallelHasher, dimension_spans, histogram_valley
 from repro.lsh.random_projection import SignedRandomProjectionHasher, PCARotationHasher
 from repro.lsh.stable import StableDistributionHasher
 from repro.lsh.minhash import MinHasher
-from repro.lsh.kdtree import KDTree
 from repro.lsh.index import LSHIndex, banding_collision_probability
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "PCARotationHasher",
     "StableDistributionHasher",
     "MinHasher",
-    "KDTree",
     "LSHIndex",
     "banding_collision_probability",
 ]

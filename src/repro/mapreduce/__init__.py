@@ -26,7 +26,7 @@ deployment story needs:
   backends for real-core task parallelism (``REPRO_N_JOBS``).
 """
 
-from repro.mapreduce.types import KeyValue, MapTaskResult, JobSpec
+from repro.mapreduce.types import MapTaskResult, JobSpec
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.engine import MapReduceEngine, stable_hash
 from repro.mapreduce.executor import (
@@ -83,7 +83,6 @@ from repro.mapreduce.faults import (
 )
 
 __all__ = [
-    "KeyValue",
     "MapTaskResult",
     "JobSpec",
     "Counters",

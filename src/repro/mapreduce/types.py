@@ -12,18 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-__all__ = ["KeyValue", "MapTaskResult", "JobSpec"]
-
-
-@dataclass(frozen=True)
-class KeyValue:
-    """One keyed record flowing through a MapReduce stage."""
-
-    key: Any
-    value: Any
-
-    def as_tuple(self) -> tuple:
-        return (self.key, self.value)
+__all__ = ["MapTaskResult", "JobSpec"]
 
 
 @dataclass

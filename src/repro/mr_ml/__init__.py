@@ -1,12 +1,10 @@
 """Distributed machine-learning primitives on the MapReduce engine.
 
 The paper leans on Apache Mahout for the distributed pieces it does not
-build itself: "the open-source Apache Mahout library implements important
-machine learning algorithms such as K-Means, Singular Value Decomposition
-and Hidden Markov Models using the MapReduce model", and DASC's final step
-"use[s] the standard MapReduce implementation of spectral clustering
-available in the Mahout library". This package is that substrate, built on
-:mod:`repro.mapreduce`:
+build itself (K-Means, Singular Value Decomposition), and DASC's final
+step "use[s] the standard MapReduce
+implementation of spectral clustering available in the Mahout library".
+This package is that substrate, built on :mod:`repro.mapreduce`:
 
 * :mod:`repro.mr_ml.kmeans` — iterative MapReduce K-Means (Mahout's
   canonical job: map = assign to nearest centroid, combine = partial sums,
@@ -19,18 +17,14 @@ available in the Mahout library". This package is that substrate, built on
 """
 
 from repro.mr_ml.kmeans import MRKMeans
-from repro.mr_ml.linalg import mr_matvec, mr_row_norms, mr_gram
+from repro.mr_ml.linalg import mr_matvec, mr_gram
 from repro.mr_ml.spectral import MRSpectralClustering
 from repro.mr_ml.svd import mr_svd
-from repro.mr_ml.hmm import HiddenMarkovModel, fit_hmm_mapreduce
 
 __all__ = [
     "MRKMeans",
     "mr_matvec",
-    "mr_row_norms",
     "mr_gram",
     "MRSpectralClustering",
     "mr_svd",
-    "HiddenMarkovModel",
-    "fit_hmm_mapreduce",
 ]

@@ -5,7 +5,6 @@ The primitives Mahout's distributed spectral/SVD jobs are built from:
 * :func:`mr_matvec` — ``y = A @ x`` with ``A`` stored as row blocks on the
   (simulated) filesystem; each map task multiplies its block by the
   broadcast vector,
-* :func:`mr_row_norms` — row norms of a distributed matrix,
 * :func:`mr_gram` — ``A.T @ A`` accumulated block-wise (the workhorse of
   distributed SVD/PCA).
 
@@ -19,7 +18,7 @@ import numpy as np
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.types import JobSpec
 
-__all__ = ["row_block_splits", "mr_matvec", "mr_row_norms", "mr_gram"]
+__all__ = ["row_block_splits", "mr_matvec", "mr_gram"]
 
 
 def row_block_splits(A: np.ndarray, block_size: int = 256) -> list[list[tuple]]:
@@ -46,18 +45,6 @@ def mr_matvec(engine: MapReduceEngine, splits: list[list[tuple]], x: np.ndarray)
     job = JobSpec(name="mr-matvec", mapper=_matvec_mapper, params={"x": x})
     result = engine.run(job, splits)
     pieces = sorted(result.output)  # sorted by first_row
-    return np.concatenate([piece for _, piece in pieces])
-
-
-def _row_norm_mapper(first_row, block, ctx):
-    yield (first_row, np.linalg.norm(block, axis=1))
-
-
-def mr_row_norms(engine: MapReduceEngine, splits: list[list[tuple]]) -> np.ndarray:
-    """Euclidean norm of every row of the distributed matrix."""
-    job = JobSpec(name="mr-row-norms", mapper=_row_norm_mapper)
-    result = engine.run(job, splits)
-    pieces = sorted(result.output)
     return np.concatenate([piece for _, piece in pieces])
 
 

@@ -44,7 +44,7 @@ def get_logger(name: str | None = None) -> _logging.Logger:
     """A logger under the ``repro`` namespace.
 
     Pass ``__name__`` from package modules (already qualified) or a short
-    suffix like ``"core.tuning"``; no argument returns the root logger.
+    suffix like ``"core.buckets"``; no argument returns the root logger.
     """
     return _logging.getLogger(_qualify(name))
 
@@ -68,7 +68,7 @@ def configure(
         Destination stream (default ``sys.stderr``, so CSV/label output on
         stdout stays machine-readable).
     module_levels:
-        Per-module overrides, e.g. ``{"core.tuning": "DEBUG"}`` (names are
+        Per-module overrides, e.g. ``{"core.buckets": "DEBUG"}`` (names are
         qualified under ``repro`` automatically).
 
     Returns the configured root logger. Reconfiguring replaces the handler

@@ -1,19 +1,13 @@
 """Spectral clustering substrate (the NJW algorithm and its numerics).
 
 Implements everything the DASC pipeline's fourth step needs, from scratch:
-normalized graph Laplacians (Eq. 2), Lanczos tridiagonalization + an
-implicit-shift QL eigensolver for symmetric tridiagonal matrices (the
+the normalized graph Laplacian (Eq. 2), restarted Lanczos tridiagonalization
++ an implicit-shift QL eigensolver for symmetric tridiagonal matrices (the
 reduction chain the paper describes in Section 3.2), the NJW row-normalized
 spectral embedding, and K-means with k-means++ seeding.
 """
 
-from repro.spectral.laplacian import (
-    degree_vector,
-    normalized_laplacian,
-    unnormalized_laplacian,
-    random_walk_laplacian,
-)
-from repro.spectral.lanczos import lanczos_tridiagonalize
+from repro.spectral.laplacian import degree_vector, normalized_laplacian
 from repro.spectral.tridiagonal import tridiagonal_eigh
 from repro.spectral.eigen import top_eigenvectors
 from repro.spectral.embedding import spectral_embedding, row_normalize
@@ -23,9 +17,6 @@ from repro.spectral.cluster import SpectralClustering
 __all__ = [
     "degree_vector",
     "normalized_laplacian",
-    "unnormalized_laplacian",
-    "random_walk_laplacian",
-    "lanczos_tridiagonalize",
     "tridiagonal_eigh",
     "top_eigenvectors",
     "spectral_embedding",

@@ -1,4 +1,4 @@
-"""Lanczos tridiagonalization (from scratch, with full reorthogonalization).
+"""Restarted Lanczos eigensolver (from scratch, with full reorthogonalization).
 
 The paper's Section 3.2 reduces the Laplacian to a symmetric tridiagonal
 matrix before QR, citing Cullum & Willoughby. This is the Lanczos process:
@@ -16,71 +16,9 @@ import numpy as np
 from repro.observability import get_tracer
 from repro.utils.rng import as_rng
 
-__all__ = ["lanczos_tridiagonalize", "lanczos_top_eigenpairs"]
+__all__ = ["lanczos_top_eigenpairs"]
 
 _BREAKDOWN_TOL = 1e-12
-
-
-def lanczos_tridiagonalize(A, n_steps: int | None = None, *, seed=0):
-    """Run ``n_steps`` of Lanczos on symmetric ``A``.
-
-    Parameters
-    ----------
-    A:
-        Symmetric matrix (dense array or anything supporting ``A @ v``).
-    n_steps:
-        Krylov dimension m (default: full dimension n).
-    seed:
-        Start-vector randomness.
-
-    Returns
-    -------
-    alpha : (m,) diagonal of T
-    beta : (m-1,) off-diagonal of T
-    Q : (n, m) orthonormal Lanczos basis with ``Q^T A Q = T``
-
-    Early breakdown (an invariant subspace found) truncates the outputs.
-    """
-    n = A.shape[0]
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"A must be square, got {A.shape}")
-    m = n if n_steps is None else int(n_steps)
-    if not 1 <= m <= n:
-        raise ValueError(f"n_steps must be in [1, {n}], got {n_steps}")
-
-    rng = as_rng(seed)
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-
-    Q = np.zeros((n, m))
-    alpha = np.zeros(m)
-    beta = np.zeros(max(m - 1, 0))
-
-    tracer = get_tracer()
-    Q[:, 0] = q
-    for j in range(m):
-        w = A @ Q[:, j]
-        alpha[j] = Q[:, j] @ w
-        w -= alpha[j] * Q[:, j]
-        if j > 0:
-            w -= beta[j - 1] * Q[:, j - 1]
-        # Full reorthogonalization against the basis built so far.
-        w -= Q[:, : j + 1] @ (Q[:, : j + 1].T @ w)
-        if j + 1 == m:
-            break
-        norm = np.linalg.norm(w)
-        if norm < _BREAKDOWN_TOL:
-            # Invariant subspace: return the converged leading block.
-            if tracer.enabled:
-                tracer.event("lanczos.tridiagonalize", n=n, steps=j + 1, breakdown=True)
-                tracer.metrics.counter("lanczos.steps").inc(j + 1)
-            return alpha[: j + 1], beta[:j], Q[:, : j + 1]
-        beta[j] = norm
-        Q[:, j + 1] = w / norm
-    if tracer.enabled:
-        tracer.event("lanczos.tridiagonalize", n=n, steps=m, breakdown=False)
-        tracer.metrics.counter("lanczos.steps").inc(m)
-    return alpha, beta, Q
 
 
 def lanczos_top_eigenpairs(matvec, n: int, k: int, *, n_steps: int | None = None, seed=0):

@@ -1,4 +1,4 @@
-"""Graph Laplacians for affinity matrices.
+"""The normalized graph Laplacian of an affinity matrix.
 
 The paper's Eq. (2) uses the symmetric normalized form
 ``L = D^{-1/2} S D^{-1/2}`` (note: this is the *normalized affinity*; NJW
@@ -18,12 +18,7 @@ import scipy.sparse as sp
 
 from repro.utils.validation import check_square
 
-__all__ = [
-    "degree_vector",
-    "normalized_laplacian",
-    "unnormalized_laplacian",
-    "random_walk_laplacian",
-]
+__all__ = ["degree_vector", "normalized_laplacian"]
 
 
 def _as_affinity(S):
@@ -60,26 +55,3 @@ def normalized_laplacian(S):
         D = sp.diags(d_inv_sqrt)
         return (D @ S @ D).tocsr()
     return S * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
-
-
-def unnormalized_laplacian(S) -> np.ndarray:
-    """``L = D - S`` (positive semi-definite for non-negative symmetric S)."""
-    S = _as_affinity(S)
-    d = degree_vector(S)
-    if sp.issparse(S):
-        return (sp.diags(d) - S).tocsr()
-    L = -S.copy()
-    L[np.diag_indices_from(L)] += d
-    return L
-
-
-def random_walk_laplacian(S) -> np.ndarray:
-    """``P = D^{-1} S`` — the transition matrix of the similarity random walk."""
-    S = _as_affinity(S)
-    d = degree_vector(S)
-    with np.errstate(divide="ignore"):
-        d_inv = 1.0 / d
-    d_inv[~np.isfinite(d_inv)] = 0.0
-    if sp.issparse(S):
-        return (sp.diags(d_inv) @ S).tocsr()
-    return S * d_inv[:, None]

@@ -68,6 +68,24 @@ class TestGenerateAndCluster:
         with pytest.raises(SystemExit):
             main(["cluster", str(empty), "-k", "2"])
 
+    def test_cluster_ragged_rows(self, tmp_path):
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("1,2,3\n4,5,6\n7,8\n")
+        with pytest.raises(SystemExit, match=r"^error: line 3 has 2 columns, expected 3$"):
+            main(["cluster", str(ragged), "-k", "2"])
+
+    def test_cluster_non_numeric_cell(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,2,3\n4,x,6\n")
+        with pytest.raises(SystemExit, match=r"^error: line 2: .*'x'"):
+            main(["cluster", str(bad), "-k", "2"])
+
+    def test_cluster_label_column_out_of_range(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("1,2,3\n4,5,6\n")
+        with pytest.raises(SystemExit, match=r"^error: --label-column 5 is out of range"):
+            main(["cluster", str(data), "-k", "2", "--label-column", "5"])
+
     def test_analyze_complexity(self, capsys):
         assert main(["analyze", "complexity", "-n", str(2**22)]) == 0
         out = capsys.readouterr().out

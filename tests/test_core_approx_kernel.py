@@ -35,11 +35,6 @@ class TestBuild:
         full = gram_matrix(X, GaussianKernel(0.5), zero_diagonal=True)
         assert np.allclose(dense[np.ix_(idx0, idx0)], full[np.ix_(idx0, idx0)])
 
-    def test_to_sparse_matches_dense(self, rng):
-        X = rng.uniform(0, 1, (12, 3))
-        approx, _ = make_approx(X, [0, 0, 1, 1, 1, 2, 2, 2, 2, 0, 1, 2])
-        assert np.allclose(approx.to_sparse().toarray(), approx.to_dense())
-
     def test_zero_diagonal_honoured(self, rng):
         X = rng.uniform(0, 1, (8, 3))
         approx, _ = make_approx(X, [0] * 4 + [1] * 4, zero_diagonal=True)

@@ -1,4 +1,4 @@
-"""AST lints over ``src/repro``.
+"""Library-wide lints over ``src/repro``.
 
 * No bare ``assert`` statements on runtime data: asserts vanish under
   ``python -O`` and produce opaque AssertionErrors with no context; library
@@ -13,13 +13,19 @@
   whole process — fatal for the repo's bit-identity contracts (serial vs
   parallel, crash/resume, autoscaled vs static). Library code must thread
   an explicit ``np.random.default_rng(seed)`` / ``Generator``.
+* Every name in a module's ``__all__`` exists: a stale entry breaks
+  ``from repro.<package> import *`` long after the name itself is gone.
 
 Tests are free to use all of these — the walks cover only the installed
 package.
 """
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
+
+import repro
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -95,3 +101,17 @@ def test_no_seedless_global_numpy_random_in_library_code():
         "seedless global numpy randomness in library code (thread an explicit "
         "np.random.default_rng(seed) / Generator instead):\n" + "\n".join(offenders)
     )
+
+
+def test_every_export_resolves():
+    checked, missing = 0, []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.rpartition(".")[2] == "__main__":
+            continue  # importing it runs the command line
+        module = importlib.import_module(info.name)
+        for name in getattr(module, "__all__", ()):
+            checked += 1
+            if not hasattr(module, name):
+                missing.append(f"{info.name}.{name}")
+    assert checked, "no __all__ entries found under repro"
+    assert not missing, "__all__ names a missing attribute:\n" + "\n".join(missing)

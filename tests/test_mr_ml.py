@@ -7,7 +7,7 @@ import pytest
 from repro.kernels import GaussianKernel, gram_matrix
 from repro.mapreduce import MapReduceEngine, SimulatedCluster
 from repro.metrics import clustering_accuracy, normalized_mutual_info
-from repro.mr_ml import MRKMeans, MRSpectralClustering, mr_gram, mr_matvec, mr_row_norms
+from repro.mr_ml import MRKMeans, MRSpectralClustering, mr_gram, mr_matvec
 from repro.mr_ml.linalg import row_block_splits
 from repro.spectral import KMeans, SpectralClustering
 
@@ -28,11 +28,6 @@ class TestMRLinalg:
         splits = row_block_splits(A, block_size=100)
         assert len(splits) == 1
         assert np.allclose(mr_matvec(engine, splits, np.ones(3)), A.sum(axis=1))
-
-    def test_row_norms(self, engine, rng):
-        A = rng.standard_normal((23, 6))
-        splits = row_block_splits(A, block_size=7)
-        assert np.allclose(mr_row_norms(engine, splits), np.linalg.norm(A, axis=1))
 
     def test_gram_matches_numpy(self, engine, rng):
         A = rng.standard_normal((40, 9))

@@ -381,8 +381,8 @@ class TestDriverTraceSurvivesResume:
 
 class TestLoggingConfiguration:
     def test_get_logger_qualifies_under_repro(self):
-        assert get_logger("core.tuning").name == "repro.core.tuning"
-        assert get_logger("repro.graph.build").name == "repro.graph.build"
+        assert get_logger("core.buckets").name == "repro.core.buckets"
+        assert get_logger("repro.dasc_mr.driver").name == "repro.dasc_mr.driver"
         assert get_logger().name == "repro"
 
     def test_configure_installs_single_handler(self):
@@ -395,9 +395,9 @@ class TestLoggingConfiguration:
 
     def test_configure_module_levels_and_stream(self):
         stream = io.StringIO()
-        configure_logging("WARNING", stream=stream, module_levels={"core.tuning": "DEBUG"})
-        get_logger("core.tuning").debug("fine-grained %d", 1)
-        get_logger("graph.build").debug("suppressed")
+        configure_logging("WARNING", stream=stream, module_levels={"core.buckets": "DEBUG"})
+        get_logger("core.buckets").debug("fine-grained %d", 1)
+        get_logger("dasc_mr.driver").debug("suppressed")
         output = stream.getvalue()
         assert "fine-grained 1" in output
         assert "suppressed" not in output
