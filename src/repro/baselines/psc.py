@@ -10,6 +10,8 @@ hard sparsification is what Figures 3-4 measure against DASC.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -138,7 +140,7 @@ class PSC:
             order = np.argsort(vals)[::-1][:k]
             V = vecs[:, order]
         else:
-            rng = np.random.default_rng(self.seed if isinstance(self.seed, int) else 0)
+            rng = np.random.default_rng(self.seed if isinstance(self.seed, numbers.Integral) else 0)
             _, V = spla.eigsh(L, k=k, which="LA", v0=rng.standard_normal(n))
         norms = np.linalg.norm(V, axis=1, keepdims=True)
         return V / np.where(norms == 0, 1.0, norms)

@@ -18,6 +18,8 @@ exposes the approximate kernel itself, so any kernel method can consume it
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.core.allocation import allocate_clusters, choose_k_eigengap
@@ -29,8 +31,7 @@ from repro.core.signatures import compute_signatures
 from repro.kernels.bandwidth import mean_knn_heuristic, median_heuristic
 from repro.kernels.functions import GaussianKernel, Kernel
 from repro.observability import get_tracer
-from repro.spectral.embedding import spectral_embedding
-from repro.spectral.kmeans import KMeans
+from repro.spectral.bucket import BucketClustering, cluster_bucket, needs_eigensolve
 from repro.utils.memory import MemoryLedger
 from repro.utils.rng import as_rng
 from repro.utils.timing import Stopwatch
@@ -45,41 +46,18 @@ from repro.verify.invariants import (
 __all__ = ["DASC"]
 
 
-def _cluster_block_pure(
-    block: np.ndarray,
-    k_i: int,
-    eig_seed: int | None,
-    km_seed: int | None,
-    eig_backend: str,
-    kmeans_n_init: int,
-    validate: bool = False,
-) -> np.ndarray:
-    """Spectral-cluster one Gram block into ``k_i`` local labels.
+def _cluster_bucket_worker(payload) -> BucketClustering:
+    """Process-pool entry point: :func:`~repro.spectral.bucket.cluster_bucket`.
 
-    Module-level and parameterised by explicit seeds so the serial loop and
-    the process-pool workers run literally the same function on the same
-    inputs — the basis of the parallel backend's bit-identity guarantee.
-    ``validate`` carries the invariant-checking flag across the process
-    boundary (workers check the Eq.-2 spectrum and embedding row norms).
+    The serial loop calls it too, so every backend runs literally the same
+    function on the same inputs (explicit seeds, and the ``validate`` flag
+    carried across the process boundary) — the basis of the parallel
+    backend's bit-identity guarantee.
     """
-    n_i = block.shape[0]
-    if k_i >= n_i:
-        return np.arange(n_i, dtype=np.int64)[:n_i] % max(k_i, 1)
-    if k_i == 1:
-        return np.zeros(n_i, dtype=np.int64)
-    embedding = spectral_embedding(
-        block, k_i, backend=eig_backend, seed=eig_seed, validate=validate
-    )
-    km = KMeans(k_i, n_init=kmeans_n_init, seed=km_seed)
-    return km.fit_predict(embedding)
-
-
-def _cluster_block_worker(payload) -> np.ndarray:
-    """Process-pool entry point wrapping :func:`_cluster_block_pure`."""
     from repro.mapreduce.executor import _null_child_tracer
 
     _null_child_tracer()
-    return _cluster_block_pure(*payload)
+    return cluster_bucket(*payload)
 
 
 class DASC:
@@ -102,6 +80,8 @@ class DASC:
     n_clusters_ : actual number of clusters produced
     buckets_ : the final :class:`~repro.core.buckets.Buckets` partition
     approx_kernel_ : the block-diagonal :class:`ApproximateKernel`
+    bucket_clusterings_ : per-bucket :class:`~repro.spectral.bucket.BucketClustering`
+        (local labels and Nyström artifacts; what :meth:`export_model` reads)
     signatures_ : (n,) packed uint64 signatures
     n_bits_ : resolved signature length M
     sigma_ : resolved Gaussian bandwidth
@@ -117,7 +97,7 @@ class DASC:
         kernel: Kernel | None = None,
         **overrides,
     ):
-        cfg = config if config is not None else DASCConfig()
+        cfg = replace(config) if config is not None else DASCConfig()
         if n_clusters is not None:
             cfg.n_clusters = n_clusters
         for key, value in overrides.items():
@@ -136,6 +116,7 @@ class DASC:
         self.sigma_: float | None = None
         self.kernel_: Kernel | None = None
         self.cluster_allocation_: np.ndarray | None = None
+        self.bucket_clusterings_: list[BucketClustering] | None = None
         self.stopwatch_ = Stopwatch()
         self.memory_ = MemoryLedger()
 
@@ -277,15 +258,15 @@ class DASC:
         # K-means, bucket order), so any backend sees identical seeds.
         payloads = []
         for b, block in enumerate(approx.blocks):
-            k_i = int(allocation[b])
-            if k_i < block.shape[0] and k_i > 1:
+            n_i, k_i = block.shape[0], int(allocation[b])
+            if needs_eigensolve(n_i, k_i):
                 eig_seed = int(seed_rng.integers(2**31))
                 km_seed = int(seed_rng.integers(2**31))
             else:
                 eig_seed = km_seed = None
             payloads.append(
                 (
-                    block, k_i, eig_seed, km_seed,
+                    n_i, k_i, block, eig_seed, km_seed,
                     self.config.eig_backend, self.config.kmeans_n_init,
                     self._validate_active(),
                 )
@@ -293,11 +274,11 @@ class DASC:
         offset = 0
         with self.stopwatch_.lap("spectral"), tracer.span("dasc.spectral") as span:
             if executor.parallel and len(payloads) > 1:
-                block_labels = executor.map_ordered(_cluster_block_worker, payloads)
+                clusterings = executor.map_ordered(_cluster_bucket_worker, payloads)
             else:
-                block_labels = [_cluster_block_worker(p) for p in payloads]
-            for b, (idx, local) in enumerate(zip(approx.bucket_indices, block_labels)):
-                labels[idx] = offset + local
+                clusterings = [_cluster_bucket_worker(p) for p in payloads]
+            for b, (idx, clustering) in enumerate(zip(approx.bucket_indices, clusterings)):
+                labels[idx] = offset + clustering.labels
                 offset += int(allocation[b])
             span.set("n_blocks", approx.n_blocks)
             span.set("n_local_clusters", offset)
@@ -320,6 +301,7 @@ class DASC:
         fit_span.set("n_buckets", buckets.n_buckets)
         self.labels_ = labels
         self.n_clusters_ = offset
+        self.bucket_clusterings_ = clusterings
 
     def fit_predict(self, X) -> np.ndarray:
         """Fit and return the global labels."""
@@ -329,14 +311,15 @@ class DASC:
         """Freeze the fitted clustering into a servable ``DASCModel``.
 
         ``X`` must be the matrix :meth:`fit` saw (verified by re-hashing):
-        the stored Gram blocks are replayed through the spectral stage with
-        the exact seed draws of the fit, capturing each bucket's Nyström
-        artifacts, so a training point re-presented to the exported model
-        routes by exact signature and reproduces its fit label.
+        the landmarks are its rows. Each bucket's Nyström artifacts are the
+        ones the fit computed (:attr:`bucket_clusterings_`), so export does
+        no Gram, eigensolver or K-means work, and a training point
+        re-presented to the exported model routes by exact signature and
+        reproduces its fit label.
         """
-        from repro.serving.model import assemble_model, attach_global_labels, fit_bucket_model
+        from repro.serving.model import assemble_model, bucket_model
 
-        if self.labels_ is None or self.approx_kernel_ is None:
+        if self.labels_ is None:
             raise RuntimeError("fit the estimator before export_model()")
         X = check_2d(X)
         if X.shape[0] != self.labels_.shape[0]:
@@ -347,28 +330,10 @@ class DASC:
             raise ValueError(
                 "X does not hash to the fitted signatures; pass the training matrix fit() saw"
             )
-        approx = self.approx_kernel_
-        seed_rng = as_rng(self.config.seed)
-        bucket_models = []
-        for b, (idx, block) in enumerate(zip(approx.bucket_indices, approx.blocks)):
-            k_i = int(self.cluster_allocation_[b])
-            # Same draw condition and order as _fit_traced, so the replay
-            # consumes the seed stream exactly as the fit did.
-            if k_i < block.shape[0] and k_i > 1:
-                eig_seed = int(seed_rng.integers(2**31))
-                km_seed = int(seed_rng.integers(2**31))
-            else:
-                eig_seed = km_seed = None
-            bm, local = fit_bucket_model(
-                block,
-                X[idx],
-                k_i,
-                eig_seed,
-                km_seed,
-                eig_backend=self.config.eig_backend,
-                kmeans_n_init=self.config.kmeans_n_init,
-            )
-            bucket_models.append(attach_global_labels(bm, local, self.labels_[idx]))
+        bucket_models = [
+            bucket_model(X[idx], clustering, self.labels_[idx])
+            for idx, clustering in zip(self.approx_kernel_.bucket_indices, self.bucket_clusterings_)
+        ]
         # Merged buckets keep only their leader's signature, so the routing
         # table is built from the per-point signatures: every signature seen
         # in training maps to the final bucket its points ended up in.
@@ -392,19 +357,4 @@ class DASC:
                 "sigma": self.sigma_,
                 "n_bits": self.n_bits_,
             },
-        )
-
-    # -- internals ----------------------------------------------------------
-
-    def _cluster_block(self, block: np.ndarray, k_i: int, seed_rng: np.random.Generator) -> np.ndarray:
-        """Spectral-cluster one bucket's Gram block into ``k_i`` local labels."""
-        n_i = block.shape[0]
-        if k_i >= n_i or k_i == 1:
-            eig_seed = km_seed = None
-        else:
-            eig_seed = int(seed_rng.integers(2**31))
-            km_seed = int(seed_rng.integers(2**31))
-        return _cluster_block_pure(
-            block, k_i, eig_seed, km_seed, self.config.eig_backend,
-            self.config.kmeans_n_init, self._validate_active(),
         )

@@ -18,9 +18,11 @@ instead of O(N^2), independent of how many chunks streamed through.
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 
+from repro.core.allocation import allocate_clusters, choose_k_eigengap
 from repro.core.config import DASCConfig
 from repro.core.refine import merge_clusters_to_k
 from repro.core.signatures import make_hasher
@@ -28,8 +30,7 @@ from repro.kernels.bandwidth import median_heuristic
 from repro.kernels.functions import GaussianKernel
 from repro.kernels.matrix import gram_matrix
 from repro.observability import get_tracer
-from repro.spectral.embedding import spectral_embedding
-from repro.spectral.kmeans import KMeans
+from repro.spectral.bucket import BucketClustering, cluster_bucket, needs_eigensolve
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_2d
 
@@ -58,7 +59,7 @@ class StreamingDASC:
     """
 
     def __init__(self, n_clusters: int | None = None, *, config: DASCConfig | None = None):
-        self.config = config if config is not None else DASCConfig()
+        self.config = replace(config) if config is not None else DASCConfig()
         if n_clusters is not None:
             self.config.n_clusters = n_clusters
         self._hasher = None
@@ -69,6 +70,7 @@ class StreamingDASC:
         self._bucket_points: dict[int, list[np.ndarray]] = defaultdict(list)
         self._bucket_order: dict[int, list[np.ndarray]] = defaultdict(list)
         self._n_seen = 0
+        self._clusterings: list[BucketClustering] = []
         self.labels_: np.ndarray | None = None
         self.n_clusters_: int | None = None
 
@@ -193,22 +195,20 @@ class StreamingDASC:
             groups.append((np.vstack(residual_pts), np.concatenate(residual_idx)))
         return groups, table
 
-    def _block_plan(self, groups, k_total):
-        """Yield ``(X_b, idx, S, k_i)`` per group.
-
-        This is the exact Gram block and cluster budget the finalize loop
-        consumes; :meth:`export_model` replays the same plan so its
-        captured artifacts see bit-identical inputs.
-        """
+    def _finalize_impl(self) -> np.ndarray:
+        k_total = self.config.resolve_n_clusters(self._n_seen)
+        seed_rng = as_rng(self.config.seed)
+        groups, _ = self._assemble_groups()
         kernel = GaussianKernel(self._sigma)
         sizes = np.array([g[0].shape[0] for g in groups], dtype=np.int64)
-        from repro.core.allocation import allocate_clusters, choose_k_eigengap
-
         policy = "proportional" if self.config.allocation == "eigengap" else self.config.allocation
         ks = allocate_clusters(sizes, k_total, policy=policy)
+
+        labels = np.full(self._n_seen, -1, dtype=np.int64)
+        clusterings = []
+        offset = 0
         for (X_b, idx), k_floor in zip(groups, ks):
-            n_b = X_b.shape[0]
-            k_i = int(k_floor)
+            n_b, k_i = X_b.shape[0], int(k_floor)
             S = None
             if n_b > 1:
                 S = gram_matrix(X_b, kernel, zero_diagonal=self.config.zero_diagonal)
@@ -216,18 +216,17 @@ class StreamingDASC:
                     # Data-driven K_i with the proportional share as a floor
                     # (mirrors the batch estimator's under-allocation guard).
                     k_i = max(k_i, choose_k_eigengap(S, min(k_total, n_b)))
-            yield X_b, idx, S, k_i
-
-    def _finalize_impl(self) -> np.ndarray:
-        k_total = self.config.resolve_n_clusters(self._n_seen)
-        seed_rng = as_rng(self.config.seed)
-        groups, _ = self._assemble_groups()
-
-        labels = np.full(self._n_seen, -1, dtype=np.int64)
-        offset = 0
-        for X_b, idx, S, k_i in self._block_plan(groups, k_total):
-            local = self._cluster_block_from_gram(X_b, S, k_i, seed_rng)
-            labels[idx] = offset + local
+            if needs_eigensolve(n_b, k_i):
+                eig_seed = int(seed_rng.integers(2**31))
+                km_seed = int(seed_rng.integers(2**31))
+            else:
+                eig_seed = km_seed = None
+            clustering = cluster_bucket(
+                n_b, k_i, S, eig_seed, km_seed,
+                eig_backend=self.config.eig_backend, kmeans_n_init=self.config.kmeans_n_init,
+            )
+            clusterings.append(clustering)
+            labels[idx] = offset + clustering.labels
             offset += k_i
         if (labels < 0).any():
             raise RuntimeError(
@@ -241,54 +240,30 @@ class StreamingDASC:
             offset = k_total
         self.labels_ = labels
         self.n_clusters_ = offset
+        self._clusterings = clusterings
         return labels
-
-    def _cluster_block_from_gram(self, X_b, S, k_i, seed_rng) -> np.ndarray:
-        n_b = X_b.shape[0]
-        if k_i >= n_b:
-            return np.arange(n_b, dtype=np.int64)
-        if k_i == 1:
-            return np.zeros(n_b, dtype=np.int64)
-        eig_seed = int(seed_rng.integers(2**31))
-        Y = spectral_embedding(S, k_i, backend=self.config.eig_backend, seed=eig_seed)
-        return KMeans(k_i, n_init=self.config.kmeans_n_init, seed=int(seed_rng.integers(2**31))).fit_predict(Y)
 
     # -- serving export ---------------------------------------------------------
 
     def export_model(self):
         """Freeze the finalized clustering into a servable ``DASCModel``.
 
-        Replays the finalize plan — same group assembly, Gram blocks, and
-        seed-draw order — capturing each block's spectral artifacts, so a
-        training point re-presented to the exported model routes by exact
-        signature to its group and reproduces its finalize label.
+        Reads the per-group Nyström artifacts :meth:`finalize` kept (no
+        Gram, eigensolver or K-means work), so a training point re-presented
+        to the exported model routes by exact signature to its group and
+        reproduces its finalize label.
         """
-        from repro.serving.model import assemble_model, attach_global_labels, fit_bucket_model
+        from repro.serving.model import assemble_model, bucket_model
 
         if self.labels_ is None:
             raise RuntimeError("call finalize() before export_model()")
-        k_total = self.config.resolve_n_clusters(self._n_seen)
-        seed_rng = as_rng(self.config.seed)
+        if self._n_seen != self.labels_.shape[0]:
+            raise RuntimeError("chunks were absorbed after finalize(); call finalize() again")
         groups, table = self._assemble_groups()
-        bucket_models = []
-        for X_b, idx, S, k_i in self._block_plan(groups, k_total):
-            # Same draw condition as _cluster_block_from_gram, so the replay
-            # consumes the seed stream in exactly the finalize order.
-            if k_i < X_b.shape[0] and k_i != 1:
-                eig_seed = int(seed_rng.integers(2**31))
-                km_seed = int(seed_rng.integers(2**31))
-            else:
-                eig_seed = km_seed = None
-            bm, local = fit_bucket_model(
-                S,
-                X_b,
-                k_i,
-                eig_seed,
-                km_seed,
-                eig_backend=self.config.eig_backend,
-                kmeans_n_init=self.config.kmeans_n_init,
-            )
-            bucket_models.append(attach_global_labels(bm, local, self.labels_[idx]))
+        bucket_models = [
+            bucket_model(X_b, clustering, self.labels_[idx])
+            for (X_b, idx), clustering in zip(groups, self._clusterings)
+        ]
         all_points = np.concatenate([g[0] for g in groups])
         all_idx = np.concatenate([g[1] for g in groups])
         order = np.argsort(all_idx)

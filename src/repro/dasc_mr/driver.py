@@ -34,7 +34,8 @@ unsurvivable storage-fault schedule surfaces as a structured
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from repro.core.allocation import allocate_clusters
 from repro.core.buckets import fold_small_buckets, group_by_signature, merge_buckets
 from repro.core.config import DASCConfig
 from repro.dasc_mr.stage1 import make_signature_job
-from repro.dasc_mr.stage2 import make_clustering_job, make_similarity_job
+from repro.dasc_mr.stage2 import make_clustering_job
 from repro.kernels.bandwidth import median_heuristic
 from repro.lsh.axis import AxisParallelHasher
 from repro.mapreduce.emr import ElasticMapReduce
@@ -62,9 +63,9 @@ __all__ = ["DistributedResult", "DistributedDASC"]
 #: the median heuristic to zero, which would put 0/0 in every kernel entry.
 _SIGMA_EPS = 1e-9
 
-#: Step names the merge action appends dynamically (pruned before re-append
-#: so that resuming a crashed flow does not duplicate them).
-_DYNAMIC_STEPS = ("dasc-stage2-spectral", "dasc-stage2-simmat", "mahout-spectral")
+#: Step the merge action appends dynamically (pruned before re-append so
+#: that resuming a crashed flow does not duplicate it).
+_STAGE2_STEP = "dasc-stage2-spectral"
 
 
 @dataclass
@@ -133,14 +134,6 @@ class DistributedDASC:
         when the driver creates its own EMR service; an explicit ``emr``
         keeps whatever executor it was built with. Results are
         bit-identical to serial for any value.
-    spectral_mode:
-        ``"inline"`` (default): each stage-2 reducer carries Algorithm 2
-        straight through the NJW steps — one reduce call per bucket.
-        ``"mahout"``: the paper's literal architecture — stage 2 runs
-        Algorithm 2 verbatim (sub-similarity matrices written to the
-        filesystem) and the spectral step is delegated to the Mahout-role
-        :class:`repro.mr_ml.spectral.MRSpectralClustering`, one MR spectral
-        run per bucket. Same partitions, different job structure.
     autoscaler:
         Optional :class:`~repro.mapreduce.autoscale.Autoscaler` making the
         provisioned cluster elastic: it resizes between the flow's phases
@@ -158,19 +151,16 @@ class DistributedDASC:
         config: DASCConfig | None = None,
         emr: ElasticMapReduce | None = None,
         split_size: int = 1024,
-        spectral_mode: str = "inline",
         n_jobs: int | None = None,
         autoscaler=None,
     ):
-        self.config = config if config is not None else DASCConfig()
+        self.config = replace(config) if config is not None else DASCConfig()
         if n_clusters is not None:
             self.config.n_clusters = n_clusters
         if self.config.hasher != "axis":
             raise ValueError("DistributedDASC implements Algorithm 1 (axis-parallel hashing only)")
         if n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-        if spectral_mode not in ("inline", "mahout"):
-            raise ValueError(f"spectral_mode must be 'inline' or 'mahout', got {spectral_mode!r}")
         self.n_nodes = int(n_nodes)
         if emr is not None:
             self.emr = emr
@@ -179,7 +169,6 @@ class DistributedDASC:
 
             self.emr = ElasticMapReduce(executor=resolve_executor(n_jobs))
         self.split_size = int(split_size)
-        self.spectral_mode = spectral_mode
         self.autoscaler = autoscaler
         self._pending: dict[str, dict] = {}
 
@@ -251,7 +240,6 @@ class DistributedDASC:
         span.set("n_bits", n_bits)
         span.set("sigma", sigma)
         span.set("n_nodes", self.n_nodes)
-        span.set("spectral_mode", self.spectral_mode)
         self._pending[flow_id] = {"flow": flow, "state": state, "n": n, "sigma": sigma}
         return flow_id
 
@@ -317,17 +305,16 @@ class DistributedDASC:
                 stage1_result.counters, "map", "input_records", n,
                 stage="driver.collect",
             )
-            if self.spectral_mode == "inline":
-                check_counter_equals(
-                    stage2_result.counters, "dasc", "buckets_reduced",
-                    buckets.n_buckets, stage="driver.collect",
-                )
+            check_counter_equals(
+                stage2_result.counters, "dasc", "buckets_reduced",
+                buckets.n_buckets, stage="driver.collect",
+            )
             check_labels_range(labels, state["total_clusters"], stage="driver.collect")
         return DistributedResult(
             labels=labels,
             n_clusters=state["total_clusters"],
             n_buckets=buckets.n_buckets,
-            makespan=flow.makespan + state.get("spectral_makespan", 0.0),
+            makespan=flow.makespan,
             gram_bytes=block_diagonal_bytes(buckets.sizes),
             n_nodes=self.n_nodes,
             counters={
@@ -336,7 +323,7 @@ class DistributedDASC:
             },
             stage_makespans={
                 "lsh": stage1_result.makespan,
-                "spectral": stage2_result.makespan + state.get("spectral_makespan", 0.0),
+                "spectral": stage2_result.makespan,
             },
             n_repaired=n_repaired,
             resumed_steps=tuple(flow.restored_steps),
@@ -370,28 +357,20 @@ class DistributedDASC:
             state["total_clusters"] = int(ks.sum())
             # Stage 2 must exist before run() reaches it; append it now that
             # the allocation is known. A resumed flow replays this action,
-            # so prune any stage-2 steps a previous run already appended.
-            fl.remove_steps_named(*_DYNAMIC_STEPS)
-            if self.spectral_mode == "inline":
-                stage2 = make_clustering_job(
-                    sigma=sigma,
-                    allocation=allocation,
-                    n_reducers=max(buckets.n_buckets, 1),
-                    eig_backend=self.config.eig_backend,
-                    kmeans_n_init=self.config.kmeans_n_init,
-                    seed=self.config.seed if isinstance(self.config.seed, int) else 0,
-                    validate=validation_enabled(self.config.validate),
-                )
-                fl.add_job(stage2, "buckets", "labels")
-            else:
-                # The paper's literal pipeline: Algorithm 2 writes the
-                # sub-similarity matrices; Mahout-style MR spectral
-                # clustering then runs per bucket.
-                stage2 = make_similarity_job(
-                    sigma=sigma, n_reducers=max(buckets.n_buckets, 1)
-                )
-                fl.add_job(stage2, "buckets", "simmats")
-                fl.add_action("mahout-spectral", self._mahout_spectral_action(state))
+            # so prune the stage-2 step a previous run already appended.
+            fl.remove_steps_named(_STAGE2_STEP)
+            seed = self.config.seed
+            stage2 = make_clustering_job(
+                sigma=sigma,
+                allocation=allocation,
+                n_reducers=max(buckets.n_buckets, 1),
+                eig_backend=self.config.eig_backend,
+                kmeans_n_init=self.config.kmeans_n_init,
+                seed=seed if isinstance(seed, numbers.Integral) else 0,
+                validate=validation_enabled(self.config.validate),
+                name=_STAGE2_STEP,
+            )
+            fl.add_job(stage2, "buckets", "labels")
             return allocation
 
         return merge_action
@@ -419,42 +398,3 @@ class DistributedDASC:
             "fault.label_repair", flow_id=flow_id, n_repaired=int(unlabelled.size)
         )
         return labels, int(unlabelled.size)
-
-    def _mahout_spectral_action(self, state: dict):
-        """Driver step delegating the spectral phase to MR spectral clustering.
-
-        One :class:`~repro.mr_ml.spectral.MRSpectralClustering` run per
-        bucket's stored sub-similarity matrix, on the same engine (so the
-        jobs share the cluster's slots); accumulated makespans are recorded
-        in ``state`` and folded into the flow total.
-        """
-        from repro.mr_ml.spectral import MRSpectralClustering
-
-        def action(fl):
-            records = fl.fs.read("simmats")  # (bucket_id, (indices, S))
-            allocation = state["allocation"]
-            seed = self.config.seed if isinstance(self.config.seed, int) else 0
-            label_records = []
-            extra_makespan = 0.0
-            for bucket_id, (indices, S) in records:
-                k_i, offset = allocation[int(bucket_id)]
-                n_i = len(indices)
-                if k_i >= n_i:
-                    local = list(range(n_i))
-                elif k_i == 1:
-                    local = [0] * n_i
-                else:
-                    sc = MRSpectralClustering(
-                        k_i, engine=fl.engine, block_size=max(16, self.split_size),
-                        seed=(seed + int(bucket_id)) % (2**31),
-                    )
-                    local = sc.fit_predict(S)
-                    extra_makespan += sc.total_makespan_
-                label_records.extend(
-                    (idx, offset + int(lab)) for idx, lab in zip(indices, local)
-                )
-            fl.fs.write("labels", label_records, overwrite=True)
-            state["spectral_makespan"] = extra_makespan
-            return extra_makespan
-
-        return action

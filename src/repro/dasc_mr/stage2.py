@@ -4,9 +4,10 @@ Algorithm 2's reducer receives ``(signature, list of indices)`` and computes
 the bucket's sub-similarity matrix with ``simFunc`` (the Gaussian kernel,
 Eq. 1), writing 0 on the diagonal. The paper then hands the matrices to
 Mahout's spectral clustering; here the same reducer carries on with the NJW
-steps (Eq.-2 Laplacian, top-K_i eigenvectors, row-normalized K-means) so a
-single reduce call turns one bucket into final labels — which is exactly
-the per-bucket unit of parallelism the elasticity experiment exploits.
+steps (:func:`repro.spectral.bucket.cluster_bucket`: Eq.-2 Laplacian,
+top-K_i eigenvectors, row-normalized K-means) so a single reduce call turns
+one bucket into final labels — which is exactly the per-bucket unit of
+parallelism the elasticity experiment exploits.
 """
 
 from __future__ import annotations
@@ -16,14 +17,11 @@ import numpy as np
 from repro.kernels.functions import GaussianKernel
 from repro.kernels.matrix import gram_matrix_auto
 from repro.mapreduce.types import JobSpec
-from repro.spectral.embedding import spectral_embedding
-from repro.spectral.kmeans import KMeans
+from repro.spectral.bucket import cluster_bucket, needs_eigensolve
 
 __all__ = [
     "similarity_reducer",
     "make_clustering_job",
-    "similarity_matrix_reducer",
-    "make_similarity_job",
     "identity_mapper",
     "bucket_partitioner",
     "SpectralReduceCost",
@@ -44,11 +42,6 @@ def bucket_partitioner(key, n: int) -> int:
     return int(key) % n
 
 
-def quadratic_reduce_cost(bucket_id, members) -> float:
-    """Algorithm 2's cost: filling an N_i x N_i sub-similarity matrix."""
-    return float(len(members) ** 2)
-
-
 class SpectralReduceCost:
     """The paper's per-bucket complexity ``2 N_i^2 + 2 K_i N_i`` (Eq. 3).
 
@@ -65,39 +58,6 @@ class SpectralReduceCost:
         n_i = len(members)
         k_i = self.allocation[bucket_id][0]
         return float(2 * n_i * n_i + 2 * k_i * n_i)
-
-
-def similarity_matrix_reducer(bucket_id, members, ctx):
-    """Algorithm 2 *verbatim*: emit the bucket's sub-similarity matrix.
-
-    This is the paper's literal reducer — compute ``subSimMat`` with
-    ``simFunc`` (Eq. 1, zero diagonal) and ``Output_to_File`` it. The
-    spectral step then runs as separate Mahout-style jobs
-    (:class:`repro.mr_ml.spectral.MRSpectralClustering`) over the stored
-    matrices; see ``DistributedDASC(spectral_mode="mahout")``.
-    """
-    params = ctx.job.params
-    indices = [m[0] for m in members]
-    X = np.asarray([np.asarray(m[1], dtype=np.float64) for m in members])
-    S = gram_matrix_auto(X, GaussianKernel(params["sigma"]), zero_diagonal=True)
-    ctx.increment("dasc", "similarity_matrices_written")
-    ctx.increment("dasc", "similarity_entries", S.shape[0] * S.shape[0])
-    yield (bucket_id, (indices, S))
-
-
-def make_similarity_job(*, sigma: float, n_reducers: int, name: str = "dasc-stage2-simmat") -> JobSpec:
-    """Build the Algorithm-2-only JobSpec (sub-similarity matrices as output)."""
-    if n_reducers < 1:
-        raise ValueError(f"n_reducers must be >= 1, got {n_reducers}")
-    return JobSpec(
-        name=name,
-        mapper=identity_mapper,
-        reducer=similarity_matrix_reducer,
-        n_reducers=n_reducers,
-        partitioner=bucket_partitioner,
-        reduce_cost=quadratic_reduce_cost,
-        params={"sigma": float(sigma)},
-    )
 
 
 def similarity_reducer(bucket_id, members, ctx):
@@ -117,11 +77,8 @@ def similarity_reducer(bucket_id, members, ctx):
     ctx.increment("dasc", "similarity_entries", n_i * n_i)
 
     validate = bool(params.get("validate", False))
-    if k_i >= n_i:
-        local = np.arange(n_i, dtype=np.int64)
-    elif k_i == 1:
-        local = np.zeros(n_i, dtype=np.int64)
-    else:
+    S = None
+    if needs_eigensolve(n_i, k_i):
         # Algorithm 2: the bucket's Gram block with a zero diagonal...
         S = gram_matrix_auto(X, GaussianKernel(params["sigma"]), zero_diagonal=True)
         if validate:
@@ -131,12 +88,12 @@ def similarity_reducer(bucket_id, members, ctx):
                 S, zero_diagonal=True, unit_range=True,
                 stage="mr.stage2", bucket_id=int(bucket_id),
             )
-        # ...then Eq. 2 + NJW embedding + K-means on the embedding rows.
-        seed = (params["seed"] + int(bucket_id)) % (2**31)
-        Y = spectral_embedding(
-            S, k_i, backend=params["eig_backend"], seed=seed, validate=validate
-        )
-        local = KMeans(k_i, n_init=params["kmeans_n_init"], seed=seed).fit_predict(Y)
+    # ...then Eq. 2 + NJW embedding + K-means on the embedding rows.
+    seed = (params["seed"] + int(bucket_id)) % (2**31)
+    local = cluster_bucket(
+        n_i, k_i, S, seed, seed, eig_backend=params["eig_backend"],
+        kmeans_n_init=params["kmeans_n_init"], validate=validate,
+    ).labels
 
     for idx, lab in zip(indices, local):
         yield (idx, offset + int(lab))

@@ -20,6 +20,8 @@ eigensolver tolerance.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from repro.mapreduce.engine import MapReduceEngine
@@ -142,7 +144,7 @@ class MRSpectralClustering:
         handles the degenerate spectra of disconnected affinity graphs.
         """
         k = self.n_clusters
-        seed = self.seed if isinstance(self.seed, int) else 0
+        seed = self.seed if isinstance(self.seed, numbers.Integral) else 0
         _, vecs = lanczos_top_eigenpairs(
             lambda v: mr_matvec(self.engine, l_splits, v),
             n,

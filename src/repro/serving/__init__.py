@@ -17,8 +17,7 @@ from repro.serving.model import (
     BucketModel,
     DASCModel,
     assemble_model,
-    attach_global_labels,
-    fit_bucket_model,
+    bucket_model,
 )
 from repro.serving.service import AssignmentService, OverloadError
 
@@ -34,6 +33,5 @@ __all__ = [
     "AssignmentService",
     "OverloadError",
     "assemble_model",
-    "attach_global_labels",
-    "fit_bucket_model",
+    "bucket_model",
 ]

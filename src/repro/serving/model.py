@@ -55,10 +55,8 @@ from repro.kernels.functions import Kernel
 from repro.kernels.matrix import pairwise_sq_distances
 from repro.lsh.hamming import hamming_distance
 from repro.mapreduce.storage import CorruptObjectError, ResilientStore, RetryPolicy
-from repro.spectral.eigen import top_eigenvectors
+from repro.spectral.bucket import BucketClustering
 from repro.spectral.embedding import row_normalize
-from repro.spectral.kmeans import KMeans
-from repro.spectral.laplacian import degree_vector, normalized_laplacian
 from repro.utils.validation import check_2d
 
 __all__ = [
@@ -71,8 +69,7 @@ __all__ = [
     "BucketModel",
     "DASCModel",
     "assemble_model",
-    "attach_global_labels",
-    "fit_bucket_model",
+    "bucket_model",
 ]
 
 #: Payload schema version; bump on any incompatible layout change.
@@ -115,56 +112,29 @@ class BucketModel:
         return int(self.landmarks.shape[0])
 
 
-def fit_bucket_model(S, landmarks, k_i, eig_seed, km_seed, *, eig_backend="dense", kmeans_n_init=4):
-    """Re-run one bucket's spectral stage, capturing the serving artifacts.
+def bucket_model(landmarks, clustering: BucketClustering, final) -> BucketModel:
+    """One bucket's serving artifact, read off its fit-time clustering.
 
-    Runs literally the same computation as the fit path (`spectral_embedding`
-    then `KMeans`, same backend and seeds), so the returned local labels are
-    bit-identical to the labels that bucket produced at fit time — callers
-    verify this when attaching global labels. Returns ``(model, local)``.
-    ``S`` may be ``None`` when the mode does not need a Gram block.
-    """
-    landmarks = np.asarray(landmarks, dtype=np.float64)
-    n_i = landmarks.shape[0]
-    if k_i >= n_i:
-        local = np.arange(n_i, dtype=np.int64) % max(k_i, 1)
-        return BucketModel(mode="nn", landmarks=landmarks), local
-    if k_i == 1:
-        local = np.zeros(n_i, dtype=np.int64)
-        return BucketModel(mode="const", landmarks=landmarks), local
-    S = np.asarray(S, dtype=np.float64)
-    degrees = degree_vector(S)
-    L = normalized_laplacian(S)
-    vals, vecs = top_eigenvectors(L, k_i, backend=eig_backend, seed=eig_seed)
-    Y = row_normalize(vecs)
-    km = KMeans(k_i, n_init=kmeans_n_init, seed=km_seed).fit(Y)
-    with np.errstate(divide="ignore"):
-        d_inv_sqrt = 1.0 / np.sqrt(degrees)
-    d_inv_sqrt[~np.isfinite(d_inv_sqrt)] = 0.0
-    model = BucketModel(
-        mode="nystrom",
-        landmarks=landmarks,
-        d_inv_sqrt=d_inv_sqrt,
-        basis=vecs,
-        eigenvalues=vals,
-        centroids=km.cluster_centers_,
-    )
-    return model, km.labels_
-
-
-def attach_global_labels(bm: BucketModel, local, final) -> BucketModel:
-    """Attach the bucket's global labels and local→global cluster map.
-
-    ``local`` are the bucket's fit-time local labels, ``final`` the global
-    labels the full pipeline (offsets + refine) gave the same points. The
-    refine step merges whole clusters, so each local cluster must map to
-    exactly one global label — verified here, because a silent violation
-    would serve wrong labels forever.
+    ``clustering`` is what :func:`repro.spectral.bucket.cluster_bucket`
+    returned for the bucket's training points ``landmarks``; ``final`` are
+    the global labels the full pipeline (offsets + refine) gave the same
+    points. The refine step merges whole clusters, so each local cluster
+    must map to exactly one global label — verified here, because a silent
+    violation would serve wrong labels forever.
     """
     final = np.asarray(final, dtype=np.int64)
-    bm.labels = final
+    bm = BucketModel(
+        mode=clustering.mode,
+        landmarks=np.asarray(landmarks, dtype=np.float64),
+        labels=final,
+        d_inv_sqrt=clustering.d_inv_sqrt,
+        basis=clustering.basis,
+        eigenvalues=clustering.eigenvalues,
+        centroids=clustering.centroids,
+    )
     if bm.mode == "nn":
         return bm
+    local = clustering.labels
     n_slots = 1 if bm.mode == "const" else bm.centroids.shape[0]
     label_map = np.full(n_slots, -1, dtype=np.int64)
     label_map[local] = final

@@ -4,18 +4,21 @@ Implements everything the DASC pipeline's fourth step needs, from scratch:
 the normalized graph Laplacian (Eq. 2), restarted Lanczos tridiagonalization
 + an implicit-shift QL eigensolver for symmetric tridiagonal matrices (the
 reduction chain the paper describes in Section 3.2), the NJW row-normalized
-spectral embedding, and K-means with k-means++ seeding.
+spectral embedding, K-means with k-means++ seeding, and the per-bucket step
+that chains them (:func:`cluster_bucket`).
 """
 
-from repro.spectral.laplacian import degree_vector, normalized_laplacian
+from repro.spectral.laplacian import degree_vector, inv_sqrt_degrees, normalized_laplacian
 from repro.spectral.tridiagonal import tridiagonal_eigh
 from repro.spectral.eigen import top_eigenvectors
 from repro.spectral.embedding import spectral_embedding, row_normalize
 from repro.spectral.kmeans import KMeans, kmeans_plus_plus_init
 from repro.spectral.cluster import SpectralClustering
+from repro.spectral.bucket import BucketClustering, cluster_bucket, needs_eigensolve
 
 __all__ = [
     "degree_vector",
+    "inv_sqrt_degrees",
     "normalized_laplacian",
     "tridiagonal_eigh",
     "top_eigenvectors",
@@ -24,4 +27,7 @@ __all__ = [
     "KMeans",
     "kmeans_plus_plus_init",
     "SpectralClustering",
+    "BucketClustering",
+    "cluster_bucket",
+    "needs_eigensolve",
 ]

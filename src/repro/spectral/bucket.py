@@ -1,0 +1,94 @@
+"""One bucket's spectral clustering — DASC's unit of work.
+
+Every path that clusters a bucket runs :func:`cluster_bucket`: ``DASC.fit``
+(serially or in process-pool workers), ``StreamingDASC.finalize`` and the
+stage-2 reducer (one per bucket, Section 5.1). It applies the NJW steps to
+the bucket's Gram block — the Eq.-2 matrix, its top-``k_i`` eigenvectors,
+row-normalized, then K-means — and returns the local labels with the
+Nyström artifacts serving needs, so an exported model reads them instead of
+clustering the bucket again.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from repro.spectral.eigen import top_eigenvectors
+from repro.spectral.embedding import row_normalize
+from repro.spectral.kmeans import KMeans
+from repro.spectral.laplacian import inv_sqrt_degrees, normalized_laplacian
+
+__all__ = ["BucketClustering", "cluster_bucket", "needs_eigensolve"]
+
+
+@dataclass
+class BucketClustering:
+    """One bucket's local labels and the artifacts of its eigensolve.
+
+    ``mode`` names the case the bucket fell in:
+
+    * ``"nn"`` (``k_i >= n_i``) — every point is its own cluster;
+    * ``"const"`` (``k_i == 1``) — the whole bucket is one cluster;
+    * ``"nystrom"`` (``1 < k_i < n_i``) — the eigensolve ran, and the four
+      array fields hold what the Nyström extension needs.
+    """
+
+    mode: str
+    labels: np.ndarray                      # (n_i,) local labels in [0, k_i)
+    d_inv_sqrt: np.ndarray | None = None    # (n_i,) 1/sqrt(degree), 0 when isolated
+    basis: np.ndarray | None = None         # (n_i, k_i) top eigenvectors of L
+    eigenvalues: np.ndarray | None = None   # (k_i,) matching eigenvalues, descending
+    centroids: np.ndarray | None = None     # (k_i, k_i) K-means centroids of the embedding
+
+
+def needs_eigensolve(n_i: int, k_i: int) -> bool:
+    """Whether a bucket of ``n_i`` points split into ``k_i`` clusters is solved.
+
+    Only these buckets consume seeds or need their Gram block.
+    """
+    return 1 < k_i < n_i
+
+
+def cluster_bucket(
+    n_i: int,
+    k_i: int,
+    S,
+    eig_seed=None,
+    km_seed=None,
+    eig_backend: str = "dense",
+    kmeans_n_init: int = 4,
+    validate: bool = False,
+) -> BucketClustering:
+    """Spectral-cluster one bucket of ``n_i`` points into ``k_i`` local labels.
+
+    ``S`` is the bucket's Gram block, read only when :func:`needs_eigensolve`
+    holds (pass ``None`` otherwise). ``eig_seed`` starts the iterative
+    eigensolvers, ``km_seed`` seeds K-means; the result is a pure function
+    of the arguments. With ``validate`` the eigenvalues must lie in
+    ``[-1, 1]`` (the Eq.-2 bound) and the embedding rows be unit-norm, or
+    :class:`repro.verify.InvariantViolation` is raised.
+    """
+    if k_i >= n_i:
+        return BucketClustering("nn", np.arange(n_i, dtype=np.int64))
+    if k_i == 1:
+        return BucketClustering("const", np.zeros(n_i, dtype=np.int64))
+    vals, vecs = top_eigenvectors(
+        normalized_laplacian(S), k_i, backend=eig_backend, seed=eig_seed
+    )
+    embedding = row_normalize(vecs)
+    if validate:
+        from repro.verify.invariants import check_eigenvalues, check_embedding
+
+        check_eigenvalues(vals, stage="spectral.embedding")
+        check_embedding(embedding, stage="spectral.embedding")
+    km = KMeans(k_i, n_init=kmeans_n_init, seed=km_seed).fit(embedding)
+    return BucketClustering(
+        "nystrom",
+        km.labels_,
+        d_inv_sqrt=inv_sqrt_degrees(S),
+        basis=vecs,
+        eigenvalues=vals,
+        centroids=km.cluster_centers_,
+    )

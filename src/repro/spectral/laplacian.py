@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from repro.utils.validation import check_square
 
-__all__ = ["degree_vector", "normalized_laplacian"]
+__all__ = ["degree_vector", "inv_sqrt_degrees", "normalized_laplacian"]
 
 
 def _as_affinity(S):
@@ -37,9 +37,10 @@ def degree_vector(S) -> np.ndarray:
     return S.sum(axis=1)
 
 
-def _inv_sqrt_degrees(degrees: np.ndarray) -> np.ndarray:
+def inv_sqrt_degrees(S) -> np.ndarray:
+    """The diagonal of ``D^{-1/2}``: ``1/sqrt(degree)``, 0 for isolated vertices."""
     with np.errstate(divide="ignore"):
-        inv = 1.0 / np.sqrt(degrees)
+        inv = 1.0 / np.sqrt(degree_vector(S))
     inv[~np.isfinite(inv)] = 0.0
     return inv
 
@@ -50,7 +51,7 @@ def normalized_laplacian(S):
     Eigenvalues lie in [-1, 1]; the top eigenvectors span the NJW embedding.
     """
     S = _as_affinity(S)
-    d_inv_sqrt = _inv_sqrt_degrees(degree_vector(S))
+    d_inv_sqrt = inv_sqrt_degrees(S)
     if sp.issparse(S):
         D = sp.diags(d_inv_sqrt)
         return (D @ S @ D).tocsr()

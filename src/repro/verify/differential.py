@@ -6,7 +6,9 @@ synthetic workload (the shape of the paper's Section-5.3 comparison):
 
 1. **serial vs process-pool** — ``DASC.fit`` with ``n_jobs=1`` and with a
    :class:`~repro.mapreduce.executor.ParallelExecutor` must produce
-   bit-identical labels, buckets, and allocations;
+   bit-identical labels, buckets, and allocations, and the model exported
+   from the process-pool fit (its per-bucket artifacts came back from the
+   workers) must assign the training points their serial fit labels;
 2. **serial vs process-pool, distributed** — the full
    :class:`~repro.dasc_mr.driver.DistributedDASC` job flow on either
    backend must produce bit-identical labels *and counters*;
@@ -177,10 +179,14 @@ def run_differential_suite(
         same_allocation = bool(
             np.array_equal(serial_model.cluster_allocation_, parallel_model.cluster_allocation_)
         )
-        return same_labels and same_buckets and same_allocation, {
+        same_served = bool(
+            np.array_equal(parallel_model.export_model(X).assign(X), serial_labels)
+        )
+        return same_labels and same_buckets and same_allocation and same_served, {
             "labels_identical": same_labels,
             "buckets_identical": same_buckets,
             "allocation_identical": same_allocation,
+            "served_labels_identical": same_served,
             "n_jobs": max(2, n_jobs),
         }
 

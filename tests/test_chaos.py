@@ -38,10 +38,8 @@ def parallel_emr():
     return ElasticMapReduce(executor=ParallelExecutor(2, fallback=False))
 
 
-def run_dasc(X, mode="inline", emr=None):
-    return DistributedDASC(
-        4, n_nodes=4, config=DASCConfig(seed=0), emr=emr, spectral_mode=mode
-    ).run(X)
+def run_dasc(X, emr=None):
+    return DistributedDASC(4, n_nodes=4, config=DASCConfig(seed=0), emr=emr).run(X)
 
 
 def counters_without_faults(counters: dict) -> dict:
@@ -52,8 +50,8 @@ def counters_without_faults(counters: dict) -> dict:
 
 
 # Failure schedules swept by the equivalence test. Explicit node kills hit
-# every phase of the inline pipeline (stage-1 map, stage-2 map, stage-2
-# reduce); rate-based schedules exercise the random paths across seeds.
+# every phase of the pipeline (stage-1 map, stage-2 map, stage-2 reduce);
+# rate-based schedules exercise the random paths across seeds.
 SCHEDULES = {
     "tasks-light": dict(policy=FaultPolicy(failure_rate=0.1, max_attempts=12, seed=1)),
     "tasks-heavy": dict(policy=FaultPolicy(failure_rate=0.3, max_attempts=16, seed=2)),
@@ -92,14 +90,6 @@ class TestChaosEquivalence:
             baseline.counters
         )
 
-    @pytest.mark.parametrize("schedule", ["tasks-heavy", "everything-at-once"])
-    def test_labels_identical_mahout(self, blobs_small, schedule):
-        X, _ = blobs_small
-        baseline = run_dasc(X, mode="mahout")
-        chaotic = run_dasc(X, mode="mahout", emr=ChaosEMR(**SCHEDULES[schedule]))
-        assert np.array_equal(chaotic.labels, baseline.labels)
-        assert chaotic.makespan >= baseline.makespan
-
     def test_fault_counters_reported(self, blobs_small):
         X, _ = blobs_small
         result = run_dasc(X, emr=ChaosEMR(**SCHEDULES["node-kill-every-phase"]))
@@ -116,11 +106,10 @@ class TestParallelEquivalence:
     and the *full* counter set (no faults-group carve-out needed, since a
     healthy parallel run injects nothing)."""
 
-    @pytest.mark.parametrize("mode", ["inline", "mahout"])
-    def test_clean_run_bit_identical(self, blobs_small, mode):
+    def test_clean_run_bit_identical(self, blobs_small):
         X, _ = blobs_small
-        baseline = run_dasc(X, mode=mode)
-        parallel = run_dasc(X, mode=mode, emr=parallel_emr())
+        baseline = run_dasc(X)
+        parallel = run_dasc(X, emr=parallel_emr())
         assert np.array_equal(parallel.labels, baseline.labels)
         assert parallel.n_clusters == baseline.n_clusters
         assert parallel.n_buckets == baseline.n_buckets

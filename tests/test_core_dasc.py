@@ -84,6 +84,19 @@ class TestFit:
         dasc = DASC(4, config=cfg).fit(X)
         assert dasc.n_bits_ == 5 and dasc.sigma_ == 0.4
 
+    def test_estimators_work_on_a_copy_of_the_config(self):
+        from repro.core.streaming import StreamingDASC
+        from repro.dasc_mr import DistributedDASC
+
+        cfg = DASCConfig(seed=0)
+        a = DASC(4, config=cfg)
+        b = DASC(config=cfg, n_bits=3)
+        StreamingDASC(5, config=cfg)
+        DistributedDASC(6, config=cfg)
+        assert cfg == DASCConfig(seed=0)
+        assert a.config.n_clusters == 4 and a.config.n_bits is None
+        assert b.config.n_clusters is None and b.config.n_bits == 3
+
     def test_unknown_override_rejected(self):
         with pytest.raises(TypeError):
             DASC(4, bogus_option=1)

@@ -114,6 +114,16 @@ class TestDistributedDASC:
         with pytest.raises(ValueError):
             DistributedDASC(4, config=DASCConfig(hasher="pca"))
 
+    def test_spectral_mode_rejected(self):
+        with pytest.raises(TypeError):
+            DistributedDASC(4, spectral_mode="inline")
+
+    def test_numpy_integer_seed_matches_int_seed(self):
+        X, _ = make_blobs(300, 4, seed=0)
+        plain = DistributedDASC(4, n_nodes=4, config=DASCConfig(seed=5)).run(X)
+        numpy_seed = DistributedDASC(4, n_nodes=4, config=DASCConfig(seed=np.int64(5))).run(X)
+        assert np.array_equal(numpy_seed.labels, plain.labels)
+
     def test_invalid_nodes(self):
         with pytest.raises(ValueError):
             DistributedDASC(4, n_nodes=0)
@@ -159,41 +169,3 @@ class TestDistributedDASC:
         assert res.stage_makespans == {"lsh": 192.0, "spectral": 80864.0}
         assert res.counters["stage1"]["job"] == {"map_tasks": 7}
         assert res.counters["stage2"]["job"] == {"map_tasks": 7, "reduce_tasks": 3}
-
-
-class TestMahoutSpectralMode:
-    def test_matches_inline_mode_partitions(self, blobs_small):
-        """Algorithm-2-verbatim + Mahout-style MR spectral clustering yields
-        the same clustering structure as the inline reducers."""
-        X, y = blobs_small
-        inline = DistributedDASC(
-            4, n_nodes=4, config=DASCConfig(seed=0), spectral_mode="inline"
-        ).run(X)
-        mahout = DistributedDASC(
-            4, n_nodes=4, config=DASCConfig(seed=0), spectral_mode="mahout"
-        ).run(X)
-        assert mahout.labels.shape == inline.labels.shape
-        assert normalized_mutual_info(inline.labels, mahout.labels) > 0.9
-        assert clustering_accuracy(y, mahout.labels) > 0.9
-        # Same buckets either way (stage 1 + merge are identical).
-        assert mahout.n_buckets == inline.n_buckets
-
-    def test_similarity_matrices_counted(self, blobs_small):
-        X, _ = blobs_small
-        res = DistributedDASC(
-            4, n_nodes=2, config=DASCConfig(seed=0), spectral_mode="mahout"
-        ).run(X)
-        written = res.counters["stage2"]["dasc"]["similarity_matrices_written"]
-        assert written == res.n_buckets
-
-    def test_makespan_includes_spectral_jobs(self, blobs_small):
-        X, _ = blobs_small
-        res = DistributedDASC(
-            4, n_nodes=2, config=DASCConfig(seed=0), spectral_mode="mahout"
-        ).run(X)
-        assert res.makespan > res.stage_makespans["lsh"]
-        assert res.stage_makespans["spectral"] > 0
-
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            DistributedDASC(4, spectral_mode="sparkly")

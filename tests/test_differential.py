@@ -60,6 +60,7 @@ class TestSuite:
         assert check.details["labels_identical"]
         assert check.details["buckets_identical"]
         assert check.details["allocation_identical"]
+        assert check.details["served_labels_identical"]
 
     def test_distributed_counters_identical(self, report):
         check = {c.name: c for c in report.checks}["distributed.serial_vs_parallel"]

@@ -110,8 +110,8 @@ class TestQualityMetricsAgree:
 
 
 class TestGrandPipeline:
-    """Everything at once: crawl -> text pipeline -> distributed DASC in the
-    paper's literal (mahout) mode on a faulty cluster, verified streamingly."""
+    """Everything at once: crawl -> text pipeline -> distributed DASC on a
+    faulty cluster, verified streamingly."""
 
     def test_end_to_end_with_faults_and_streaming(self):
         from repro.core import DASCConfig
@@ -136,11 +136,8 @@ class TestGrandPipeline:
                 )
                 return flow_id, flow
 
-        # Distributed, paper-literal stage 2, under injected task failures.
-        res = DistributedDASC(
-            6, n_nodes=4, config=DASCConfig(seed=0), emr=FaultyEMR(),
-            spectral_mode="mahout",
-        ).run(X)
+        # Distributed, under injected task failures.
+        res = DistributedDASC(6, n_nodes=4, config=DASCConfig(seed=0), emr=FaultyEMR()).run(X)
         assert clustering_accuracy(y, res.labels) > 0.8
 
         # The same data absorbed as a stream gives a consistent clustering.

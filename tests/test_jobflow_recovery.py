@@ -117,22 +117,6 @@ class TestDistributedDASCResume:
         assert result.counters == baseline.counters
         assert result.makespan == pytest.approx(baseline.makespan)
 
-    def test_resume_mahout_mode(self, blobs_small):
-        X, _ = blobs_small
-        baseline = DistributedDASC(
-            4, n_nodes=4, config=DASCConfig(seed=0), spectral_mode="mahout"
-        ).run(X)
-
-        emr = ElasticMapReduce()
-        dasc = DistributedDASC(
-            4, n_nodes=4, config=DASCConfig(seed=0), emr=emr, spectral_mode="mahout"
-        )
-        flow_id = dasc.submit(X)
-        emr.run_job_flow(flow_id, max_steps=1)
-        result = dasc.resume(flow_id)
-        assert np.array_equal(result.labels, baseline.labels)
-        assert 0 in result.resumed_steps
-
     def test_unknown_flow_rejected(self, blobs_small):
         dasc = DistributedDASC(4, n_nodes=2)
         with pytest.raises(KeyError):

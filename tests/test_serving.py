@@ -60,6 +60,14 @@ class TestExportGuards:
         with pytest.raises(RuntimeError, match="finalize"):
             sd.export_model()
 
+    def test_streaming_export_after_more_chunks(self, blobs_small):
+        X, _ = blobs_small
+        sd = StreamingDASC(4, config=DASCConfig(seed=0)).calibrate(X)
+        sd.partial_fit(X[:200]).finalize()
+        sd.partial_fit(X[200:])
+        with pytest.raises(RuntimeError, match="finalize"):
+            sd.export_model()
+
 
 class TestSelfConsistency:
     def test_batch_training_points_reproduce_fit_labels(self, fitted):
@@ -80,6 +88,41 @@ class TestSelfConsistency:
         assigned, details = model.assign(X, return_details=True)
         assert (details["methods"] == ROUTE_EXACT).all()
         assert np.array_equal(assigned, labels)
+
+    def test_process_pool_fit_exports_fit_labels(self, blobs_small):
+        """The exported artifacts come back from worker processes."""
+        X, _ = blobs_small
+        est = DASC(4, config=DASCConfig(n_bits=4, seed=0, n_jobs=2))
+        labels = est.fit_predict(X)
+        assigned, details = est.export_model(X).assign(X, return_details=True)
+        assert (details["methods"] == ROUTE_EXACT).all()
+        assert np.array_equal(assigned, labels)
+
+    def test_export_does_no_spectral_work(self, blobs_small, monkeypatch):
+        """Export reads the fit's per-bucket artifacts instead of re-solving."""
+        import sys
+
+        from repro.spectral.eigen import top_eigenvectors
+        from repro.spectral.kmeans import KMeans
+
+        X, _ = blobs_small
+        est = DASC(4, config=DASCConfig(n_bits=4, seed=0))
+        labels = est.fit_predict(X)
+        sd = StreamingDASC(4, config=DASCConfig(n_bits=4, seed=0)).calibrate(X)
+        sd.partial_fit(X)
+        stream_labels = sd.finalize()
+
+        def boom(*args, **kwargs):
+            raise AssertionError("export_model ran spectral work")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, "top_eigenvectors", None) is top_eigenvectors:
+                monkeypatch.setattr(module, "top_eigenvectors", boom)
+        monkeypatch.setattr(KMeans, "fit", boom)
+        for model, expected in ((est.export_model(X), labels), (sd.export_model(), stream_labels)):
+            assigned, details = model.assign(X, return_details=True)
+            assert (details["methods"] == ROUTE_EXACT).all()
+            assert np.array_equal(assigned, expected)
 
     def test_jittered_queries_mostly_agree(self, fitted, rng):
         X, labels, model = fitted
