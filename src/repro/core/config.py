@@ -85,7 +85,12 @@ class DASCConfig:
     zero_diagonal:
         Algorithm 2's zero-self-similarity convention.
     seed:
-        Master seed for hashing, eigensolvers, and K-means.
+        Master seed. Hashing and the bandwidth heuristics draw from it
+        directly. Bucket ``b`` is clustered (iterative eigensolver start
+        and K-means) with :func:`repro.spectral.bucket.bucket_seed`,
+        ``(seed + b) mod 2**31``, in ``DASC``, ``StreamingDASC`` and
+        ``DistributedDASC`` alike. ``None`` gives hashing and bandwidth
+        sampling fresh OS entropy, while the per-bucket seeds count it as 0.
     n_jobs:
         Worker processes for the per-bucket kernel + spectral stage.
         ``None`` defers to the ``REPRO_N_JOBS`` environment variable

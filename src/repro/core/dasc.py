@@ -31,9 +31,8 @@ from repro.core.signatures import compute_signatures
 from repro.kernels.bandwidth import mean_knn_heuristic, median_heuristic
 from repro.kernels.functions import GaussianKernel, Kernel
 from repro.observability import get_tracer
-from repro.spectral.bucket import BucketClustering, cluster_bucket, needs_eigensolve
+from repro.spectral.bucket import BucketClustering, bucket_seed, cluster_bucket
 from repro.utils.memory import MemoryLedger
-from repro.utils.rng import as_rng
 from repro.utils.timing import Stopwatch
 from repro.utils.validation import check_2d
 from repro.verify.invariants import (
@@ -251,26 +250,14 @@ class DASC:
         self.cluster_allocation_ = allocation
 
         labels = np.full(n, -1, dtype=np.int64)
-        seed_rng = as_rng(self.config.seed)
         executor = self._resolve_executor()
-        # Seeds are pre-drawn in the exact order the serial loop consumed
-        # them (only blocks that reach the eigensolver draw, eig before
-        # K-means, bucket order), so any backend sees identical seeds.
-        payloads = []
-        for b, block in enumerate(approx.blocks):
-            n_i, k_i = block.shape[0], int(allocation[b])
-            if needs_eigensolve(n_i, k_i):
-                eig_seed = int(seed_rng.integers(2**31))
-                km_seed = int(seed_rng.integers(2**31))
-            else:
-                eig_seed = km_seed = None
-            payloads.append(
-                (
-                    n_i, k_i, block, eig_seed, km_seed,
-                    self.config.eig_backend, self.config.kmeans_n_init,
-                    self._validate_active(),
-                )
+        payloads = [
+            (
+                block.shape[0], int(allocation[b]), block, bucket_seed(self.config.seed, b),
+                self.config.eig_backend, self.config.kmeans_n_init, self._validate_active(),
             )
+            for b, block in enumerate(approx.blocks)
+        ]
         offset = 0
         with self.stopwatch_.lap("spectral"), tracer.span("dasc.spectral") as span:
             if executor.parallel and len(payloads) > 1:

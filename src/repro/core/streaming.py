@@ -30,9 +30,9 @@ from repro.kernels.bandwidth import median_heuristic
 from repro.kernels.functions import GaussianKernel
 from repro.kernels.matrix import gram_matrix
 from repro.observability import get_tracer
-from repro.spectral.bucket import BucketClustering, cluster_bucket, needs_eigensolve
-from repro.utils.rng import as_rng
+from repro.spectral.bucket import BucketClustering, bucket_seed, cluster_bucket
 from repro.utils.validation import check_2d
+from repro.verify.invariants import validation_enabled
 
 __all__ = ["StreamingDASC"]
 
@@ -197,7 +197,6 @@ class StreamingDASC:
 
     def _finalize_impl(self) -> np.ndarray:
         k_total = self.config.resolve_n_clusters(self._n_seen)
-        seed_rng = as_rng(self.config.seed)
         groups, _ = self._assemble_groups()
         kernel = GaussianKernel(self._sigma)
         sizes = np.array([g[0].shape[0] for g in groups], dtype=np.int64)
@@ -207,7 +206,8 @@ class StreamingDASC:
         labels = np.full(self._n_seen, -1, dtype=np.int64)
         clusterings = []
         offset = 0
-        for (X_b, idx), k_floor in zip(groups, ks):
+        validate = validation_enabled(self.config.validate)
+        for g, ((X_b, idx), k_floor) in enumerate(zip(groups, ks)):
             n_b, k_i = X_b.shape[0], int(k_floor)
             S = None
             if n_b > 1:
@@ -216,14 +216,10 @@ class StreamingDASC:
                     # Data-driven K_i with the proportional share as a floor
                     # (mirrors the batch estimator's under-allocation guard).
                     k_i = max(k_i, choose_k_eigengap(S, min(k_total, n_b)))
-            if needs_eigensolve(n_b, k_i):
-                eig_seed = int(seed_rng.integers(2**31))
-                km_seed = int(seed_rng.integers(2**31))
-            else:
-                eig_seed = km_seed = None
             clustering = cluster_bucket(
-                n_b, k_i, S, eig_seed, km_seed,
+                n_b, k_i, S, bucket_seed(self.config.seed, g),
                 eig_backend=self.config.eig_backend, kmeans_n_init=self.config.kmeans_n_init,
+                validate=validate,
             )
             clusterings.append(clustering)
             labels[idx] = offset + clustering.labels

@@ -10,8 +10,9 @@ allocation.
 
 :class:`DistributedDASC` is numerically equivalent to the in-process
 :class:`repro.core.dasc.DASC` (same hashing, bucketing, kernels, spectral
-steps) but executes through the MapReduce engine, yielding the simulated
-makespans Table 3 reports for 16/32/64-node clusters.
+steps and per-bucket seeds, so the labels are identical whenever ``DASC``
+does not refine) but executes through the MapReduce engine, yielding the
+simulated makespans Table 3 reports for 16/32/64-node clusters.
 
 The driver is crash-recoverable: :meth:`DistributedDASC.submit` provisions
 the flow, :meth:`~DistributedDASC.run` executes and collects it, and — if
@@ -34,7 +35,6 @@ unsurvivable storage-fault schedule surfaces as a structured
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,10 +42,10 @@ import numpy as np
 from repro.core.allocation import allocate_clusters
 from repro.core.buckets import fold_small_buckets, group_by_signature, merge_buckets
 from repro.core.config import DASCConfig
+from repro.core.signatures import make_hasher
 from repro.dasc_mr.stage1 import make_signature_job
 from repro.dasc_mr.stage2 import make_clustering_job
 from repro.kernels.bandwidth import median_heuristic
-from repro.lsh.axis import AxisParallelHasher
 from repro.mapreduce.emr import ElasticMapReduce
 from repro.observability import get_tracer
 from repro.utils.memory import block_diagonal_bytes
@@ -122,7 +122,11 @@ class DistributedDASC:
     config:
         Full :class:`DASCConfig`; only the axis-parallel hasher is supported
         here because Algorithm 1's mapper is defined in terms of
-        hyperplane/threshold lookups.
+        hyperplane/threshold lookups. ``allocation="eigengap"`` is rejected:
+        K_i is fixed from bucket sizes before stage 2. The flow does not run
+        ``refine_to_k``, so ``allocation="fixed"`` keeps more than K
+        clusters where ``DASC`` merges down to K; whenever ``DASC`` does not
+        refine, its labels equal these.
     emr:
         An :class:`ElasticMapReduce` service to provision from (a fresh one
         is created when omitted, so independent runs don't share state).
@@ -159,6 +163,11 @@ class DistributedDASC:
             self.config.n_clusters = n_clusters
         if self.config.hasher != "axis":
             raise ValueError("DistributedDASC implements Algorithm 1 (axis-parallel hashing only)")
+        if self.config.allocation == "eigengap":
+            raise ValueError(
+                "DistributedDASC does not support allocation='eigengap': K_i is "
+                "fixed from bucket sizes before stage 2 builds any Gram block"
+            )
         if n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
         self.n_nodes = int(n_nodes)
@@ -207,12 +216,7 @@ class DistributedDASC:
 
         # Driver-side preprocessing: fit the global hash parameters
         # (Eqs. 4-5 need dataset-wide spans and histograms).
-        hasher = AxisParallelHasher(
-            n_bits,
-            dimension_policy=self.config.dimension_policy,
-            threshold_policy=self.config.threshold_policy,
-            seed=self.config.seed,
-        ).fit(X)
+        hasher = make_hasher(self.config, n_bits).fit(X)
 
         # Only forward the autoscaler when one is set: EMR subclasses that
         # predate elasticity (test fixtures, chaos wrappers) keep working.
@@ -359,14 +363,13 @@ class DistributedDASC:
             # the allocation is known. A resumed flow replays this action,
             # so prune the stage-2 step a previous run already appended.
             fl.remove_steps_named(_STAGE2_STEP)
-            seed = self.config.seed
             stage2 = make_clustering_job(
                 sigma=sigma,
                 allocation=allocation,
                 n_reducers=max(buckets.n_buckets, 1),
                 eig_backend=self.config.eig_backend,
                 kmeans_n_init=self.config.kmeans_n_init,
-                seed=seed if isinstance(seed, numbers.Integral) else 0,
+                seed=self.config.seed,
                 validate=validation_enabled(self.config.validate),
                 name=_STAGE2_STEP,
             )

@@ -17,7 +17,7 @@ import numpy as np
 from repro.kernels.functions import GaussianKernel
 from repro.kernels.matrix import gram_matrix_auto
 from repro.mapreduce.types import JobSpec
-from repro.spectral.bucket import cluster_bucket, needs_eigensolve
+from repro.spectral.bucket import bucket_seed, cluster_bucket, needs_eigensolve
 
 __all__ = [
     "similarity_reducer",
@@ -89,10 +89,10 @@ def similarity_reducer(bucket_id, members, ctx):
                 stage="mr.stage2", bucket_id=int(bucket_id),
             )
     # ...then Eq. 2 + NJW embedding + K-means on the embedding rows.
-    seed = (params["seed"] + int(bucket_id)) % (2**31)
     local = cluster_bucket(
-        n_i, k_i, S, seed, seed, eig_backend=params["eig_backend"],
-        kmeans_n_init=params["kmeans_n_init"], validate=validate,
+        n_i, k_i, S, bucket_seed(params["seed"], bucket_id),
+        eig_backend=params["eig_backend"], kmeans_n_init=params["kmeans_n_init"],
+        validate=validate,
     ).labels
 
     for idx, lab in zip(indices, local):
@@ -106,7 +106,7 @@ def make_clustering_job(
     n_reducers: int,
     eig_backend: str = "dense",
     kmeans_n_init: int = 4,
-    seed: int = 0,
+    seed: int | None = 0,
     validate: bool = False,
     name: str = "dasc-stage2-spectral",
 ) -> JobSpec:
@@ -132,7 +132,7 @@ def make_clustering_job(
             "allocation": allocation,
             "eig_backend": eig_backend,
             "kmeans_n_init": int(kmeans_n_init),
-            "seed": int(seed),
+            "seed": seed,
             "validate": bool(validate),
         },
     )

@@ -5,7 +5,7 @@ the normalized graph Laplacian (Eq. 2), restarted Lanczos tridiagonalization
 + an implicit-shift QL eigensolver for symmetric tridiagonal matrices (the
 reduction chain the paper describes in Section 3.2), the NJW row-normalized
 spectral embedding, K-means with k-means++ seeding, and the per-bucket step
-that chains them (:func:`cluster_bucket`).
+that chains them (:func:`cluster_bucket`, seeded by :func:`bucket_seed`).
 """
 
 from repro.spectral.laplacian import degree_vector, inv_sqrt_degrees, normalized_laplacian
@@ -14,7 +14,7 @@ from repro.spectral.eigen import top_eigenvectors
 from repro.spectral.embedding import spectral_embedding, row_normalize
 from repro.spectral.kmeans import KMeans, kmeans_plus_plus_init
 from repro.spectral.cluster import SpectralClustering
-from repro.spectral.bucket import BucketClustering, cluster_bucket, needs_eigensolve
+from repro.spectral.bucket import BucketClustering, bucket_seed, cluster_bucket, needs_eigensolve
 
 __all__ = [
     "degree_vector",
@@ -28,6 +28,7 @@ __all__ = [
     "kmeans_plus_plus_init",
     "SpectralClustering",
     "BucketClustering",
+    "bucket_seed",
     "cluster_bucket",
     "needs_eigensolve",
 ]

@@ -11,6 +11,7 @@ clustering the bucket again.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.spectral.embedding import row_normalize
 from repro.spectral.kmeans import KMeans
 from repro.spectral.laplacian import inv_sqrt_degrees, normalized_laplacian
 
-__all__ = ["BucketClustering", "cluster_bucket", "needs_eigensolve"]
+__all__ = ["BucketClustering", "bucket_seed", "cluster_bucket", "needs_eigensolve"]
 
 
 @dataclass
@@ -46,17 +47,27 @@ class BucketClustering:
 def needs_eigensolve(n_i: int, k_i: int) -> bool:
     """Whether a bucket of ``n_i`` points split into ``k_i`` clusters is solved.
 
-    Only these buckets consume seeds or need their Gram block.
+    Only these buckets need their Gram block.
     """
     return 1 < k_i < n_i
+
+
+def bucket_seed(seed, bucket_id: int) -> int:
+    """Bucket ``bucket_id``'s seed under master ``seed``: ``(seed + bucket_id) mod 2**31``.
+
+    A non-integer ``seed`` (``None``, a generator) counts as 0. The rule is
+    stateless, so a bucket's seed depends neither on bucket order nor on
+    which buckets are solved, and every path that clusters it seeds it alike.
+    """
+    base = int(seed) if isinstance(seed, numbers.Integral) else 0
+    return (base + int(bucket_id)) % 2**31
 
 
 def cluster_bucket(
     n_i: int,
     k_i: int,
     S,
-    eig_seed=None,
-    km_seed=None,
+    seed=None,
     eig_backend: str = "dense",
     kmeans_n_init: int = 4,
     validate: bool = False,
@@ -64,9 +75,9 @@ def cluster_bucket(
     """Spectral-cluster one bucket of ``n_i`` points into ``k_i`` local labels.
 
     ``S`` is the bucket's Gram block, read only when :func:`needs_eigensolve`
-    holds (pass ``None`` otherwise). ``eig_seed`` starts the iterative
-    eigensolvers, ``km_seed`` seeds K-means; the result is a pure function
-    of the arguments. With ``validate`` the eigenvalues must lie in
+    holds (pass ``None`` otherwise). ``seed`` (:func:`bucket_seed`) starts
+    the iterative eigensolvers and seeds K-means; the result is a pure
+    function of the arguments. With ``validate`` the eigenvalues must lie in
     ``[-1, 1]`` (the Eq.-2 bound) and the embedding rows be unit-norm, or
     :class:`repro.verify.InvariantViolation` is raised.
     """
@@ -75,7 +86,7 @@ def cluster_bucket(
     if k_i == 1:
         return BucketClustering("const", np.zeros(n_i, dtype=np.int64))
     vals, vecs = top_eigenvectors(
-        normalized_laplacian(S), k_i, backend=eig_backend, seed=eig_seed
+        normalized_laplacian(S), k_i, backend=eig_backend, seed=seed
     )
     embedding = row_normalize(vecs)
     if validate:
@@ -83,7 +94,7 @@ def cluster_bucket(
 
         check_eigenvalues(vals, stage="spectral.embedding")
         check_embedding(embedding, stage="spectral.embedding")
-    km = KMeans(k_i, n_init=kmeans_n_init, seed=km_seed).fit(embedding)
+    km = KMeans(k_i, n_init=kmeans_n_init, seed=seed).fit(embedding)
     return BucketClustering(
         "nystrom",
         km.labels_,

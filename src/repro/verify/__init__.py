@@ -24,7 +24,6 @@ the pipeline rests on, into machine-checked assertions:
 from repro.verify.differential import (
     CheckResult,
     VerificationReport,
-    partitions_equal,
     render_verification_report,
     run_differential_suite,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "check_embedding",
     "check_gram_block",
     "check_labels_range",
-    "partitions_equal",
     "render_verification_report",
     "run_differential_suite",
     "validation_enabled",

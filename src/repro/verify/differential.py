@@ -16,7 +16,8 @@ synthetic workload (the shape of the paper's Section-5.3 comparison):
    :meth:`~repro.dasc_mr.driver.DistributedDASC.resume`-d must match the
    uninterrupted run bit-for-bit (labels, counters, makespan);
 4. **local vs distributed** — ``DASC.fit`` and the MapReduce path must
-   agree as partitions (identical up to relabelling; gated on NMI);
+   produce identical labels (both seed each bucket by
+   :func:`~repro.spectral.bucket.bucket_seed`);
 5. **DASC vs exact SC** — the Section-5.3 quality claim: on
    block-structured data, DASC's ASE stays within a tolerance of exact
    spectral clustering's and NMI against ground truth stays high;
@@ -45,7 +46,6 @@ import numpy as np
 __all__ = [
     "CheckResult",
     "VerificationReport",
-    "partitions_equal",
     "render_verification_report",
     "run_differential_suite",
 ]
@@ -81,20 +81,6 @@ class VerificationReport:
             "passed": self.passed,
             "checks": [c.to_dict() for c in self.checks],
         }
-
-
-def partitions_equal(a, b) -> bool:
-    """Whether two labelings induce the same partition (bijective relabelling)."""
-    a = np.asarray(a).ravel()
-    b = np.asarray(b).ravel()
-    if a.shape != b.shape:
-        return False
-    forward: dict = {}
-    backward: dict = {}
-    for x, y in zip(a.tolist(), b.tolist()):
-        if forward.setdefault(x, y) != y or backward.setdefault(y, x) != x:
-            return False
-    return True
 
 
 def _counters_equal(a: dict, b: dict) -> bool:
@@ -231,12 +217,10 @@ def run_differential_suite(
 
     # -- 4. local DASC.fit vs MapReduce DistributedDASC ---------------------
     def check_local_vs_distributed():
-        identical = partitions_equal(serial_labels, serial_dist.labels)
-        nmi = float(normalized_mutual_info(serial_labels, serial_dist.labels))
-        return nmi >= nmi_min, {
-            "partitions_identical": bool(identical),
-            "nmi": nmi,
-            "nmi_min": nmi_min,
+        identical = bool(np.array_equal(serial_labels, serial_dist.labels))
+        return identical, {
+            "labels_identical": identical,
+            "nmi": float(normalized_mutual_info(serial_labels, serial_dist.labels)),
         }
 
     _run_check(report, "dasc.local_vs_distributed", check_local_vs_distributed)

@@ -6,7 +6,7 @@ import pytest
 from repro.core import DASC, DASCConfig
 from repro.kernels import GaussianKernel, gram_matrix
 from repro.metrics import clustering_accuracy, fnorm_ratio
-from repro.spectral import SpectralClustering
+from repro.spectral import SpectralClustering, bucket_seed, cluster_bucket
 
 
 class TestFit:
@@ -122,6 +122,23 @@ class TestFit:
         X, y = blobs_small
         labels = DASC(4, allocation=allocation, seed=0).fit_predict(X)
         assert normalized_mutual_info(y, labels) > 0.7
+
+
+class TestBucketSeed:
+    def test_each_bucket_reclusters_alone(self, blobs_medium):
+        """A bucket's labels depend on its block, K_i and bucket_seed(seed, b) only."""
+        X, _ = blobs_medium
+        dasc = DASC(6, n_bits=8, min_bucket_size=4, seed=3).fit(X)
+        for b, block in enumerate(dasc.approx_kernel_.blocks):
+            alone = cluster_bucket(
+                block.shape[0], int(dasc.cluster_allocation_[b]), block, bucket_seed(3, b)
+            )
+            assert np.array_equal(alone.labels, dasc.bucket_clusterings_[b].labels), b
+
+    def test_rule(self):
+        assert bucket_seed(5, 2) == bucket_seed(np.int64(5), 2) == 7
+        assert bucket_seed(None, 4) == bucket_seed(0, 4) == 4
+        assert bucket_seed(2**31 - 1, 1) == 0
 
 
 class TestTransform:

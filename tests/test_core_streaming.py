@@ -77,6 +77,22 @@ class TestCorrectness:
         assert clustering_accuracy(y, labels) > 0.9
 
 
+class TestValidation:
+    def test_finalize_runs_invariant_checks(self, blobs_small, monkeypatch):
+        from repro.verify import InvariantViolation
+
+        def reject(*args, **kwargs):
+            raise InvariantViolation("spectral.embedding_norm", "rejected", stage="test")
+
+        monkeypatch.setattr("repro.verify.invariants.check_embedding", reject)
+        X, _ = blobs_small
+        # Two bits leave a 200-point bucket with K_i = 2, so it reaches the eigensolve.
+        sd = StreamingDASC(4, config=DASCConfig(n_bits=2, seed=0, validate=True)).calibrate(X)
+        sd.partial_fit(X)
+        with pytest.raises(InvariantViolation):
+            sd.finalize()
+
+
 class TestVectorizedAbsorbRegression:
     def test_bit_identical_to_per_row_reference(self, blobs_small):
         """The argsort/np.unique grouping in partial_fit must leave the

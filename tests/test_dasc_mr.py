@@ -11,7 +11,7 @@ from repro.dasc_mr.stage2 import make_clustering_job
 from repro.data.synthetic import make_blobs
 from repro.lsh.axis import AxisParallelHasher
 from repro.mapreduce import MapReduceEngine
-from repro.metrics import clustering_accuracy, normalized_mutual_info
+from repro.metrics import clustering_accuracy
 
 
 class TestStage1:
@@ -66,8 +66,24 @@ class TestDistributedDASC:
         X, y = blobs_small
         local = DASC(4, seed=0).fit_predict(X)
         dist = DistributedDASC(4, n_nodes=4, config=DASCConfig(seed=0)).run(X).labels
-        # Same pipeline, same seeds -> identical partitions up to relabelling.
-        assert normalized_mutual_info(local, dist) > 0.95
+        # Same buckets, allocation and per-bucket seeds -> identical labels.
+        assert np.array_equal(local, dist)
+
+    @pytest.mark.parametrize("eig_backend", ["dense", "arpack", "lanczos"])
+    @pytest.mark.parametrize(
+        "allocation, refine",
+        [("proportional", True), ("sqrt", True), ("fixed", False)],
+    )
+    def test_labels_identical_to_local_dasc(self, blobs_medium, allocation, refine, eig_backend):
+        """Local and distributed label alike for every allocation DASC does not refine."""
+        X, _ = blobs_medium
+        cfg = DASCConfig(
+            n_bits=8, min_bucket_size=4, seed=0, allocation=allocation,
+            refine_to_k=refine, eig_backend=eig_backend,
+        )
+        local = DASC(6, config=cfg).fit_predict(X)
+        dist = DistributedDASC(6, n_nodes=4, config=cfg).run(X).labels
+        assert np.array_equal(local, dist)
 
     def test_accuracy_on_blobs(self, blobs_small):
         X, y = blobs_small
@@ -113,6 +129,10 @@ class TestDistributedDASC:
     def test_non_axis_hasher_rejected(self):
         with pytest.raises(ValueError):
             DistributedDASC(4, config=DASCConfig(hasher="pca"))
+
+    def test_eigengap_allocation_rejected(self):
+        with pytest.raises(ValueError, match="eigengap"):
+            DistributedDASC(4, config=DASCConfig(allocation="eigengap"))
 
     def test_spectral_mode_rejected(self):
         with pytest.raises(TypeError):

@@ -7,7 +7,6 @@ import pytest
 
 from repro.verify import (
     VerificationReport,
-    partitions_equal,
     render_verification_report,
     run_differential_suite,
 )
@@ -19,23 +18,6 @@ SUITE_KW = dict(n_samples=200, n_clusters=4, n_features=8, seed=0, n_jobs=2, n_n
 @pytest.fixture(scope="module")
 def report() -> VerificationReport:
     return run_differential_suite(**SUITE_KW)
-
-
-class TestPartitionsEqual:
-    def test_identical(self):
-        assert partitions_equal([0, 1, 1, 2], [0, 1, 1, 2])
-
-    def test_relabelled(self):
-        assert partitions_equal([0, 1, 1, 2], [5, 3, 3, 7])
-
-    def test_split_cluster(self):
-        assert not partitions_equal([0, 0, 1], [0, 1, 1])
-
-    def test_merged_cluster(self):
-        assert not partitions_equal([0, 1, 2], [0, 0, 1])
-
-    def test_shape_mismatch(self):
-        assert not partitions_equal([0, 1], [0, 1, 1])
 
 
 class TestSuite:
@@ -65,6 +47,10 @@ class TestSuite:
     def test_distributed_counters_identical(self, report):
         check = {c.name: c for c in report.checks}["distributed.serial_vs_parallel"]
         assert check.details["counters_identical"]
+
+    def test_local_and_distributed_labels_identical(self, report):
+        check = {c.name: c for c in report.checks}["dasc.local_vs_distributed"]
+        assert check.details["labels_identical"]
 
     def test_resume_actually_resumed(self, report):
         check = {c.name: c for c in report.checks}["distributed.resumed_vs_uninterrupted"]
