@@ -44,7 +44,9 @@ def choose_k_eigengap(affinity: np.ndarray, k_max: int) -> int:
     return int(np.argmax(gaps)) + 1
 
 
-def allocate_clusters(bucket_sizes, n_clusters: int, *, policy: str = "proportional") -> np.ndarray:
+def allocate_clusters(
+    bucket_sizes, n_clusters: int, *, policy: str = "proportional", eigengap_k=None
+) -> np.ndarray:
     """Split a global budget of ``n_clusters`` across buckets.
 
     Parameters
@@ -54,7 +56,13 @@ def allocate_clusters(bucket_sizes, n_clusters: int, *, policy: str = "proportio
     n_clusters:
         Global K.
     policy:
-        ``"proportional"``, ``"sqrt"``, or ``"fixed"``.
+        ``"proportional"``, ``"sqrt"``, ``"fixed"`` or ``"eigengap"``.
+    eigengap_k:
+        (B,) per-bucket :func:`choose_k_eigengap` estimates, read only by
+        ``"eigengap"``. They are the allocation when they sum to at least K;
+        otherwise (a large sigma can fuse the spectrum) each K_i is raised
+        to its proportional share, so the union offers at least K clusters
+        for the refine step to merge.
 
     Returns
     -------
@@ -70,6 +78,13 @@ def allocate_clusters(bucket_sizes, n_clusters: int, *, policy: str = "proportio
     if n_clusters < 1:
         raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
 
+    if policy == "eigengap":
+        if eigengap_k is None:
+            raise ValueError("policy='eigengap' needs the per-bucket estimates eigengap_k")
+        estimates = np.asarray(eigengap_k, dtype=np.int64)
+        if estimates.sum() >= n_clusters:
+            return estimates
+        return np.maximum(estimates, allocate_clusters(sizes, n_clusters, policy="proportional"))
     if policy == "fixed":
         return np.minimum(n_clusters, sizes)
     if policy == "proportional":

@@ -9,7 +9,9 @@ the pairwise O(T^2) comparison of the paper, with T = #unique signatures.
 
 Small buckets (below ``min_bucket_size``) are folded into their nearest
 surviving bucket by signature Hamming distance, so stragglers don't produce
-degenerate one-point spectral problems.
+degenerate one-point spectral problems. :func:`make_buckets` runs the three
+steps in that order; it is the one partition rule ``DASC``,
+``StreamingDASC`` and the ``DistributedDASC`` driver share.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from repro.lsh.hamming import hamming_distance
 
-__all__ = ["Buckets", "group_by_signature", "merge_buckets"]
+__all__ = ["Buckets", "group_by_signature", "make_buckets", "merge_buckets"]
 
 
 @dataclass
@@ -238,3 +240,16 @@ def fold_small_buckets(buckets: Buckets, min_size: int) -> Buckets:
     dist = hamming_distance(buckets.signatures[small][:, None], big_sigs[None, :])
     groups[small] = big[np.argmin(dist, axis=1)]
     return _merge_groups(buckets, groups)
+
+
+def make_buckets(signatures: np.ndarray, n_bits: int, config) -> Buckets:
+    """The final partition of points with these signatures: group, merge, fold.
+
+    ``config`` (a :class:`~repro.core.config.DASCConfig`) supplies P, the
+    merge strategy and the minimum bucket size.
+    """
+    buckets = group_by_signature(signatures, n_bits)
+    buckets = merge_buckets(
+        buckets, config.resolve_min_shared_bits(n_bits), strategy=config.merge_strategy
+    )
+    return fold_small_buckets(buckets, config.min_bucket_size)

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.kernels.bandwidth import mean_knn_heuristic, median_heuristic
+
 __all__ = ["default_n_bits", "default_n_clusters", "DASCConfig"]
 
 
@@ -60,10 +62,10 @@ class DASCConfig:
     dimension_policy / threshold_policy:
         Passed to :class:`repro.lsh.axis.AxisParallelHasher`.
     sigma:
-        Gaussian bandwidth of Eq. (1). ``None`` resolves to the median
-        pairwise-distance heuristic, except under the ``"eigengap"``
-        allocation, where the mean k-NN distance is used instead (the
-        eigengap needs a locality-scale bandwidth).
+        Gaussian bandwidth of Eq. (1), ``> 0``. ``None`` resolves to the
+        median pairwise-distance heuristic, except under the ``"eigengap"``
+        allocation, where the mean k-NN distance is used instead (see
+        :meth:`resolve_sigma`).
     allocation:
         Per-bucket cluster allocation: ``"proportional"`` (K_i ∝ N_i),
         ``"sqrt"`` (K_i ∝ sqrt(N_i); favours small buckets), ``"fixed"``
@@ -150,3 +152,20 @@ class DASCConfig:
                 )
             return self.min_shared_bits
         return max(n_bits - 1, 0)
+
+    def resolve_sigma(self, X) -> float:
+        """σ for data ``X`` (explicit value or a bandwidth heuristic on ``X``).
+
+        ``"eigengap"`` reads cluster counts off the affinity spectrum, which
+        needs a locality-scale bandwidth (the mean k-NN distance); the
+        global median fuses nearby clusters into one eigenvalue. A σ that is
+        not ``> 0`` raises ``ValueError``, as ``GaussianKernel`` does.
+        """
+        sigma = self.sigma
+        if sigma is None:
+            heuristic = mean_knn_heuristic if self.allocation == "eigengap" else median_heuristic
+            sigma = heuristic(X, seed=self.seed)
+        sigma = float(sigma)
+        if not sigma > 0:
+            raise ValueError(f"sigma must be > 0, got {sigma}")
+        return sigma

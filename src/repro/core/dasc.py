@@ -24,11 +24,10 @@ import numpy as np
 
 from repro.core.allocation import allocate_clusters, choose_k_eigengap
 from repro.core.approx_kernel import ApproximateKernel, build_approximate_kernel
-from repro.core.buckets import Buckets, fold_small_buckets, group_by_signature, merge_buckets
+from repro.core.buckets import Buckets, make_buckets
 from repro.core.config import DASCConfig
 from repro.core.refine import merge_clusters_to_k
 from repro.core.signatures import compute_signatures
-from repro.kernels.bandwidth import mean_knn_heuristic, median_heuristic
 from repro.kernels.functions import GaussianKernel, Kernel
 from repro.observability import get_tracer
 from repro.spectral.bucket import BucketClustering, bucket_seed, cluster_bucket
@@ -70,8 +69,8 @@ class DASC:
         A full :class:`repro.core.config.DASCConfig`; keyword arguments
         below override individual fields for convenience.
     kernel:
-        Kernel object; default Gaussian with ``config.sigma`` (or the median
-        heuristic when that is ``None``).
+        Kernel object; default Gaussian with σ from
+        :meth:`DASCConfig.resolve_sigma`.
 
     Attributes (after :meth:`fit`)
     ------------------------------
@@ -135,16 +134,7 @@ class DASC:
         if self._kernel_override is not None:
             self.sigma_ = getattr(self._kernel_override, "sigma", None)
             return self._kernel_override
-        sigma = self.config.sigma
-        if sigma is None:
-            if self.config.allocation == "eigengap":
-                # The eigengap reads cluster counts off the affinity
-                # spectrum, which needs a locality-scale bandwidth; the
-                # global median fuses nearby clusters into one eigenvalue.
-                sigma = mean_knn_heuristic(X, seed=self.config.seed)
-            else:
-                sigma = median_heuristic(X, seed=self.config.seed)
-        self.sigma_ = float(sigma)
+        self.sigma_ = self.config.resolve_sigma(X)
         return GaussianKernel(self.sigma_)
 
     def partition(self, X) -> Buckets:
@@ -159,11 +149,7 @@ class DASC:
         self.n_bits_ = n_bits
         self.hasher_ = hasher
         with self.stopwatch_.lap("bucket"), tracer.span("dasc.bucket") as span:
-            buckets = group_by_signature(signatures, n_bits)
-            span.set("n_raw_buckets", buckets.n_buckets)
-            p = self.config.resolve_min_shared_bits(n_bits)
-            buckets = merge_buckets(buckets, p, strategy=self.config.merge_strategy)
-            buckets = fold_small_buckets(buckets, self.config.min_bucket_size)
+            buckets = make_buckets(signatures, n_bits, self.config)
             span.set("n_buckets", buckets.n_buckets)
         if self._validate_active():
             check_buckets(
@@ -227,26 +213,14 @@ class DASC:
         approx = self.transform(X)
         buckets = self.buckets_
 
-        sizes = buckets.sizes
+        eigengap_k = None
         if self.config.allocation == "eigengap":
             # Data-driven K_i: read each bucket's cluster count off its own
             # Gram block's spectrum (extension beyond the paper).
-            allocation = np.array(
-                [
-                    choose_k_eigengap(block, min(k_total, block.shape[0]))
-                    for block in approx.blocks
-                ],
-                dtype=np.int64,
-            )
-            # The eigengap can under-estimate (e.g. a large sigma fuses the
-            # spectrum); take the elementwise max with the proportional
-            # split so the union offers at least K clusters, then let the
-            # refine step merge any surplus back down.
-            if allocation.sum() < k_total:
-                proportional = allocate_clusters(sizes, k_total, policy="proportional")
-                allocation = np.maximum(allocation, proportional)
-        else:
-            allocation = allocate_clusters(sizes, k_total, policy=self.config.allocation)
+            eigengap_k = [choose_k_eigengap(block, k_total) for block in approx.blocks]
+        allocation = allocate_clusters(
+            buckets.sizes, k_total, policy=self.config.allocation, eigengap_k=eigengap_k
+        )
         self.cluster_allocation_ = allocation
 
         labels = np.full(n, -1, dtype=np.int64)
@@ -304,7 +278,7 @@ class DASC:
         re-presented to the exported model routes by exact signature and
         reproduces its fit label.
         """
-        from repro.serving.model import assemble_model, bucket_model
+        from repro.serving.model import assemble_model
 
         if self.labels_ is None:
             raise RuntimeError("fit the estimator before export_model()")
@@ -317,25 +291,15 @@ class DASC:
             raise ValueError(
                 "X does not hash to the fitted signatures; pass the training matrix fit() saw"
             )
-        bucket_models = [
-            bucket_model(X[idx], clustering, self.labels_[idx])
-            for idx, clustering in zip(self.approx_kernel_.bucket_indices, self.bucket_clusterings_)
-        ]
-        # Merged buckets keep only their leader's signature, so the routing
-        # table is built from the per-point signatures: every signature seen
-        # in training maps to the final bucket its points ended up in.
-        unique_sigs, first = np.unique(self.signatures_, return_index=True)
-        table = dict(
-            zip(unique_sigs.tolist(), self.buckets_.assignments[first].tolist())
-        )
         return assemble_model(
+            X,
+            self.signatures_,
+            self.buckets_,
+            self.bucket_clusterings_,
+            self.labels_,
             hasher=self.hasher_,
             kernel=self.kernel_,
             zero_diagonal=self.config.zero_diagonal,
-            bucket_models=bucket_models,
-            table=table,
-            labels=self.labels_,
-            X=X,
             n_clusters=self.n_clusters_,
             meta={
                 "source": "dasc",

@@ -40,12 +40,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.core.allocation import allocate_clusters
-from repro.core.buckets import fold_small_buckets, group_by_signature, merge_buckets
+from repro.core.buckets import make_buckets
 from repro.core.config import DASCConfig
 from repro.core.signatures import make_hasher
 from repro.dasc_mr.stage1 import make_signature_job
 from repro.dasc_mr.stage2 import make_clustering_job
-from repro.kernels.bandwidth import median_heuristic
 from repro.mapreduce.emr import ElasticMapReduce
 from repro.observability import get_tracer
 from repro.utils.memory import block_diagonal_bytes
@@ -58,10 +57,6 @@ from repro.verify.invariants import (
 )
 
 __all__ = ["DistributedResult", "DistributedDASC"]
-
-#: Floor for the Gaussian-kernel bandwidth: duplicate-heavy data can drive
-#: the median heuristic to zero, which would put 0/0 in every kernel entry.
-_SIGMA_EPS = 1e-9
 
 #: Step the merge action appends dynamically (pruned before re-append so
 #: that resuming a crashed flow does not duplicate it).
@@ -204,15 +199,7 @@ class DistributedDASC:
         n = X.shape[0]
         k_total = self.config.resolve_n_clusters(n)
         n_bits = self.config.resolve_n_bits(n)
-        sigma = self.config.sigma
-        if sigma is None:
-            sigma = median_heuristic(X, seed=self.config.seed)
-        # Duplicate-heavy or degenerate data can produce sigma <= 0 (or a
-        # non-finite value from pathological inputs): clamp to a positive
-        # epsilon instead of poisoning every kernel entry downstream.
-        sigma = float(sigma)
-        if not np.isfinite(sigma) or sigma <= 0:
-            sigma = _SIGMA_EPS
+        sigma = self.config.resolve_sigma(X)
 
         # Driver-side preprocessing: fit the global hash parameters
         # (Eqs. 4-5 need dataset-wide spans and histograms).
@@ -340,10 +327,7 @@ class DistributedDASC:
             records = fl.fs.read("signatures")  # (signature, (index, vector))
             sigs = np.array([r[0] for r in records], dtype=np.uint64)
             payloads = [r[1] for r in records]
-            buckets = group_by_signature(sigs, n_bits)
-            p = self.config.resolve_min_shared_bits(n_bits)
-            buckets = merge_buckets(buckets, p, strategy=self.config.merge_strategy)
-            buckets = fold_small_buckets(buckets, self.config.min_bucket_size)
+            buckets = make_buckets(sigs, n_bits, self.config)
             if validation_enabled(self.config.validate):
                 check_buckets(
                     buckets, len(payloads), point_signatures=sigs, stage="driver.merge"
@@ -365,6 +349,7 @@ class DistributedDASC:
             fl.remove_steps_named(_STAGE2_STEP)
             stage2 = make_clustering_job(
                 sigma=sigma,
+                zero_diagonal=self.config.zero_diagonal,
                 allocation=allocation,
                 n_reducers=max(buckets.n_buckets, 1),
                 eig_backend=self.config.eig_backend,

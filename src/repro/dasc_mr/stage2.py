@@ -64,9 +64,9 @@ def similarity_reducer(bucket_id, members, ctx):
     """One bucket -> sub-similarity matrix -> local spectral labels.
 
     ``members`` is a list of ``(index, vector)`` pairs. ``ctx.job.params``
-    carries ``sigma``, ``allocation`` (bucket_id -> (K_i, label_offset)),
-    ``kmeans_n_init``, ``eig_backend`` and ``seed``. Emits
-    ``(index, global_label)`` pairs.
+    carries ``sigma``, ``zero_diagonal``, ``allocation`` (bucket_id ->
+    (K_i, label_offset)), ``kmeans_n_init``, ``eig_backend`` and ``seed``.
+    Emits ``(index, global_label)`` pairs.
     """
     params = ctx.job.params
     k_i, offset = params["allocation"][bucket_id]
@@ -79,13 +79,14 @@ def similarity_reducer(bucket_id, members, ctx):
     validate = bool(params.get("validate", False))
     S = None
     if needs_eigensolve(n_i, k_i):
-        # Algorithm 2: the bucket's Gram block with a zero diagonal...
-        S = gram_matrix_auto(X, GaussianKernel(params["sigma"]), zero_diagonal=True)
+        # Algorithm 2: the bucket's Gram block (zero diagonal by default)...
+        zero_diagonal = params["zero_diagonal"]
+        S = gram_matrix_auto(X, GaussianKernel(params["sigma"]), zero_diagonal=zero_diagonal)
         if validate:
             from repro.verify.invariants import check_gram_block
 
             check_gram_block(
-                S, zero_diagonal=True, unit_range=True,
+                S, zero_diagonal=zero_diagonal, unit_range=True,
                 stage="mr.stage2", bucket_id=int(bucket_id),
             )
     # ...then Eq. 2 + NJW embedding + K-means on the embedding rows.
@@ -104,6 +105,7 @@ def make_clustering_job(
     sigma: float,
     allocation: dict,
     n_reducers: int,
+    zero_diagonal: bool = True,
     eig_backend: str = "dense",
     kmeans_n_init: int = 4,
     seed: int | None = 0,
@@ -129,6 +131,7 @@ def make_clustering_job(
         reduce_cost=SpectralReduceCost(allocation),
         params={
             "sigma": float(sigma),
+            "zero_diagonal": bool(zero_diagonal),
             "allocation": allocation,
             "eig_backend": eig_backend,
             "kmeans_n_init": int(kmeans_n_init),

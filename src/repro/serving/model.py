@@ -147,18 +147,27 @@ def bucket_model(landmarks, clustering: BucketClustering, final) -> BucketModel:
     return bm
 
 
-def assemble_model(*, hasher, kernel, zero_diagonal, bucket_models, table, labels, X, n_clusters, meta=None):
-    """Build a :class:`DASCModel` from per-bucket artifacts and the fit output.
+def assemble_model(
+    X, signatures, buckets, clusterings, labels, *, hasher, kernel, zero_diagonal, n_clusters, meta=None
+):
+    """Build a :class:`DASCModel` from a fit's partition and bucket clusterings.
 
-    ``table`` maps raw signature (int) → bucket index; ``X``/``labels`` are
-    the training points and their final labels in matching order (used for
-    the global-centroid fallback).
+    ``X``, ``signatures`` and ``labels`` are the training points, their
+    signatures and their final labels, in matching order; ``buckets`` is the
+    :class:`~repro.core.buckets.Buckets` partition they were clustered in
+    and ``clusterings`` each bucket's
+    :class:`~repro.spectral.bucket.BucketClustering`, in bucket order.
+    Merged buckets keep only their leader's signature, so the routing table
+    is built from the per-point signatures: every signature seen in training
+    maps to the final bucket its points ended up in.
     """
     labels = np.asarray(labels, dtype=np.int64)
     X = np.asarray(X, dtype=np.float64)
-    keys = sorted(table)
-    table_signatures = np.array(keys, dtype=np.uint64)
-    table_buckets = np.array([table[k] for k in keys], dtype=np.int64)
+    bucket_models = [
+        bucket_model(X[idx], clustering, labels[idx])
+        for (_, idx), clustering in zip(buckets.iter_members(), clusterings, strict=True)
+    ]
+    table_signatures, first = np.unique(signatures, return_index=True)
     counts = np.bincount(labels, minlength=n_clusters)
     present = np.flatnonzero(counts > 0).astype(np.int64)
     centroids = np.empty((present.size, X.shape[1]), dtype=np.float64)
@@ -170,9 +179,9 @@ def assemble_model(*, hasher, kernel, zero_diagonal, bucket_models, table, label
         zero_diagonal=bool(zero_diagonal),
         n_clusters=int(n_clusters),
         table_signatures=table_signatures,
-        table_buckets=table_buckets,
+        table_buckets=buckets.assignments[first].astype(np.int64),
         bucket_sizes=np.array([bm.n_landmarks for bm in bucket_models], dtype=np.int64),
-        buckets=list(bucket_models),
+        buckets=bucket_models,
         global_centroids=centroids,
         global_centroid_labels=present,
         meta=dict(meta or {}),

@@ -29,7 +29,10 @@ synthetic workload (the shape of the paper's Section-5.3 comparison):
 7. **serving assign vs fit** — the exported :class:`~repro.serving.DASCModel`
    must route every training point by exact signature and reproduce the
    fit labels bit-identically (the serving plane's self-consistency
-   contract).
+   contract);
+8. **streaming vs batch** — :class:`~repro.core.streaming.StreamingDASC`,
+   calibrated on the workload and fed it in chunks, must return the serial
+   ``DASC.fit`` labels, and its exported model must assign them too.
 
 Every run executes with the invariant layer on (``validate=True``), so a
 passing report also certifies the stage-boundary contracts of
@@ -118,6 +121,7 @@ def run_differential_suite(
     """
     from repro.core.config import DASCConfig
     from repro.core.dasc import DASC
+    from repro.core.streaming import StreamingDASC
     from repro.data.synthetic import make_blobs
     from repro.dasc_mr.driver import DistributedDASC
     from repro.mapreduce.emr import ElasticMapReduce
@@ -295,6 +299,21 @@ def run_differential_suite(
         }
 
     _run_check(report, "serving.assign_vs_fit", check_serving_assign_vs_fit)
+
+    # -- 8. streaming vs batch -------------------------------------------------
+    def check_streaming_vs_batch():
+        stream = StreamingDASC(config=config()).calibrate(X)
+        for chunk in np.array_split(X, 5):
+            stream.partial_fit(chunk)
+        same_labels = bool(np.array_equal(stream.finalize(), serial_labels))
+        same_served = bool(np.array_equal(stream.export_model().assign(X), serial_labels))
+        return same_labels and same_served, {
+            "labels_identical": same_labels,
+            "served_labels_identical": same_served,
+            "n_chunks": 5,
+        }
+
+    _run_check(report, "dasc.streaming_vs_batch", check_streaming_vs_batch)
 
     return report
 

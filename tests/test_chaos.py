@@ -167,12 +167,23 @@ class TestDriverDegradation:
         assert result.labels.shape == (60,)
         assert (result.labels >= 0).all()
 
-    def test_explicit_zero_sigma_clamped(self):
+    def test_invalid_explicit_sigma_rejected(self):
+        """Every estimator rejects a sigma that is not > 0 before clustering."""
+        from repro.core import DASC
+        from repro.core.streaming import StreamingDASC
+
         rng = np.random.default_rng(0)
         X = rng.normal(size=(40, 3))
-        cfg = DASCConfig(seed=0, sigma=0.0)
-        result = DistributedDASC(2, n_nodes=2, config=cfg).run(X)
-        assert (result.labels >= 0).all()
+        for sigma in (0.0, -1.0, float("nan")):
+            cfg = DASCConfig(seed=0, sigma=sigma)
+            with pytest.raises(ValueError, match="sigma"):
+                DASC(2, config=cfg).fit(X)
+            with pytest.raises(ValueError, match="sigma"):
+                StreamingDASC(2, config=cfg).calibrate(X)
+            emr = ElasticMapReduce()
+            with pytest.raises(ValueError, match="sigma"):
+                DistributedDASC(2, n_nodes=2, config=cfg, emr=emr).submit(X)
+            assert not emr._flows, "a job flow was provisioned for an invalid sigma"
 
     def test_unlabelled_points_repaired(self, blobs_small):
         """Missing label records degrade to nearest-neighbour repair."""

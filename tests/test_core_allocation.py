@@ -73,6 +73,20 @@ class TestFixedPolicy:
         assert alloc.tolist() == [5, 3, 1]
 
 
+class TestEigengapPolicy:
+    def test_estimates_are_the_allocation_when_they_cover_k(self):
+        alloc = allocate_clusters([90, 10], 3, policy="eigengap", eigengap_k=[1, 2])
+        assert alloc.tolist() == [1, 2]
+
+    def test_proportional_share_floors_an_underestimate(self):
+        alloc = allocate_clusters([90, 10], 10, policy="eigengap", eigengap_k=[2, 2])
+        assert alloc.tolist() == [9, 2]
+
+    def test_estimates_required(self):
+        with pytest.raises(ValueError, match="eigengap_k"):
+            allocate_clusters([90, 10], 10, policy="eigengap")
+
+
 class TestValidation:
     def test_empty_sizes(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 """Tests for DASCConfig and the paper's parameter defaults."""
 
+import numpy as np
 import pytest
 
 from repro.core import DASCConfig, default_n_bits, default_n_clusters
+from repro.kernels.bandwidth import mean_knn_heuristic, median_heuristic
 
 
 class TestDefaultNBits:
@@ -70,3 +72,11 @@ class TestDASCConfig:
         cfg = DASCConfig(min_shared_bits=5)
         with pytest.raises(ValueError):
             cfg.resolve_min_shared_bits(4)
+
+    def test_resolve_sigma_rule(self):
+        X = np.random.default_rng(0).normal(size=(60, 3))
+        assert DASCConfig(sigma=0.5).resolve_sigma(X) == 0.5
+        assert DASCConfig(sigma=np.inf).resolve_sigma(X) == np.inf
+        assert DASCConfig(seed=3).resolve_sigma(X) == median_heuristic(X, seed=3)
+        eigengap = DASCConfig(seed=3, allocation="eigengap")
+        assert eigengap.resolve_sigma(X) == mean_knn_heuristic(X, seed=3)

@@ -5,11 +5,24 @@ import pytest
 
 from repro.core import DASC, DASCConfig
 from repro.core.streaming import StreamingDASC
-from repro.metrics import clustering_accuracy, normalized_mutual_info
+from repro.metrics import clustering_accuracy
 
 
 def chunks_of(X, size):
     return [X[i : i + size] for i in range(0, X.shape[0], size)]
+
+
+def streamed(X, k, cfg, size):
+    """A stream calibrated on ``X`` and fed ``X`` in chunks of ``size``, finalized."""
+    sd = StreamingDASC(k, config=cfg).calibrate(X)
+    for chunk in chunks_of(X, size):
+        sd.partial_fit(chunk)
+    sd.finalize()
+    return sd
+
+
+def medium_config(**overrides):
+    return DASCConfig(n_bits=8, min_bucket_size=4, seed=0, **overrides)
 
 
 class TestLifecycle:
@@ -56,14 +69,27 @@ class TestCorrectness:
         assert np.array_equal(results[1], results[2])
 
     def test_agrees_with_batch_dasc(self, blobs_small):
-        """Streaming over one big chunk ~ the batch estimator's partition."""
+        """Streaming over one big chunk gives the batch estimator's labels."""
         X, y = blobs_small
         cfg = DASCConfig(n_bits=4, seed=0)
         sd = StreamingDASC(4, config=cfg).calibrate(X)
         sd.partial_fit(X)
         stream_labels = sd.finalize()
         batch_labels = DASC(4, config=DASCConfig(n_bits=4, seed=0)).fit_predict(X)
-        assert normalized_mutual_info(stream_labels, batch_labels) > 0.85
+        assert np.array_equal(stream_labels, batch_labels)
+
+    def test_partial_fit_copies_the_chunk(self, blobs_small):
+        """A caller may reuse one buffer for every chunk."""
+        X, _ = blobs_small
+        fresh = streamed(X, 4, DASCConfig(seed=0), 64).labels_
+        sd = StreamingDASC(4, config=DASCConfig(seed=0)).calibrate(X)
+        buffer = np.empty((64, X.shape[1]))
+        for chunk in chunks_of(X, 64):
+            view = buffer[: chunk.shape[0]]
+            view[:] = chunk
+            sd.partial_fit(view)
+            view[:] = 0.0
+        assert np.array_equal(sd.finalize(), fresh)
 
     def test_labels_in_absorption_order(self, blobs_small):
         X, y = blobs_small
@@ -75,6 +101,47 @@ class TestCorrectness:
         assert labels.shape == (X.shape[0],)
         # Same-cluster ground-truth pairs should mostly share stream labels.
         assert clustering_accuracy(y, labels) > 0.9
+
+
+class TestBatchIdentity:
+    """Calibrated on X and fed X in any chunking, the stream is ``DASC.fit(X)``."""
+
+    @pytest.mark.parametrize("size", [1200, 97])
+    @pytest.mark.parametrize(
+        "allocation, refine",
+        [("proportional", True), ("sqrt", True), ("fixed", False), ("eigengap", True)],
+    )
+    def test_labels_identical_to_batch_dasc(self, blobs_medium, allocation, refine, size):
+        X, _ = blobs_medium
+        cfg = medium_config(allocation=allocation, refine_to_k=refine)
+        batch = DASC(6, config=cfg).fit(X)
+        sd = streamed(X, 6, cfg, size)
+        assert np.array_equal(sd.labels_, batch.labels_)
+        assert sd.n_clusters_ == batch.n_clusters_
+        # The size reports describe the buckets finalize clustered.
+        sizes = np.sort(batch.buckets_.sizes)[::-1]
+        assert sd.n_buckets == batch.buckets_.n_buckets
+        assert np.array_equal(sd.bucket_sizes(), sizes)
+        assert sd.peak_block_bytes() == 4 * int(sizes[0]) ** 2
+
+    def test_exports_the_batch_model(self, blobs_medium):
+        X, _ = blobs_medium
+        batch = DASC(6, config=medium_config()).fit(X)
+        ours = streamed(X, 6, medium_config(), 97).export_model()
+        theirs = batch.export_model(X)
+        for name in ("table_signatures", "table_buckets", "bucket_sizes",
+                     "global_centroids", "global_centroid_labels"):
+            assert np.array_equal(getattr(ours, name), getattr(theirs, name)), name
+        assert ours.n_buckets == theirs.n_buckets
+        for a, b in zip(ours.buckets, theirs.buckets):
+            for field, value in vars(a).items():
+                other = vars(b)[field]
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(value, other), field
+                else:
+                    assert value == other, field
+        queries = np.random.default_rng(0).uniform(size=(500, X.shape[1]))
+        assert np.array_equal(ours.assign(queries), theirs.assign(queries))
 
 
 class TestValidation:
@@ -92,35 +159,20 @@ class TestValidation:
         with pytest.raises(InvariantViolation):
             sd.finalize()
 
+    @pytest.mark.parametrize("check", ["check_buckets", "check_labels_range"])
+    def test_finalize_runs_partition_and_label_checks(self, blobs_small, monkeypatch, check):
+        """The bucket and final-label checks DASC.fit runs guard finalize too."""
+        from repro.verify import InvariantViolation
 
-class TestVectorizedAbsorbRegression:
-    def test_bit_identical_to_per_row_reference(self, blobs_small):
-        """The argsort/np.unique grouping in partial_fit must leave the
-        bucket store — points, absorption indices, and the finalize labels
-        built from them — bit-identical to the per-row append loop it
-        replaced."""
+        def reject(*args, **kwargs):
+            raise InvariantViolation(check, "rejected", stage="test")
+
+        monkeypatch.setattr(f"repro.core.streaming.{check}", reject)
         X, _ = blobs_small
-        fast = StreamingDASC(4, config=DASCConfig(n_bits=4, seed=0)).calibrate(X)
-        ref = StreamingDASC(4, config=DASCConfig(n_bits=4, seed=0)).calibrate(X)
-        for chunk in chunks_of(X, 64):
-            fast.partial_fit(chunk)
-            # Reference: one dict/list append per point, in chunk order.
-            sigs = ref._hasher.hash(chunk)
-            for i in range(chunk.shape[0]):
-                key = int(sigs[i])
-                ref._bucket_points[key].append(chunk[i : i + 1])
-                ref._bucket_order[key].append(np.array([ref._n_seen + i], dtype=np.int64))
-            ref._n_seen += chunk.shape[0]
-        assert sorted(fast._bucket_points) == sorted(ref._bucket_points)
-        for key in fast._bucket_points:
-            assert np.array_equal(
-                np.vstack(fast._bucket_points[key]), np.vstack(ref._bucket_points[key])
-            )
-            assert np.array_equal(
-                np.concatenate(fast._bucket_order[key]),
-                np.concatenate(ref._bucket_order[key]),
-            )
-        assert np.array_equal(fast.finalize(), ref.finalize())
+        sd = StreamingDASC(4, config=DASCConfig(seed=0, validate=True)).calibrate(X)
+        sd.partial_fit(X)
+        with pytest.raises(InvariantViolation):
+            sd.finalize()
 
 
 class TestMemoryBound:

@@ -71,15 +71,21 @@ class TestDistributedDASC:
 
     @pytest.mark.parametrize("eig_backend", ["dense", "arpack", "lanczos"])
     @pytest.mark.parametrize(
-        "allocation, refine",
-        [("proportional", True), ("sqrt", True), ("fixed", False)],
+        "allocation, refine, zero_diagonal",
+        [
+            pytest.param(a, r, zd, id=f"{a}-{r}" + ("" if zd else "-keep_diagonal"))
+            for zd in (True, False)
+            for a, r in [("proportional", True), ("sqrt", True), ("fixed", False)]
+        ],
     )
-    def test_labels_identical_to_local_dasc(self, blobs_medium, allocation, refine, eig_backend):
+    def test_labels_identical_to_local_dasc(
+        self, blobs_medium, allocation, refine, zero_diagonal, eig_backend
+    ):
         """Local and distributed label alike for every allocation DASC does not refine."""
         X, _ = blobs_medium
         cfg = DASCConfig(
             n_bits=8, min_bucket_size=4, seed=0, allocation=allocation,
-            refine_to_k=refine, eig_backend=eig_backend,
+            refine_to_k=refine, eig_backend=eig_backend, zero_diagonal=zero_diagonal,
         )
         local = DASC(6, config=cfg).fit_predict(X)
         dist = DistributedDASC(6, n_nodes=4, config=cfg).run(X).labels

@@ -11,7 +11,7 @@ from repro.verify import (
     run_differential_suite,
 )
 
-# One suite run covers all seven checks; share it across assertions.
+# One suite run covers all eight checks; share it across assertions.
 SUITE_KW = dict(n_samples=200, n_clusters=4, n_features=8, seed=0, n_jobs=2, n_nodes=4)
 
 
@@ -35,6 +35,7 @@ class TestSuite:
             "quality.dasc_vs_exact_sc",
             "storage.corrupt_checkpoint_resume",
             "serving.assign_vs_fit",
+            "dasc.streaming_vs_batch",
         }
 
     def test_serial_parallel_bit_identical(self, report):
