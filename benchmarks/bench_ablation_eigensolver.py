@@ -1,10 +1,11 @@
 """Ablation: eigensolver backends in the DASC pipeline.
 
 The paper's route (Lanczos tridiagonalization + QR, Section 3.2) is
-compared against dense LAPACK and ARPACK on the same DASC run: identical
-accuracy is required (the solvers compute the same embedding), and the
-per-stage timing shows where each backend spends its time at per-bucket
-problem sizes.
+compared against dense LAPACK, ARPACK and the default ``"auto"`` (ARPACK
+on buckets with ``n_i >= 32 * max(k_i, 8)``, dense below) on the same DASC
+run: identical accuracy is required (the solvers compute the same
+embedding), and the per-stage timing shows where each backend spends its
+time at per-bucket problem sizes.
 """
 
 import time
@@ -14,7 +15,7 @@ from repro.core import DASC
 from repro.data import make_blobs
 from repro.metrics import clustering_accuracy
 
-BACKENDS = ("dense", "lanczos", "arpack")
+BACKENDS = ("auto", "dense", "lanczos", "arpack")
 
 
 def test_ablation_eig_backend(benchmark):

@@ -141,6 +141,9 @@ class PSC:
             V = vecs[:, order]
         else:
             rng = np.random.default_rng(self.seed if isinstance(self.seed, numbers.Integral) else 0)
-            _, V = spla.eigsh(L, k=k, which="LA", v0=rng.standard_normal(n))
+            # A Krylov run that hits an invariant subspace (this graph has
+            # about one component per cluster) asks for a fresh vector; it
+            # comes from ``rng``, which would otherwise be OS entropy.
+            _, V = spla.eigsh(L, k=k, which="LA", v0=rng.standard_normal(n), rng=rng)
         norms = np.linalg.norm(V, axis=1, keepdims=True)
         return V / np.where(norms == 0, 1.0, norms)

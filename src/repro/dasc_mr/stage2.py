@@ -106,7 +106,7 @@ def make_clustering_job(
     allocation: dict,
     n_reducers: int,
     zero_diagonal: bool = True,
-    eig_backend: str = "dense",
+    eig_backend: str = "auto",
     kmeans_n_init: int = 4,
     seed: int | None = 0,
     validate: bool = False,

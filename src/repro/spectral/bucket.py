@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.observability import get_tracer
 from repro.spectral.eigen import top_eigenvectors
 from repro.spectral.embedding import row_normalize
 from repro.spectral.kmeans import KMeans
@@ -68,38 +69,47 @@ def cluster_bucket(
     k_i: int,
     S,
     seed=None,
-    eig_backend: str = "dense",
+    eig_backend: str = "auto",
     kmeans_n_init: int = 4,
     validate: bool = False,
 ) -> BucketClustering:
     """Spectral-cluster one bucket of ``n_i`` points into ``k_i`` local labels.
 
     ``S`` is the bucket's Gram block, read only when :func:`needs_eigensolve`
-    holds (pass ``None`` otherwise). ``seed`` (:func:`bucket_seed`) starts
-    the iterative eigensolvers and seeds K-means; the result is a pure
-    function of the arguments. With ``validate`` the eigenvalues must lie in
-    ``[-1, 1]`` (the Eq.-2 bound) and the embedding rows be unit-norm, or
-    :class:`repro.verify.InvariantViolation` is raised.
+    holds (pass ``None`` otherwise). ``eig_backend`` names the eigensolver
+    (:func:`repro.spectral.eigen.top_eigenvectors`; ``"auto"`` picks it from
+    ``n_i`` and ``k_i``). ``seed`` (:func:`bucket_seed`) starts the
+    iterative eigensolvers and seeds K-means; the result is a pure function
+    of the arguments. With ``validate`` the eigenvalues must lie in
+    ``[-1, 1]`` (the Eq.-2 bound), the eigenpairs pass the residual gate
+    and the embedding rows be unit-norm, or
+    :class:`repro.verify.InvariantViolation` is raised. A solved bucket runs
+    in a ``spectral.bucket`` trace span carrying ``n_i`` and ``k_i``.
     """
     if k_i >= n_i:
         return BucketClustering("nn", np.arange(n_i, dtype=np.int64))
     if k_i == 1:
         return BucketClustering("const", np.zeros(n_i, dtype=np.int64))
-    vals, vecs = top_eigenvectors(
-        normalized_laplacian(S), k_i, backend=eig_backend, seed=seed
-    )
-    embedding = row_normalize(vecs)
-    if validate:
-        from repro.verify.invariants import check_eigenvalues, check_embedding
+    with get_tracer().span("spectral.bucket", n_i=n_i, k_i=k_i):
+        L = normalized_laplacian(S)
+        vals, vecs = top_eigenvectors(L, k_i, backend=eig_backend, seed=seed)
+        embedding = row_normalize(vecs)
+        if validate:
+            from repro.verify.invariants import (
+                check_eigen_residual,
+                check_eigenvalues,
+                check_embedding,
+            )
 
-        check_eigenvalues(vals, stage="spectral.embedding")
-        check_embedding(embedding, stage="spectral.embedding")
-    km = KMeans(k_i, n_init=kmeans_n_init, seed=seed).fit(embedding)
-    return BucketClustering(
-        "nystrom",
-        km.labels_,
-        d_inv_sqrt=inv_sqrt_degrees(S),
-        basis=vecs,
-        eigenvalues=vals,
-        centroids=km.cluster_centers_,
-    )
+            check_eigenvalues(vals, stage="spectral.embedding")
+            check_eigen_residual(L, vals, vecs, stage="spectral.embedding")
+            check_embedding(embedding, stage="spectral.embedding")
+        km = KMeans(k_i, n_init=kmeans_n_init, seed=seed).fit(embedding)
+        return BucketClustering(
+            "nystrom",
+            km.labels_,
+            d_inv_sqrt=inv_sqrt_degrees(S),
+            basis=vecs,
+            eigenvalues=vals,
+            centroids=km.cluster_centers_,
+        )

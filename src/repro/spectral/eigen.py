@@ -10,9 +10,15 @@ symmetric (normalized-affinity) matrix:
 * ``"arpack"`` — :func:`scipy.sparse.linalg.eigsh`, the implicitly restarted
   Lanczos the PSC baseline's PARPACK dependency corresponds to.
 
-When ``"lanczos"`` cannot deliver (it raises, returns too few Ritz pairs, or
-returns non-finite values) the front-end falls back to the dense solver and,
-with tracing on, records an ``eigen.fallback`` event and counter.
+``"auto"`` picks one of ``"arpack"`` and ``"dense"`` from the matrix order
+``n`` and ``k`` (:func:`resolve_backend`).
+
+An iterative result is accepted only when it passes the residual gate
+(:func:`eigen_residuals`, :data:`GATE_TOL`). When an iterative backend raises,
+returns too few or non-finite pairs, or fails the gate, the front-end falls
+back to the dense solver and, with tracing on, records an ``eigen.fallback``
+event and counter. Every solve records an ``eigen.solve`` event naming the
+solver that produced the result.
 """
 
 from __future__ import annotations
@@ -25,9 +31,45 @@ from repro.observability import get_tracer
 from repro.spectral.lanczos import lanczos_top_eigenpairs
 from repro.spectral.tridiagonal import tridiagonal_eigh  # noqa: F401 (re-exported)
 
-__all__ = ["top_eigenvectors"]
+__all__ = ["GATE_TOL", "eigen_residuals", "resolve_backend", "top_eigenvectors"]
 
-_BACKENDS = ("dense", "lanczos", "arpack")
+_BACKENDS = ("auto", "dense", "lanczos", "arpack")
+
+#: Gate on an iterative result: relative residual and orthonormality bound.
+GATE_TOL = 1e-8
+
+#: ``"auto"`` runs ARPACK when ``n >= _AUTO_RATIO * max(k, _AUTO_K_FLOOR)``.
+_AUTO_RATIO = 32
+_AUTO_K_FLOOR = 8
+
+
+def resolve_backend(backend: str, n: int, k: int) -> str:
+    """The solver ``backend`` names for an ``n``-by-``n`` matrix and ``k`` pairs.
+
+    ``"auto"`` resolves to ``"arpack"`` when ``n >= 32 * max(k, 8)`` and to
+    ``"dense"`` otherwise; every other backend names itself. ARPACK's cost
+    grows with ``k`` and dense ``eigh``'s does not, so the rule reads both.
+    """
+    if backend not in _BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; known: {_BACKENDS}")
+    if backend != "auto":
+        return backend
+    return "arpack" if n >= _AUTO_RATIO * max(k, _AUTO_K_FLOOR) else "dense"
+
+
+def eigen_residuals(L, vals, vecs) -> tuple[float, float]:
+    """``(residual, orthonormality)`` of eigenpairs ``(vals, vecs)`` of ``L``.
+
+    ``residual`` is ``max_j ||L v_j - λ_j v_j|| / ||L||_F`` (unscaled when
+    ``L`` is zero) and ``orthonormality`` is ``max |VᵀV - I|``. Both are NaN
+    when a pair is not finite.
+    """
+    vals = np.asarray(vals, dtype=np.float64)
+    vecs = np.asarray(vecs, dtype=np.float64)
+    scale = float(spla.norm(L) if sp.issparse(L) else np.linalg.norm(L))
+    worst = float(np.linalg.norm(L @ vecs - vecs * vals, axis=0).max(initial=0.0))
+    ortho = float(np.abs(vecs.T @ vecs - np.eye(vecs.shape[1])).max(initial=0.0))
+    return (worst / scale if scale > 0 else worst), ortho
 
 
 def top_eigenvectors(L, k: int, *, backend: str = "dense", seed=0) -> tuple[np.ndarray, np.ndarray]:
@@ -40,14 +82,29 @@ def top_eigenvectors(L, k: int, *, backend: str = "dense", seed=0) -> tuple[np.n
     k:
         Number of eigenpairs; clipped to the matrix dimension.
     backend:
-        One of ``"dense"``, ``"lanczos"``, ``"arpack"``.
+        One of ``"auto"``, ``"dense"``, ``"lanczos"``, ``"arpack"``.
+        ``"auto"`` runs ARPACK when ``n >= 32 * max(k, 8)`` and dense
+        ``eigh`` otherwise. Dense/ARPACK ms on one BLAS thread (2-vCPU VM,
+        Eq.-2 matrix of blob data): n=256, k=8: 6.4/0.9; n=1024, k=32:
+        265/70; n=3072, k=4: 5928/135; n=1024, k=96: 267/345; n=1024,
+        k=341: 251/2512. ARPACK's cost grows with ``k`` and dense's does
+        not, so the rule reads both. It never picked ARPACK where dense
+        was faster, and it is conservative between ``k = n/32`` and about
+        ``n/12``, where ARPACK still wins (n=1024, k=64: 266/175).
     seed:
-        Start-vector randomness for the iterative backends.
+        Start-vector randomness for the iterative backends. ARPACK also
+        draws the fresh vectors it asks for after an invariant subspace
+        from this seed's generator, so repeated calls agree.
 
     Returns
     -------
     (eigenvalues, eigenvectors) with eigenvalues descending and
     eigenvectors as columns.
+
+    An iterative result must satisfy ``max_j ||L v_j - λ_j v_j|| <= GATE_TOL
+    * ||L||_F`` and ``max |VᵀV - I| <= GATE_TOL``; otherwise, or when the
+    solver raises, the dense pairs are returned and an ``eigen.fallback``
+    event names the reason.
     """
     n = L.shape[0]
     if L.shape[0] != L.shape[1]:
@@ -55,25 +112,14 @@ def top_eigenvectors(L, k: int, *, backend: str = "dense", seed=0) -> tuple[np.n
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, n)
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; known: {_BACKENDS}")
+    solver = resolve_backend(backend, n, k)
+    tracer = get_tracer()
 
-    if backend == "arpack" and k < n - 1 and n > 2:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n)
-        vals, vecs = spla.eigsh(L, k=k, which="LA", v0=v0)
-        order = np.argsort(vals)[::-1]
-        return vals[order], vecs[:, order]
-
-    if backend == "lanczos" and n > 2:
-        # Restarted Lanczos: handles degenerate eigenvalues (disconnected
-        # affinity graphs) by deflated restarts after early breakdowns.
-        dense = _densify(L)
+    # The small-n path for the iterative backends is the dense solver.
+    if n > 2 and (solver == "lanczos" or (solver == "arpack" and k < n - 1)):
         try:
-            vals, vecs = lanczos_top_eigenpairs(lambda v: dense @ v, n, k, seed=seed)
-        except (RuntimeError, np.linalg.LinAlgError) as exc:
-            # Non-convergence (e.g. the tridiagonal QL hit its sweep cap):
-            # degrade gracefully to the exact dense solver.
+            vals, vecs = _ITERATIVE[solver](L, k, seed)
+        except _SOLVER_ERRORS as exc:
             reason = f"{type(exc).__name__}: {exc}"
         else:
             if vals.shape[0] != k:
@@ -82,16 +128,52 @@ def top_eigenvectors(L, k: int, *, backend: str = "dense", seed=0) -> tuple[np.n
             elif not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
                 reason = "non-finite Ritz pairs"
             else:
+                residual, ortho = eigen_residuals(L, vals, vecs)
+                reason = _gate_failure(residual, ortho)
+            if reason is None:
+                if tracer.enabled:
+                    tracer.event("eigen.solve", solver=solver, n=n, k=k, residual=residual)
                 return vals, vecs
-        tracer = get_tracer()
         if tracer.enabled:
-            tracer.event("eigen.fallback", backend=backend, n=n, k=k, reason=reason)
+            tracer.event("eigen.fallback", backend=solver, n=n, k=k, reason=reason)
             tracer.metrics.counter("eigen.fallback").inc()
 
-    # Dense fallback (also the small-n path for the iterative backends).
     vals, vecs = np.linalg.eigh(_densify(L))
     order = np.argsort(vals)[::-1][:k]
+    if tracer.enabled:
+        tracer.event("eigen.solve", solver="dense", n=n, k=k)
     return vals[order], vecs[:, order]
+
+
+def _gate_failure(residual: float, ortho: float) -> str | None:
+    """The failed gate test, or ``None`` when both pass (NaN fails)."""
+    if not residual <= GATE_TOL:
+        return f"residual {residual:.3g} > {GATE_TOL:g}"
+    if not ortho <= GATE_TOL:
+        return f"orthonormality {ortho:.3g} > {GATE_TOL:g}"
+    return None
+
+
+def _arpack(L, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(L.shape[0])
+    vals, vecs = spla.eigsh(L, k=k, which="LA", v0=v0, rng=rng)
+    order = np.argsort(vals)[::-1]
+    return vals[order], vecs[:, order]
+
+
+def _lanczos(L, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    # Restarted Lanczos: handles degenerate eigenvalues (disconnected
+    # affinity graphs) by deflated restarts after early breakdowns.
+    dense = _densify(L)
+    return lanczos_top_eigenpairs(lambda v: dense @ v, dense.shape[0], k, seed=seed)
+
+
+_ITERATIVE = {"arpack": _arpack, "lanczos": _lanczos}
+
+# Non-convergence (ARPACK's two errors; the tridiagonal QL hitting its
+# sweep cap) degrades gracefully to the exact dense solver.
+_SOLVER_ERRORS = (spla.ArpackNoConvergence, spla.ArpackError, RuntimeError, np.linalg.LinAlgError)
 
 
 def _densify(L) -> np.ndarray:

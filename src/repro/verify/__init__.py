@@ -8,8 +8,8 @@ the pipeline rests on, into machine-checked assertions:
 * :mod:`~repro.verify.invariants` — an opt-in validation layer
   (``REPRO_VALIDATE=1`` or ``DASCConfig(validate=True)``) that checks
   structural invariants at every stage boundary — bucket partitions,
-  Gram-block symmetry and range, Laplacian spectra, embedding row norms,
-  counter conservation — raising a structured
+  Gram-block symmetry and range, Laplacian spectra, eigenpair residuals,
+  embedding row norms, counter conservation — raising a structured
   :class:`~repro.verify.invariants.InvariantViolation` instead of letting
   a corrupted intermediate flow silently downstream;
 * :mod:`~repro.verify.differential` — the ``repro verify`` harness: the
@@ -32,6 +32,7 @@ from repro.verify.invariants import (
     InvariantViolation,
     check_buckets,
     check_counter_equals,
+    check_eigen_residual,
     check_eigenvalues,
     check_embedding,
     check_gram_block,
@@ -46,6 +47,7 @@ __all__ = [
     "VerificationReport",
     "check_buckets",
     "check_counter_equals",
+    "check_eigen_residual",
     "check_eigenvalues",
     "check_embedding",
     "check_gram_block",

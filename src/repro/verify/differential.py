@@ -32,7 +32,11 @@ synthetic workload (the shape of the paper's Section-5.3 comparison):
    contract);
 8. **streaming vs batch** — :class:`~repro.core.streaming.StreamingDASC`,
    calibrated on the workload and fed it in chunks, must return the serial
-   ``DASC.fit`` labels, and its exported model must assign them too.
+   ``DASC.fit`` labels, and its exported model must assign them too;
+9. **iterative vs dense eigensolver** — the workload fitted as one merged
+   bucket (``min_shared_bits=0``), which the default ``eig_backend="auto"``
+   solves with ARPACK, must get the labels of ``eig_backend="dense"``,
+   serially and with ``n_jobs=2``, and no solve may fall back.
 
 Every run executes with the invariant layer on (``validate=True``), so a
 passing report also certifies the stage-boundary contracts of
@@ -129,6 +133,7 @@ def run_differential_suite(
     from repro.metrics.accuracy import clustering_accuracy
     from repro.metrics.ase import average_squared_error
     from repro.metrics.nmi import normalized_mutual_info
+    from repro.observability import Tracer, use_tracer
     from repro.spectral.cluster import SpectralClustering
 
     X, y = make_blobs(
@@ -314,6 +319,31 @@ def run_differential_suite(
         }
 
     _run_check(report, "dasc.streaming_vs_batch", check_streaming_vs_batch)
+
+    # -- 9. default (iterative) vs dense eigensolver ---------------------------
+    def check_iterative_vs_dense():
+        # One merged bucket holds the whole workload, which is large enough
+        # for the default solver to pick ARPACK over dense ``eigh``.
+        tracer = Tracer()
+        labels = {}
+        with use_tracer(tracer):
+            for backend in ("auto", "dense"):
+                for jobs in (1, max(2, n_jobs)):
+                    cfg = config(min_shared_bits=0, eig_backend=backend, n_jobs=jobs)
+                    labels[backend, jobs] = DASC(config=cfg).fit_predict(X)
+        reference = labels["dense", 1]
+        identical = all(np.array_equal(reference, other) for other in labels.values())
+        events = [r for r in tracer.sink.records if r["name"].startswith("eigen.")]
+        solvers = sorted({e["attributes"]["solver"] for e in events if e["name"] == "eigen.solve"})
+        fallbacks = sum(e["name"] == "eigen.fallback" for e in events)
+        return identical and fallbacks == 0, {
+            "labels_identical": identical,
+            "fallbacks": fallbacks,
+            "solvers": ",".join(solvers),
+            "n_jobs": max(2, n_jobs),
+        }
+
+    _run_check(report, "eigen.iterative_vs_dense", check_iterative_vs_dense)
 
     return report
 

@@ -19,8 +19,9 @@ Invariants checked (see DESIGN.md §10 for the full matrix):
   the Algorithm-2 diagonal convention, and (for unit-range kernels such as
   the Gaussian of Eq. 1) take values in ``[0, 1]``.
 * ``spectral.*`` — normalized-Laplacian eigenvalues lie in ``[-1, 1]``
-  (Eq. 2's spectrum bound) and NJW embedding rows are unit-norm (or
-  exactly zero for isolated vertices).
+  (Eq. 2's spectrum bound), the eigenpairs have a small residual and
+  orthonormal vectors (the eigensolver's gate), and NJW embedding rows are
+  unit-norm (or exactly zero for isolated vertices).
 * ``labels.*`` — final labels are complete (no ``-1`` placeholders) and
   within the advertised cluster range.
 * ``counters.*`` — Hadoop-style counters are conserved: retries, merges,
@@ -34,6 +35,7 @@ import os
 import numpy as np
 
 from repro.observability import get_tracer
+from repro.spectral.eigen import GATE_TOL, eigen_residuals
 
 __all__ = [
     "VALIDATE_ENV",
@@ -41,6 +43,7 @@ __all__ = [
     "validation_enabled",
     "check_buckets",
     "check_counter_equals",
+    "check_eigen_residual",
     "check_eigenvalues",
     "check_embedding",
     "check_gram_block",
@@ -246,6 +249,28 @@ def check_eigenvalues(values, *, stage: str = "dasc.spectral", atol: float = 1e-
                 f"eigenvalues span [{lo:.6g}, {hi:.6g}], expected [-1, 1]",
                 stage=stage, min=lo, max=hi,
             )
+
+
+def check_eigen_residual(L, values, vectors, *, stage: str = "dasc.spectral", tol: float = GATE_TOL):
+    """Assert ``(values, vectors)`` are orthonormal eigenpairs of ``L``.
+
+    The eigensolver's own gate (:func:`repro.spectral.eigen.eigen_residuals`):
+    ``max_j ||L v_j - λ_j v_j|| <= tol * ||L||_F`` and ``max |VᵀV - I| <=
+    tol``.
+    """
+    residual, ortho = eigen_residuals(L, values, vectors)
+    if not residual <= tol:
+        _fail(
+            "spectral.eigen_residual",
+            f"max ||Lv - λv|| / ||L||_F = {residual:.3g} exceeds {tol:.3g}",
+            stage=stage, residual=residual, tol=tol,
+        )
+    if not ortho <= tol:
+        _fail(
+            "spectral.eigen_orthonormality",
+            f"max |VᵀV - I| = {ortho:.3g} exceeds {tol:.3g}",
+            stage=stage, orthonormality=ortho, tol=tol,
+        )
 
 
 def check_embedding(Y, *, stage: str = "dasc.spectral", atol: float = 1e-6):

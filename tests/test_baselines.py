@@ -53,6 +53,16 @@ class TestPSC:
         psc = PSC(4, sigma=0.3, seed=0).fit(X)
         assert {"knn_graph", "eigen", "kmeans"} <= set(psc.stopwatch_.laps)
 
+    def test_repeated_fits_agree_on_figure4_input(self):
+        """Fig. 4's 2^10 graph has about one component per cluster, so ARPACK
+        asks for a fresh restart vector; it must come from the seeded stream."""
+        from repro.data import make_blobs
+
+        X, _ = make_blobs(2**10, n_clusters=32, n_features=64, cluster_std=0.09, seed=0)
+        a = PSC(32, n_neighbors=10, sigma=0.7, seed=0).fit_predict(X)
+        b = PSC(32, n_neighbors=10, sigma=0.7, seed=0).fit_predict(X)
+        assert np.array_equal(a, b)
+
 
 class TestNystrom:
     def test_recovers_blobs(self, blobs_small):

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import DASC, DASCConfig
+from repro.data import make_moons, make_rings
 from repro.kernels import GaussianKernel, gram_matrix
 from repro.metrics import clustering_accuracy, fnorm_ratio
-from repro.spectral import SpectralClustering, bucket_seed, cluster_bucket
+from repro.observability import Tracer, use_tracer
+from repro.spectral import SpectralClustering, bucket_seed, cluster_bucket, normalized_laplacian
+from repro.spectral.eigen import GATE_TOL, eigen_residuals
 
 
 class TestFit:
@@ -139,6 +142,90 @@ class TestBucketSeed:
         assert bucket_seed(5, 2) == bucket_seed(np.int64(5), 2) == 7
         assert bucket_seed(None, 4) == bucket_seed(0, 4) == 4
         assert bucket_seed(2**31 - 1, 1) == 0
+
+
+def _blobs_2d(n, centres, std, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.asarray(centres, dtype=float)[np.arange(n) % len(centres)] + rng.normal(0.0, std, (n, 2))
+
+
+_SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+#: name -> (points, k, sigma); 400 points in one bucket with k <= 8 selects ARPACK.
+HOSTILE_INPUTS = {
+    "rings": (lambda: make_rings(400, 2, noise=0.02, seed=0)[0], 2, 0.05),
+    "moons": (lambda: make_moons(400, noise=0.04, seed=0)[0], 2, 0.05),
+    "disconnected_blobs": (lambda: _blobs_2d(400, _SQUARE, 0.01), 4, 0.02),
+    "overlapping_blobs": (
+        lambda: _blobs_2d(400, [(0, 0), (0.3, 0), (0, 0.3), (0.3, 0.3)], 0.15), 4, 0.15
+    ),
+}
+
+
+def _one_bucket_fit(X, k, sigma, backend="auto"):
+    """DASC over a single merged bucket, traced: the estimator and its records."""
+    cfg = DASCConfig(
+        n_clusters=k, sigma=sigma, min_shared_bits=0, seed=0, eig_backend=backend, validate=True
+    )
+    tracer = Tracer()
+    with use_tracer(tracer):
+        est = DASC(config=cfg).fit(X)
+    assert est.buckets_.n_buckets == 1
+    return est, tracer.sink.records
+
+
+def _events(records, name):
+    return [r["attributes"] for r in records if r["name"] == name]
+
+
+def _same_partition(a, b):
+    """Equal up to label numbering."""
+    pairs = np.unique(np.stack([a, b]), axis=1).shape[1]
+    return pairs == np.unique(a).size == np.unique(b).size
+
+
+class TestAutoEigensolver:
+    """The default solver against dense on inputs that stress an iterative solve."""
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_INPUTS))
+    def test_matches_dense(self, name):
+        make, k, sigma = HOSTILE_INPUTS[name]
+        X = make()
+        auto, records = _one_bucket_fit(X, k, sigma)
+        dense, _ = _one_bucket_fit(X, k, sigma, backend="dense")
+        assert [e["solver"] for e in _events(records, "eigen.solve")] == ["arpack"]
+        assert _events(records, "eigen.fallback") == []
+        assert _same_partition(auto.labels_, dense.labels_)
+        auto_vals = auto.bucket_clusterings_[0].eigenvalues
+        dense_vals = dense.bucket_clusterings_[0].eigenvalues
+        assert np.abs(auto_vals - dense_vals).max() <= 1e-10
+
+    def test_eigenspace_wider_than_k(self):
+        """Six components and k=3: eigenvalue 1 has multiplicity 6, so any
+        three orthonormal vectors of that space are a valid answer. ARPACK and
+        dense pick different ones (here their partitions disagree), so only
+        the eigenvalues and each answer's residual are compared."""
+        centres = _SQUARE + [(2, 0), (2, 1)]
+        X = _blobs_2d(400, centres, 0.01)
+        auto, records = _one_bucket_fit(X, 3, 0.02)
+        dense, _ = _one_bucket_fit(X, 3, 0.02, backend="dense")
+        assert [e["solver"] for e in _events(records, "eigen.solve")] == ["arpack"]
+        L = normalized_laplacian(dense.approx_kernel_.blocks[0])
+        for est in (auto, dense):
+            bucket = est.bucket_clusterings_[0]
+            assert np.abs(bucket.eigenvalues - 1.0).max() <= 1e-10
+            residual, ortho = eigen_residuals(L, bucket.eigenvalues, bucket.basis)
+            assert residual <= GATE_TOL and ortho <= GATE_TOL
+
+    @pytest.mark.parametrize("n, solver", [(400, "arpack"), (200, "dense")])
+    def test_trace_names_the_solver_per_bucket(self, n, solver):
+        X, _ = make_moons(n, noise=0.04, seed=0)
+        _, records = _one_bucket_fit(X, 2, 0.05)
+        (bucket_span,) = [r for r in records if r["name"] == "spectral.bucket"]
+        assert bucket_span["attributes"] == {"n_i": n, "k_i": 2}
+        (solve,) = [r for r in records if r["name"] == "eigen.solve"]
+        assert solve["parent_id"] == bucket_span["span_id"]
+        assert solve["attributes"]["solver"] == solver
 
 
 class TestTransform:

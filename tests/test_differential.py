@@ -11,7 +11,7 @@ from repro.verify import (
     run_differential_suite,
 )
 
-# One suite run covers all eight checks; share it across assertions.
+# One suite run covers all nine checks; share it across assertions.
 SUITE_KW = dict(n_samples=200, n_clusters=4, n_features=8, seed=0, n_jobs=2, n_nodes=4)
 
 
@@ -36,6 +36,7 @@ class TestSuite:
             "storage.corrupt_checkpoint_resume",
             "serving.assign_vs_fit",
             "dasc.streaming_vs_batch",
+            "eigen.iterative_vs_dense",
         }
 
     def test_serial_parallel_bit_identical(self, report):
@@ -48,6 +49,11 @@ class TestSuite:
     def test_distributed_counters_identical(self, report):
         check = {c.name: c for c in report.checks}["distributed.serial_vs_parallel"]
         assert check.details["counters_identical"]
+
+    def test_default_and_dense_eigensolver_labels_identical(self, report):
+        check = {c.name: c for c in report.checks}["eigen.iterative_vs_dense"]
+        assert check.details["labels_identical"]
+        assert check.details["fallbacks"] == 0
 
     def test_local_and_distributed_labels_identical(self, report):
         check = {c.name: c for c in report.checks}["dasc.local_vs_distributed"]

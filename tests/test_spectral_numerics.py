@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from repro.spectral import degree_vector, normalized_laplacian, top_eigenvectors, tridiagonal_eigh
+from repro.spectral.eigen import GATE_TOL, eigen_residuals, resolve_backend
 
 
 def random_affinity(seed, n=12):
@@ -164,6 +165,154 @@ class TestTopEigenvectors:
         ref_vals, ref_vecs = top_eigenvectors(L, 3, backend="dense")
         assert np.array_equal(vals, ref_vals)
         assert np.array_equal(vecs, ref_vecs)
+
+
+def gapped_symmetric(n, top, seed=0):
+    """Symmetric ``n x n`` matrix with eigenvalues ``top`` and the rest in [-0.5, 0.5]."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    spectrum = np.concatenate([top, rng.uniform(-0.5, 0.5, n - len(top))])
+    return (Q * spectrum) @ Q.T
+
+
+def cliques_laplacian(n_cliques=10, size=5):
+    """Eq.-2 matrix of disjoint cliques: eigenvalue 1 repeats once per clique."""
+    S = np.kron(np.eye(n_cliques), np.ones((size, size)))
+    np.fill_diagonal(S, 0.0)
+    return normalized_laplacian(S)
+
+
+def traced_solve(L, k, backend, seed=0):
+    """``top_eigenvectors`` under a tracer: the pairs and the eigen.* events."""
+    from repro.observability import Tracer, use_tracer
+
+    tracer = Tracer()
+    with use_tracer(tracer):
+        vals, vecs = top_eigenvectors(L, k, backend=backend, seed=seed)
+    events = {"eigen.solve": [], "eigen.fallback": []}
+    for record in tracer.sink.records:
+        if record["name"] in events:
+            events[record["name"]].append(record["attributes"])
+    return vals, vecs, events, tracer
+
+
+class TestAutoBackend:
+    @pytest.mark.parametrize(
+        "n, k, solver",
+        [
+            (255, 1, "dense"), (256, 1, "arpack"),
+            (255, 8, "dense"), (256, 8, "arpack"),
+            (256, 12, "dense"), (383, 12, "dense"), (384, 12, "arpack"),
+            (64, 2, "dense"),
+        ],
+    )
+    def test_rule_names_the_solver_that_runs(self, n, k, solver):
+        """``"auto"`` runs ARPACK exactly when n >= 32 * max(k, 8)."""
+        assert resolve_backend("auto", n, k) == solver
+        L = gapped_symmetric(n, np.linspace(1.0, 0.8, k))
+        vals, _, events, _ = traced_solve(L, k, "auto")
+        assert [e["solver"] for e in events["eigen.solve"]] == [solver]
+        assert events["eigen.fallback"] == []
+        assert np.allclose(vals, np.linspace(1.0, 0.8, k), atol=1e-10)
+
+    @pytest.mark.parametrize("backend", ["dense", "arpack", "lanczos"])
+    def test_explicit_backends_name_themselves(self, backend):
+        assert resolve_backend(backend, 4096, 2) == backend
+        assert resolve_backend(backend, 8, 7) == backend
+
+    def test_solve_event_carries_the_residual(self):
+        L = gapped_symmetric(300, [1.0, 0.9, 0.8])
+        vals, vecs, events, _ = traced_solve(L, 3, "auto")
+        (event,) = events["eigen.solve"]
+        assert event["solver"] == "arpack" and event["n"] == 300 and event["k"] == 3
+        assert event["residual"] == eigen_residuals(L, vals, vecs)[0] <= GATE_TOL
+        _, _, dense_events, _ = traced_solve(L, 3, "dense")
+        assert dense_events["eigen.solve"] == [{"solver": "dense", "n": 300, "k": 3}]
+
+    def test_arpack_repeats_itself_on_degenerate_spectrum(self):
+        """Each call hits an invariant subspace and asks for a restart vector,
+        which must come from the seeded generator, not OS entropy."""
+        L = cliques_laplacian()
+        first_vals, first_vecs = top_eigenvectors(L, 3, backend="arpack", seed=0)
+        for _ in range(3):
+            vals, vecs = top_eigenvectors(L, 3, backend="arpack", seed=0)
+            assert np.array_equal(vals, first_vals)
+            assert np.array_equal(vecs, first_vecs)
+
+
+class TestResidualGateFallback:
+    """A failed iterative solve returns the dense pairs and one traced fallback."""
+
+    @staticmethod
+    def _assert_fell_back(L, k, backend, reason):
+        vals, vecs, events, tracer = traced_solve(L, k, backend)
+        ref_vals, ref_vecs = top_eigenvectors(L, k, backend="dense")
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(vecs, ref_vecs)
+        (fallback,) = events["eigen.fallback"]
+        assert fallback["n"] == L.shape[0] and fallback["k"] == k
+        assert fallback["reason"].startswith(reason), fallback["reason"]
+        assert tracer.metrics.counter("eigen.fallback").value == 1
+        assert [e["solver"] for e in events["eigen.solve"]] == ["dense"]
+        return fallback
+
+    @pytest.mark.parametrize("backend", ["arpack", "auto"])
+    def test_arpack_no_convergence(self, backend, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def stalls(*args, **kwargs):
+            raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+        monkeypatch.setattr(spla, "eigsh", stalls)
+        L = gapped_symmetric(300, [1.0, 0.9, 0.8])
+        fallback = self._assert_fell_back(L, 3, backend, "ArpackNoConvergence")
+        assert fallback["backend"] == "arpack"
+
+    @pytest.mark.parametrize("backend", ["arpack", "auto"])
+    def test_arpack_perturbed_vector(self, backend, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        eigsh = spla.eigsh
+
+        def bent(*args, **kwargs):
+            vals, vecs = eigsh(*args, **kwargs)
+            vecs[:, 0] += 1e-4 * np.random.default_rng(1).standard_normal(vecs.shape[0])
+            vecs[:, 0] /= np.linalg.norm(vecs[:, 0])
+            return vals, vecs
+
+        monkeypatch.setattr(spla, "eigsh", bent)
+        L = gapped_symmetric(300, [1.0, 0.9, 0.8])
+        self._assert_fell_back(L, 3, backend, "residual")
+
+    def test_arpack_non_orthonormal_vectors(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        eigsh = spla.eigsh
+
+        def repeated(*args, **kwargs):
+            vals, vecs = eigsh(*args, **kwargs)
+            return vals[[0, 0, 0]], vecs[:, [0, 0, 0]]
+
+        monkeypatch.setattr(spla, "eigsh", repeated)
+        L = gapped_symmetric(300, [1.0, 0.9, 0.8])
+        self._assert_fell_back(L, 3, "auto", "orthonormality")
+
+    def test_lanczos_perturbed_ritz_vector(self, monkeypatch):
+        import repro.spectral.eigen as eigen_mod
+
+        solve = eigen_mod.lanczos_top_eigenpairs
+
+        def bent(*args, **kwargs):
+            vals, vecs = solve(*args, **kwargs)
+            vecs = vecs.copy()
+            vecs[:, -1] += 1e-4 * np.random.default_rng(2).standard_normal(vecs.shape[0])
+            vecs[:, -1] /= np.linalg.norm(vecs[:, -1])
+            return vals, vecs
+
+        monkeypatch.setattr(eigen_mod, "lanczos_top_eigenpairs", bent)
+        L = normalized_laplacian(random_affinity(12, n=40))
+        fallback = self._assert_fell_back(L, 3, "lanczos", "residual")
+        assert fallback["backend"] == "lanczos"
 
 
 class TestRestartedLanczos:

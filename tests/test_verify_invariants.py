@@ -6,10 +6,12 @@ import pytest
 from repro.core import DASC, DASCConfig
 from repro.core.buckets import Buckets, group_by_signature
 from repro.observability import InMemorySink, Tracer, use_tracer
+from repro.spectral import normalized_laplacian, top_eigenvectors
 from repro.verify import (
     InvariantViolation,
     check_buckets,
     check_counter_equals,
+    check_eigen_residual,
     check_eigenvalues,
     check_embedding,
     check_gram_block,
@@ -149,6 +151,39 @@ class TestSpectralChecks:
         with pytest.raises(InvariantViolation, match="unit-norm"):
             check_embedding(np.array([[0.5, 0.0]]))
 
+    @staticmethod
+    def _laplacian():
+        rng = np.random.default_rng(7)
+        A = rng.uniform(0.0, 1.0, (40, 40))
+        S = (A + A.T) / 2
+        np.fill_diagonal(S, 0.0)
+        return normalized_laplacian(S)
+
+    @pytest.mark.parametrize("backend", ["dense", "arpack", "lanczos"])
+    def test_eigen_residual_passes_every_backend(self, backend):
+        L = self._laplacian()
+        vals, vecs = top_eigenvectors(L, 3, backend=backend, seed=0)
+        check_eigen_residual(L, vals, vecs)
+
+    def test_perturbed_eigenvector_caught(self):
+        L = self._laplacian()
+        vals, vecs = top_eigenvectors(L, 3, backend="dense")
+        bent = vecs.copy()
+        bent[:, 1] += 1e-4 * np.random.default_rng(0).standard_normal(bent.shape[0])
+        bent[:, 1] /= np.linalg.norm(bent[:, 1])
+        with pytest.raises(InvariantViolation, match="exceeds") as err:
+            check_eigen_residual(L, vals, bent, stage="spectral.embedding")
+        assert err.value.invariant == "spectral.eigen_residual"
+        assert err.value.stage == "spectral.embedding"
+
+    def test_non_orthonormal_vectors_caught(self):
+        L = self._laplacian()
+        vals, vecs = top_eigenvectors(L, 2, backend="dense")
+        # Two copies of one eigenpair: each column is exact, the pair is not orthonormal.
+        with pytest.raises(InvariantViolation) as err:
+            check_eigen_residual(L, vals[[0, 0]], vecs[:, [0, 0]])
+        assert err.value.invariant == "spectral.eigen_orthonormality"
+
 
 class TestLabelChecks:
     def test_complete_in_range_passes(self):
@@ -196,6 +231,25 @@ class TestPipelineHooks:
         model = DASC(4, config=DASCConfig(seed=0, validate=True), kernel=BrokenKernel(1.0))
         with pytest.raises(InvariantViolation):
             model.fit(X)
+
+    def test_bucket_step_checks_eigen_residual(self, blobs_small, monkeypatch):
+        """Under validate, cluster_bucket checks the pairs whichever solver ran."""
+        import repro.spectral.bucket as bucket_mod
+        from repro.kernels import GaussianKernel, gram_matrix
+
+        X, _ = blobs_small
+        S = gram_matrix(X[:60], GaussianKernel(0.3), zero_diagonal=True)
+        solve = bucket_mod.top_eigenvectors
+
+        def bent(L, k, **kwargs):
+            vals, vecs = solve(L, k, **kwargs)
+            return vals, vecs + 1e-3 * np.eye(*vecs.shape)
+
+        monkeypatch.setattr(bucket_mod, "top_eigenvectors", bent)
+        bucket_mod.cluster_bucket(60, 3, S, 0, eig_backend="dense", validate=False)
+        with pytest.raises(InvariantViolation) as err:
+            bucket_mod.cluster_bucket(60, 3, S, 0, eig_backend="dense", validate=True)
+        assert err.value.invariant == "spectral.eigen_residual"
 
     def test_distributed_green_with_validation(self, blobs_small):
         from repro.dasc_mr import DistributedDASC
