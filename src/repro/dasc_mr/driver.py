@@ -224,7 +224,10 @@ class DistributedDASC:
         # global cluster allocation, then materialise bucket files. The
         # action is idempotent so a resumed flow can replay it safely.
         state: dict = {}
-        flow.add_action("merge-buckets", self._merge_action(state, sigma, n_bits, k_total))
+        flow.add_action(
+            "merge-buckets",
+            _merge_action(self.config, self.split_size, state, sigma, n_bits, k_total),
+        )
 
         span.set("flow_id", flow_id)
         span.set("n_points", n)
@@ -322,47 +325,6 @@ class DistributedDASC:
 
     # -- internals ----------------------------------------------------------
 
-    def _merge_action(self, state: dict, sigma: float, n_bits: int, k_total: int):
-        def merge_action(fl):
-            records = fl.fs.read("signatures")  # (signature, (index, vector))
-            sigs = np.array([r[0] for r in records], dtype=np.uint64)
-            payloads = [r[1] for r in records]
-            buckets = make_buckets(sigs, n_bits, self.config)
-            if validation_enabled(self.config.validate):
-                check_buckets(
-                    buckets, len(payloads), point_signatures=sigs, stage="driver.merge"
-                )
-            sizes = buckets.sizes
-            ks = allocate_clusters(sizes, k_total, policy=self.config.allocation)
-            offsets = np.concatenate([[0], np.cumsum(ks)[:-1]])
-            allocation = {int(b): (int(ks[b]), int(offsets[b])) for b in range(buckets.n_buckets)}
-            bucket_records = [
-                (int(buckets.assignments[i]), payloads[i]) for i in range(len(payloads))
-            ]
-            fl.fs.write("buckets", bucket_records, split_size=self.split_size, overwrite=True)
-            state["buckets"] = buckets
-            state["allocation"] = allocation
-            state["total_clusters"] = int(ks.sum())
-            # Stage 2 must exist before run() reaches it; append it now that
-            # the allocation is known. A resumed flow replays this action,
-            # so prune the stage-2 step a previous run already appended.
-            fl.remove_steps_named(_STAGE2_STEP)
-            stage2 = make_clustering_job(
-                sigma=sigma,
-                zero_diagonal=self.config.zero_diagonal,
-                allocation=allocation,
-                n_reducers=max(buckets.n_buckets, 1),
-                eig_backend=self.config.eig_backend,
-                kmeans_n_init=self.config.kmeans_n_init,
-                seed=self.config.seed,
-                validate=validation_enabled(self.config.validate),
-                name=_STAGE2_STEP,
-            )
-            fl.add_job(stage2, "buckets", "labels")
-            return allocation
-
-        return merge_action
-
     def _validate_and_repair(self, flow_id: str, labels: np.ndarray) -> tuple[np.ndarray, int]:
         """Graceful degradation for unlabelled points.
 
@@ -386,3 +348,55 @@ class DistributedDASC:
             "fault.label_repair", flow_id=flow_id, n_repaired=int(unlabelled.size)
         )
         return labels, int(unlabelled.size)
+
+
+def _merge_action(
+    config: DASCConfig, split_size: int, state: dict, sigma: float, n_bits: int, k_total: int
+):
+    """The between-stage driver action, built from the driver's settings alone.
+
+    It must not hold the driver: the driver's EMR service holds the flow, the
+    flow holds this action, so a reference back to the driver would make a
+    cycle that keeps every finished run (its HDFS files and checkpoints)
+    alive until Python's cyclic garbage collector happens to run.
+    """
+
+    def merge_action(fl):
+        records = fl.fs.read("signatures")  # Algorithm 1's (signature, index)
+        sigs = np.array([sig for sig, _ in records], dtype=np.uint64)
+        buckets = make_buckets(sigs, n_bits, config)
+        if validation_enabled(config.validate):
+            check_buckets(buckets, len(records), point_signatures=sigs, stage="driver.merge")
+        sizes = buckets.sizes
+        ks = allocate_clusters(sizes, k_total, policy=config.allocation)
+        offsets = np.concatenate([[0], np.cumsum(ks)[:-1]])
+        allocation = {int(b): (int(ks[b]), int(offsets[b])) for b in range(buckets.n_buckets)}
+        # Join each point's row from the file stage 1 mapped, by the record's
+        # index: stage-2 reducers read (bucket_id, (index, vector)).
+        rows = dict(fl.fs.read("input"))
+        bucket_records = [
+            (int(b), (idx, rows[idx])) for b, (_, idx) in zip(buckets.assignments, records)
+        ]
+        fl.fs.write("buckets", bucket_records, split_size=split_size, overwrite=True)
+        state["buckets"] = buckets
+        state["allocation"] = allocation
+        state["total_clusters"] = int(ks.sum())
+        # Stage 2 must exist before run() reaches it; append it now that
+        # the allocation is known. A resumed flow replays this action,
+        # so prune the stage-2 step a previous run already appended.
+        fl.remove_steps_named(_STAGE2_STEP)
+        stage2 = make_clustering_job(
+            sigma=sigma,
+            zero_diagonal=config.zero_diagonal,
+            allocation=allocation,
+            n_reducers=max(buckets.n_buckets, 1),
+            eig_backend=config.eig_backend,
+            kmeans_n_init=config.kmeans_n_init,
+            seed=config.seed,
+            validate=validation_enabled(config.validate),
+            name=_STAGE2_STEP,
+        )
+        fl.add_job(stage2, "buckets", "labels")
+        return allocation
+
+    return merge_action

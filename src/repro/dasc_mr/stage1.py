@@ -4,11 +4,13 @@ The paper's mapper receives ``(index, inputVector)`` and, for each of the M
 hash functions, looks up the function's hyperplane (dimension) and threshold
 — global parameters precomputed by the driver from the dataset's spans and
 histograms (Eqs. 4-5) — compares, and appends one bit to the signature
-string. It emits ``(signature, index)``.
+string. It emits ``(signature, index)`` as two Python ints, and that is all
+the job flow checkpoints for this step.
 
-We additionally carry the vector in the value so stage 2's reducers are
-self-contained (the Hadoop original re-reads vectors from HDFS; carrying
-them through the shuffle is the in-process equivalent).
+The vectors do not travel with the signatures. The driver's merge action
+joins each point's row from the flow's HDFS ``input`` file, by index, when
+it writes the stage-2 ``buckets`` file; that join stands in for Hadoop's
+reducers re-reading the vectors from HDFS.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def signature_mapper(index, vector, ctx):
 
     ``ctx.job.params`` must hold ``dimensions`` (M,), ``thresholds`` (M,):
     the driver-fitted hash parameters (``get_hyperplane`` / ``get_threshold``
-    in the paper's pseudo-code).
+    in the paper's pseudo-code). Emits ``(signature, index)``.
     """
     dims = ctx.job.params["dimensions"]
     thresholds = ctx.job.params["thresholds"]
@@ -59,7 +61,7 @@ def signature_mapper(index, vector, ctx):
         if vec[dims[j]] <= thresholds[j]:
             sig |= 1 << j
     ctx.increment("dasc", "signatures_emitted")
-    yield (np.uint64(sig), (index, vector))
+    yield (sig, int(index))
 
 
 def make_signature_job(dimensions, thresholds, *, name: str = "dasc-stage1-lsh") -> JobSpec:

@@ -266,10 +266,15 @@ _DEFAULT_STEMMER = PorterStemmer()
 
 
 def preprocess_document(raw: str, *, is_html: bool = False, stemmer: PorterStemmer | None = None) -> list[str]:
-    """The full Section-5.2 pipeline: (html ->) tokens -> stop-word filter -> stems."""
+    """The full Section-5.2 pipeline: (html ->) tokens -> stop-word filter -> stems.
+
+    A stem that is itself a stop word (``'aed'`` stems to ``'a'``) is dropped
+    too, so no stop word survives the pipeline.
+    """
     stemmer = stemmer or _DEFAULT_STEMMER
     text = clean_html(raw) if is_html else raw
-    return [stemmer.stem(tok) for tok in tokenize(text) if tok not in STOP_WORDS]
+    stems = (stemmer.stem(tok) for tok in tokenize(text) if tok not in STOP_WORDS)
+    return [stem for stem in stems if stem not in STOP_WORDS]
 
 
 class TfIdfVectorizer:

@@ -266,7 +266,7 @@ class JobFlow:
                     step=step.name, index=index, key=key, wasted_cost=result.makespan,
                 )
             if store is not None:
-                store.put(
+                n_bytes = store.put(
                     key,
                     {
                         "step_name": step.name,
@@ -279,6 +279,7 @@ class JobFlow:
                 tracer.event(
                     "jobflow.checkpoint",
                     step=step.name, index=index, key=key, n_records=len(result.output),
+                    bytes=n_bytes,
                 )
             step_span.set("makespan", result.makespan)
         return result

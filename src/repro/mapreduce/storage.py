@@ -526,8 +526,11 @@ class ResilientStore:
 
     # -- the object API ------------------------------------------------------
 
-    def put(self, key: str, obj: object) -> None:
-        """Atomically persist ``obj`` under ``key`` (write-verify-promote)."""
+    def put(self, key: str, obj: object) -> int:
+        """Atomically persist ``obj`` under ``key`` (write-verify-promote).
+
+        Returns the envelope's length in bytes: what now sits under ``key``.
+        """
         data = pack_envelope(obj)
         tmp = key + self.TMP_SUFFIX
 
@@ -542,6 +545,7 @@ class ResilientStore:
                 pass  # best-effort cleanup; an orphan tmp key is harmless
 
         self._with_retries("put", key, attempt, retry_corrupt=True)
+        return len(data)
 
     def get(self, key: str) -> object:
         """Fetch and verify the object under ``key``.

@@ -150,10 +150,7 @@ class TestParallelEquivalence:
         serial = MapReduceEngine(executor=SerialExecutor()).run(job, splits)
         parallel = MapReduceEngine(executor=ParallelExecutor(2, fallback=False)).run(job, splits)
         assert len(parallel.output) == len(serial.output)
-        for (ks, vs), (kp, vp) in zip(serial.output, parallel.output):
-            assert ks == kp
-            assert vs[0] == vp[0]
-            assert np.array_equal(vs[1], vp[1])
+        assert parallel.output == serial.output  # (signature, index) records
         assert parallel.partitions.keys() == serial.partitions.keys()
         assert parallel.counters.as_dict() == serial.counters.as_dict()
 

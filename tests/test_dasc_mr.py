@@ -1,5 +1,7 @@
 """Tests for the MapReduce implementation of DASC (Algorithms 1-2 + driver)."""
 
+import gc
+import weakref
 import zlib
 
 import numpy as np
@@ -10,7 +12,7 @@ from repro.dasc_mr import DistributedDASC, make_signature_job, signature_mapper
 from repro.dasc_mr.stage2 import make_clustering_job
 from repro.data.synthetic import make_blobs
 from repro.lsh.axis import AxisParallelHasher
-from repro.mapreduce import MapReduceEngine
+from repro.mapreduce import ElasticMapReduce, MapReduceEngine
 from repro.metrics import clustering_accuracy
 
 
@@ -21,7 +23,7 @@ class TestStage1:
         hasher = AxisParallelHasher(5, seed=0).fit(X)
         job = make_signature_job(hasher.dimensions_, hasher.thresholds_)
         result = MapReduceEngine().run(job, [[(i, X[i]) for i in range(40)]])
-        mr_sigs = {idx: int(sig) for sig, (idx, _) in result.output}
+        mr_sigs = {idx: int(sig) for sig, idx in result.output}
         vec_sigs = hasher.hash(X[:40])
         for i in range(40):
             assert mr_sigs[i] == int(vec_sigs[i])
@@ -36,6 +38,42 @@ class TestStage1:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             make_signature_job([0, 1], [0.5])  # length mismatch
+
+
+class TestStage1Checkpoint:
+    def test_checkpoint_holds_signature_index_pairs(self, blobs_small):
+        """The flow checkpoints Algorithm 1's output: plain (signature, index)."""
+        X, _ = blobs_small
+        cfg = DASCConfig(seed=0)
+        emr = ElasticMapReduce()
+        dasc = DistributedDASC(4, n_nodes=4, config=cfg, emr=emr)
+        flow_id = dasc.submit(X)
+        emr.run_job_flow(flow_id)
+        dasc.collect(flow_id)
+        output = emr.storage.get(f"{flow_id}/checkpoints/step-000")["output"]
+        assert all(
+            type(r) is tuple and len(r) == 2 and type(r[0]) is int and type(r[1]) is int
+            for r in output
+        )
+        assert sorted(idx for _, idx in output) == list(range(X.shape[0]))
+        expected = DASC(4, config=cfg).fit(X).signatures_
+        assert all(sig == int(expected[idx]) for sig, idx in output)
+
+    def test_finished_run_freed_without_the_gc(self, blobs_small):
+        """No reference cycle keeps a run's driver or job flow alive."""
+        X, _ = blobs_small
+        gc.disable()
+        try:
+            dasc = DistributedDASC(4, n_nodes=4)
+            driver = weakref.ref(dasc)
+            dasc.run(X)
+            (entry,) = dasc.emr._flows.values()
+            flow = weakref.ref(entry.flow)
+            del dasc, entry
+            assert driver() is None
+            assert flow() is None
+        finally:
+            gc.enable()
 
 
 class TestStage2:

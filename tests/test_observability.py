@@ -379,6 +379,22 @@ class TestDriverTraceSurvivesResume:
         assert metas == ["first-attempt", "resume"]
 
 
+class TestCheckpointEvents:
+    def test_checkpoint_event_records_stored_bytes(self, blobs_small):
+        X, _ = blobs_small
+        emr = ElasticMapReduce()
+        tracer = Tracer()
+        with use_tracer(tracer):
+            DistributedDASC(4, n_nodes=4, config=DASCConfig(seed=0), emr=emr).run(X)
+        events = [
+            r["attributes"] for r in tracer.sink.records
+            if r["type"] == "event" and r["name"] == "jobflow.checkpoint"
+        ]
+        assert [e["index"] for e in events] == [0, 2]  # both MapReduce steps
+        for e in events:
+            assert e["bytes"] == len(emr.s3.get(e["key"]))
+
+
 class TestLoggingConfiguration:
     def test_get_logger_qualifies_under_repro(self):
         assert get_logger("core.buckets").name == "repro.core.buckets"

@@ -4,7 +4,7 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data import STOP_WORDS, PorterStemmer, TfIdfVectorizer, clean_html, preprocess_document, tokenize
@@ -83,11 +83,12 @@ class TestStemmerProperties:
 
 class TestPipelineProperties:
     @given(st.lists(words, min_size=1, max_size=30))
+    @example(["a", "aed"])  # 'aed' stems onto the stop word 'a'
     @settings(max_examples=50, deadline=None)
     def test_no_stop_words_survive(self, tokens):
         text = " ".join(tokens) + " the and of is"
         out = preprocess_document(text)
-        assert not (set(out) & STOP_WORDS & set(tokens + ["the", "and", "of", "is"]))
+        assert not (set(out) & STOP_WORDS)
 
     @given(st.integers(1, 6), st.integers(0, 10))
     @settings(max_examples=30, deadline=None)
