@@ -6,6 +6,8 @@ at 2^18 and orders of magnitude lighter than SC, whose curve dies at 2^15
 (PSC's at 2^18). We measure real single-core wall time over 2^9 .. 2^12
 with the same early-termination structure: SC runs only while its O(N^2)
 eigendecomposition stays affordable, mirroring the truncated curves.
+Memory is each algorithm's Gram bytes modelled from matrix shapes at 4 bytes
+an entry (Eq. 12 for DASC), beside DASC's measured ``tracemalloc`` peak.
 """
 
 from benchmarks._harness import run_once
@@ -33,3 +35,9 @@ def test_figure6_time_and_memory(benchmark):
     dasc_growth = out["mem"]["DASC"][SIZES[-1]] / out["mem"]["DASC"][SIZES[0]]
     sc_growth = (SIZES[-1] / SIZES[0]) ** 2  # SC's exact quadratic factor
     assert dasc_growth < sc_growth
+
+    # The measured DASC peak holds the float64 Gram blocks (twice Eq. 12's
+    # 4-byte entries) and also grows slower than SC's quadratic factor.
+    for n in SIZES:
+        assert out["peak"]["DASC"][n] >= 2 * out["mem"]["DASC"][n]
+    assert out["peak"]["DASC"][SIZES[-1]] / out["peak"]["DASC"][SIZES[0]] < sc_growth

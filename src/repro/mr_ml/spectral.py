@@ -145,7 +145,7 @@ class MRSpectralClustering:
         """
         k = self.n_clusters
         seed = self.seed if isinstance(self.seed, numbers.Integral) else 0
-        _, vecs = lanczos_top_eigenpairs(
+        _, vecs, _ = lanczos_top_eigenpairs(
             lambda v: mr_matvec(self.engine, l_splits, v),
             n,
             k,

@@ -8,7 +8,12 @@ spectral embedding, K-means with k-means++ seeding, and the per-bucket step
 that chains them (:func:`cluster_bucket`, seeded by :func:`bucket_seed`).
 """
 
-from repro.spectral.laplacian import degree_vector, inv_sqrt_degrees, normalized_laplacian
+from repro.spectral.laplacian import (
+    NormalizedLaplacianOperator,
+    degree_vector,
+    inv_sqrt_degrees,
+    normalized_laplacian,
+)
 from repro.spectral.tridiagonal import tridiagonal_eigh
 from repro.spectral.eigen import top_eigenvectors
 from repro.spectral.embedding import spectral_embedding, row_normalize
@@ -20,6 +25,7 @@ __all__ = [
     "degree_vector",
     "inv_sqrt_degrees",
     "normalized_laplacian",
+    "NormalizedLaplacianOperator",
     "tridiagonal_eigh",
     "top_eigenvectors",
     "spectral_embedding",

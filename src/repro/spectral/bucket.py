@@ -6,7 +6,8 @@ stage-2 reducer (one per bucket, Section 5.1). It applies the NJW steps to
 the bucket's Gram block — the Eq.-2 matrix, its top-``k_i`` eigenvectors,
 row-normalized, then K-means — and returns the local labels with the
 Nyström artifacts serving needs, so an exported model reads them instead of
-clustering the bucket again.
+clustering the bucket again. The Eq.-2 matrix is an operator over the Gram
+block; only a dense eigensolve forms it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.observability import get_tracer
 from repro.spectral.eigen import top_eigenvectors
 from repro.spectral.embedding import row_normalize
 from repro.spectral.kmeans import KMeans
-from repro.spectral.laplacian import inv_sqrt_degrees, normalized_laplacian
+from repro.spectral.laplacian import NormalizedLaplacianOperator
 
 __all__ = ["BucketClustering", "bucket_seed", "cluster_bucket", "needs_eigensolve"]
 
@@ -91,7 +92,7 @@ def cluster_bucket(
     if k_i == 1:
         return BucketClustering("const", np.zeros(n_i, dtype=np.int64))
     with get_tracer().span("spectral.bucket", n_i=n_i, k_i=k_i):
-        L = normalized_laplacian(S)
+        L = NormalizedLaplacianOperator(S)
         vals, vecs = top_eigenvectors(L, k_i, backend=eig_backend, seed=seed)
         embedding = row_normalize(vecs)
         if validate:
@@ -108,7 +109,7 @@ def cluster_bucket(
         return BucketClustering(
             "nystrom",
             km.labels_,
-            d_inv_sqrt=inv_sqrt_degrees(S),
+            d_inv_sqrt=L.d_inv_sqrt,
             basis=vecs,
             eigenvalues=vals,
             centroids=km.cluster_centers_,

@@ -13,12 +13,18 @@ symmetric (normalized-affinity) matrix:
 ``"auto"`` picks one of ``"arpack"`` and ``"dense"`` from the matrix order
 ``n`` and ``k`` (:func:`resolve_backend`).
 
+The matrix may be an ndarray, a sparse matrix or a
+:class:`~repro.spectral.laplacian.NormalizedLaplacianOperator`. The iterative
+backends and the gate only take products with it; only the dense solver
+forms it.
+
 An iterative result is accepted only when it passes the residual gate
 (:func:`eigen_residuals`, :data:`GATE_TOL`). When an iterative backend raises,
 returns too few or non-finite pairs, or fails the gate, the front-end falls
 back to the dense solver and, with tracing on, records an ``eigen.fallback``
 event and counter. Every solve records an ``eigen.solve`` event naming the
-solver that produced the result.
+solver that produced the result; an accepted iterative one also carries its
+residual and its count of matrix-vector products.
 """
 
 from __future__ import annotations
@@ -62,11 +68,16 @@ def eigen_residuals(L, vals, vecs) -> tuple[float, float]:
 
     ``residual`` is ``max_j ||L v_j - λ_j v_j|| / ||L||_F`` (unscaled when
     ``L`` is zero) and ``orthonormality`` is ``max |VᵀV - I|``. Both are NaN
-    when a pair is not finite.
+    when a pair is not finite. An ``L`` with a ``frobenius_norm()`` method
+    (the Eq.-2 operator) is never formed: ``L V`` comes from its products
+    and ``||L||_F`` from that method.
     """
     vals = np.asarray(vals, dtype=np.float64)
     vecs = np.asarray(vecs, dtype=np.float64)
-    scale = float(spla.norm(L) if sp.issparse(L) else np.linalg.norm(L))
+    if hasattr(L, "frobenius_norm"):
+        scale = L.frobenius_norm()
+    else:
+        scale = float(spla.norm(L) if sp.issparse(L) else np.linalg.norm(L))
     worst = float(np.linalg.norm(L @ vecs - vecs * vals, axis=0).max(initial=0.0))
     ortho = float(np.abs(vecs.T @ vecs - np.eye(vecs.shape[1])).max(initial=0.0))
     return (worst / scale if scale > 0 else worst), ortho
@@ -78,7 +89,9 @@ def top_eigenvectors(L, k: int, *, backend: str = "dense", seed=0) -> tuple[np.n
     Parameters
     ----------
     L:
-        Symmetric matrix, dense or sparse.
+        Symmetric matrix: an ndarray, a sparse matrix or a
+        :class:`~repro.spectral.laplacian.NormalizedLaplacianOperator`,
+        which only the dense solver forms.
     k:
         Number of eigenpairs; clipped to the matrix dimension.
     backend:
@@ -104,7 +117,9 @@ def top_eigenvectors(L, k: int, *, backend: str = "dense", seed=0) -> tuple[np.n
     An iterative result must satisfy ``max_j ||L v_j - λ_j v_j|| <= GATE_TOL
     * ||L||_F`` and ``max |VᵀV - I| <= GATE_TOL``; otherwise, or when the
     solver raises, the dense pairs are returned and an ``eigen.fallback``
-    event names the reason.
+    event names the reason. An accepted iterative solve's ``eigen.solve``
+    event carries its residual and ``matvecs``, its number of products
+    with ``L``.
     """
     n = L.shape[0]
     if L.shape[0] != L.shape[1]:
@@ -118,7 +133,7 @@ def top_eigenvectors(L, k: int, *, backend: str = "dense", seed=0) -> tuple[np.n
     # The small-n path for the iterative backends is the dense solver.
     if n > 2 and (solver == "lanczos" or (solver == "arpack" and k < n - 1)):
         try:
-            vals, vecs = _ITERATIVE[solver](L, k, seed)
+            vals, vecs, matvecs = _ITERATIVE[solver](L, k, seed)
         except _SOLVER_ERRORS as exc:
             reason = f"{type(exc).__name__}: {exc}"
         else:
@@ -132,7 +147,9 @@ def top_eigenvectors(L, k: int, *, backend: str = "dense", seed=0) -> tuple[np.n
                 reason = _gate_failure(residual, ortho)
             if reason is None:
                 if tracer.enabled:
-                    tracer.event("eigen.solve", solver=solver, n=n, k=k, residual=residual)
+                    tracer.event(
+                        "eigen.solve", solver=solver, n=n, k=k, residual=residual, matvecs=matvecs
+                    )
                 return vals, vecs
         if tracer.enabled:
             tracer.event("eigen.fallback", backend=solver, n=n, k=k, reason=reason)
@@ -154,19 +171,36 @@ def _gate_failure(residual: float, ortho: float) -> str | None:
     return None
 
 
-def _arpack(L, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
+class _Counted(spla.LinearOperator):
+    """``L``, counting ARPACK's products with vectors.
+
+    Products go through ``aslinearoperator(L)``, as ``eigsh`` would apply an
+    ndarray or sparse ``L`` itself, so they keep their bits.
+    """
+
+    def __init__(self, L):
+        self._op = spla.aslinearoperator(L)
+        self.matvecs = 0
+        super().__init__(self._op.dtype, self._op.shape)
+
+    def _matvec(self, v):
+        self.matvecs += 1
+        return self._op.matvec(v)
+
+
+def _arpack(L, k: int, seed) -> tuple[np.ndarray, np.ndarray, int]:
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(L.shape[0])
-    vals, vecs = spla.eigsh(L, k=k, which="LA", v0=v0, rng=rng)
+    op = _Counted(L)
+    vals, vecs = spla.eigsh(op, k=k, which="LA", v0=v0, rng=rng)
     order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
+    return vals[order], vecs[:, order], op.matvecs
 
 
-def _lanczos(L, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
+def _lanczos(L, k: int, seed) -> tuple[np.ndarray, np.ndarray, int]:
     # Restarted Lanczos: handles degenerate eigenvalues (disconnected
     # affinity graphs) by deflated restarts after early breakdowns.
-    dense = _densify(L)
-    return lanczos_top_eigenpairs(lambda v: dense @ v, dense.shape[0], k, seed=seed)
+    return lanczos_top_eigenpairs(spla.aslinearoperator(L).matvec, L.shape[0], k, seed=seed)
 
 
 _ITERATIVE = {"arpack": _arpack, "lanczos": _lanczos}
@@ -177,6 +211,6 @@ _SOLVER_ERRORS = (spla.ArpackNoConvergence, spla.ArpackError, RuntimeError, np.l
 
 
 def _densify(L) -> np.ndarray:
-    if sp.issparse(L):
+    if hasattr(L, "toarray"):
         return L.toarray()
     return np.asarray(L, dtype=np.float64)

@@ -48,8 +48,9 @@ def lanczos_top_eigenpairs(matvec, n: int, k: int, *, n_steps: int | None = None
 
     Returns
     -------
-    (eigenvalues, eigenvectors) — eigenvalues descending, ``k`` columns
-    (fewer only if the whole space is exhausted first).
+    (eigenvalues, eigenvectors, matvecs) — eigenvalues descending, ``k``
+    columns (fewer only if the whole space is exhausted first), and the
+    number of ``matvec`` calls taken.
     """
     from repro.spectral.tridiagonal import tridiagonal_eigh
 
@@ -137,4 +138,4 @@ def lanczos_top_eigenpairs(matvec, n: int, k: int, *, n_steps: int | None = None
     order = np.argsort(ritz_vals)[::-1][:k]
     vals = np.array([ritz_vals[i] for i in order])
     vecs = np.column_stack([ritz_vecs[i] for i in order])
-    return vals, vecs
+    return vals, vecs, n_matvecs

@@ -6,6 +6,7 @@ from repro.utils.memory import (
     dense_matrix_bytes,
     block_diagonal_bytes,
     sparse_matrix_bytes,
+    traced_peak,
     MemoryLedger,
 )
 from repro.utils.validation import (
@@ -24,6 +25,7 @@ __all__ = [
     "dense_matrix_bytes",
     "block_diagonal_bytes",
     "sparse_matrix_bytes",
+    "traced_peak",
     "MemoryLedger",
     "check_2d",
     "check_labels",

@@ -10,10 +10,13 @@ kernel (Gram) matrix* under each algorithm:
 These helpers compute those footprints exactly (in bytes) from the matrix
 shapes, independent of how Python happens to allocate memory, which mirrors
 the paper's single-precision accounting (Eq. 12: ``4 * B * (N/B)^2`` bytes).
+:func:`traced_peak` measures instead: the peak a call allocates, as
+``tracemalloc`` sees it (numpy reports its buffers there).
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 
@@ -21,6 +24,7 @@ __all__ = [
     "dense_matrix_bytes",
     "block_diagonal_bytes",
     "sparse_matrix_bytes",
+    "traced_peak",
     "MemoryLedger",
 ]
 
@@ -63,6 +67,26 @@ def sparse_matrix_bytes(
     if n_rows < 0 or nnz < 0:
         raise ValueError("n_rows and nnz must be non-negative")
     return nnz * (itemsize + index_bytes) + (n_rows + 1) * index_bytes
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: ``peak`` is the most bytes traced during the call
+    beyond those traced when it began.
+
+    When ``tracemalloc`` is already tracing, it resets that trace's peak
+    and leaves it running; otherwise it traces only for the call.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 @dataclass

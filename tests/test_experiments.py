@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, ExperimentResult, figure1, figure2, run_experiment, table1
+from repro.experiments import (
+    EXPERIMENTS,
+    ExperimentResult,
+    figure1,
+    figure2,
+    figure6,
+    run_experiment,
+    table1,
+)
 from repro.experiments.base import format_table
 
 
@@ -57,6 +65,13 @@ class TestFastExperiments:
         assert result.data["generator"][1024] == 17
         # Paper reference column present for every recorded size.
         assert len(result.rows) == 12
+
+    def test_figure6_measures_the_dasc_peak(self):
+        """Fig. 6(b) reports a measured DASC peak beside Eq. 12's model; the
+        fit holds its Gram blocks in float64, twice the model's 4-byte entries."""
+        result = figure6(sizes=(2**9,), sc_max=0)
+        assert result.header[-1] == "peak DASC"
+        assert result.data["peak"]["DASC"][512] >= 2 * result.data["mem"]["DASC"][512]
 
     def test_module_entry_point_lists(self, capsys):
         from repro.experiments.__main__ import main

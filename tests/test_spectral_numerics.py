@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from repro.spectral import degree_vector, normalized_laplacian, top_eigenvectors, tridiagonal_eigh
+from repro.spectral import (
+    NormalizedLaplacianOperator,
+    cluster_bucket,
+    degree_vector,
+    inv_sqrt_degrees,
+    normalized_laplacian,
+    top_eigenvectors,
+    tridiagonal_eigh,
+)
 from repro.spectral.eigen import GATE_TOL, eigen_residuals, resolve_backend
 
 
@@ -73,6 +81,112 @@ class TestLaplacians:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             normalized_laplacian(np.zeros((2, 3)))
+
+
+def isolated_vertex_affinity():
+    """A 30-point random affinity whose vertex 7 has no edges."""
+    S = random_affinity(4, n=30)
+    S[7, :] = S[:, 7] = 0.0
+    return S
+
+
+def blocks_affinity():
+    """Dense 300-point affinity of three weakly joined noisy cliques.
+
+    Its Eq.-2 matrix has three eigenvalues near 1, well apart from the rest.
+    """
+    rng = np.random.default_rng(0)
+    block = np.arange(300) % 3
+    same = block[:, None] == block[None, :]
+    S = rng.uniform(0.0, 0.01, same.shape)
+    S[same] += rng.uniform(0.5, 1.0, same.sum())
+    S = (S + S.T) / 2
+    np.fill_diagonal(S, 0.0)
+    return S
+
+
+class TestNormalizedLaplacianOperator:
+    def test_densifies_to_normalized_laplacian(self):
+        """Bit for bit ``S * d[:, None] * d[None, :]``, so a dense solve of the
+        operator returns what a dense solve of the formed matrix returns."""
+        S = isolated_vertex_affinity()
+        L = NormalizedLaplacianOperator(S)
+        d = inv_sqrt_degrees(S)
+        assert np.array_equal(L.toarray(), S * d[:, None] * d[None, :])
+        assert np.array_equal(L.toarray(), normalized_laplacian(S))
+        assert np.array_equal(L.d_inv_sqrt, d) and d[7] == 0.0
+
+    def test_frobenius_norm_from_the_gram_block(self):
+        S = isolated_vertex_affinity()
+        expected = np.linalg.norm(normalized_laplacian(S))
+        assert abs(NormalizedLaplacianOperator(S).frobenius_norm() - expected) <= 1e-12 * expected
+
+    def test_products_match_the_explicit_matrix(self):
+        S = isolated_vertex_affinity()
+        L, dense = NormalizedLaplacianOperator(S), normalized_laplacian(S)
+        rng = np.random.default_rng(0)
+        v, V = rng.standard_normal(30), rng.standard_normal((30, 4))
+        column = V[:, :1]  # scipy routes an (n, 1) product to matvec
+        pairs = (
+            (L.matvec(v), dense @ v),
+            (L.matvec(column), dense @ column),
+            (L @ column, dense @ column),
+            (L.matmat(V), dense @ V),
+            (L @ V, dense @ V),
+        )
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("backend", ["arpack", "lanczos"])
+    def test_single_eigenpair_matches_dense(self, backend):
+        """k = 1 gates a one-column ``V``, the (n, 1) product path."""
+        S = blocks_affinity()
+        dense_vals, dense_vecs = top_eigenvectors(normalized_laplacian(S), 1, backend="dense")
+        vals, vecs, events, _ = traced_solve(NormalizedLaplacianOperator(S), 1, backend)
+        (event,) = events["eigen.solve"]
+        assert event["solver"] == backend and events["eigen.fallback"] == []
+        assert vals == pytest.approx(dense_vals, abs=1e-12)
+        assert np.abs(np.abs(vecs.T @ dense_vecs) - 1.0).max() <= 1e-10
+
+    def test_gate_reads_the_same_residual(self):
+        S = isolated_vertex_affinity()
+        dense = normalized_laplacian(S)
+        vals, vecs = top_eigenvectors(dense, 3, backend="dense")
+        vecs[:, 1] += 1e-4 * np.random.default_rng(1).standard_normal(30)
+        want = eigen_residuals(dense, vals, vecs)
+        got = eigen_residuals(NormalizedLaplacianOperator(S), vals, vecs)
+        assert got[0] == pytest.approx(want[0], rel=1e-10) and got[1] == want[1]
+
+    def test_cluster_bucket_never_forms_the_laplacian(self, monkeypatch):
+        """A 1024-point ARPACK bucket's transient memory stays far below its
+        Gram block: neither ``normalized_laplacian`` nor the operator's dense
+        form runs, and the solve stays iterative."""
+        import sys
+
+        from repro.data import make_blobs
+        from repro.kernels import GaussianKernel, gram_matrix
+        from repro.observability import Tracer, use_tracer
+        from repro.utils import traced_peak
+
+        def formed(*args, **kwargs):
+            raise AssertionError("the Eq.-2 matrix was formed")
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "normalized_laplacian", None) is normalized_laplacian:
+                monkeypatch.setattr(module, "normalized_laplacian", formed)
+        monkeypatch.setattr(NormalizedLaplacianOperator, "toarray", formed)
+        X, _ = make_blobs(n_samples=1024, n_clusters=4, n_features=8, cluster_std=0.05, seed=0)
+        S = gram_matrix(X, GaussianKernel(0.3), zero_diagonal=True)
+        assert resolve_backend("auto", 1024, 4) == "arpack"
+
+        tracer = Tracer()
+        with use_tracer(tracer):
+            bucket, peak = traced_peak(lambda: cluster_bucket(1024, 4, S, 0))
+        solves = [r["attributes"] for r in tracer.sink.records if r["name"] == "eigen.solve"]
+        assert [e["solver"] for e in solves] == ["arpack"]
+        assert bucket.mode == "nystrom" and np.array_equal(bucket.d_inv_sqrt, inv_sqrt_degrees(S))
+        assert peak < S.nbytes / 2, (peak, S.nbytes)
 
 
 class TestTridiagonalQL:
@@ -226,8 +340,39 @@ class TestAutoBackend:
         (event,) = events["eigen.solve"]
         assert event["solver"] == "arpack" and event["n"] == 300 and event["k"] == 3
         assert event["residual"] == eigen_residuals(L, vals, vecs)[0] <= GATE_TOL
+        # ARPACK's first Lanczos factorization alone takes ncv = max(2k + 1, 20) products.
+        assert isinstance(event["matvecs"], int) and event["matvecs"] >= 20
         _, _, dense_events, _ = traced_solve(L, 3, "dense")
         assert dense_events["eigen.solve"] == [{"solver": "dense", "n": 300, "k": 3}]
+
+    @pytest.mark.parametrize("kind", ["ndarray", "sparse", "operator"])
+    def test_solve_event_counts_the_products(self, kind, monkeypatch):
+        """``matvecs`` is the number of products the solver took, whatever ``L`` is."""
+        import scipy.sparse.linalg as spla
+
+        eigsh, asked = spla.eigsh, []
+
+        def counting(A, *args, **kwargs):
+            def matvec(v):
+                asked.append(1)
+                return A.matvec(v)
+
+            return eigsh(spla.LinearOperator(A.shape, matvec=matvec, dtype=A.dtype), *args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", counting)
+        S = blocks_affinity()
+        L = {
+            "ndarray": normalized_laplacian(S),
+            "sparse": sp.csr_matrix(normalized_laplacian(S)),
+            "operator": NormalizedLaplacianOperator(S),
+        }[kind]
+        _, _, events, _ = traced_solve(L, 3, "arpack")
+        (event,) = events["eigen.solve"]
+        assert event["solver"] == "arpack" and event["matvecs"] == len(asked) >= 20
+        _, _, events, tracer = traced_solve(L, 3, "lanczos")
+        (event,) = events["eigen.solve"]
+        (lanczos,) = [r["attributes"] for r in tracer.sink.records if r["name"] == "lanczos.solve"]
+        assert event["solver"] == "lanczos" and event["matvecs"] == lanczos["matvecs"] > 0
 
     def test_arpack_repeats_itself_on_degenerate_spectrum(self):
         """Each call hits an invariant subspace and asks for a restart vector,
@@ -241,12 +386,26 @@ class TestAutoBackend:
 
 
 class TestResidualGateFallback:
-    """A failed iterative solve returns the dense pairs and one traced fallback."""
+    """A failed iterative solve returns the dense pairs and one traced fallback.
+
+    Each case is ``(L, dense)``: ``L`` as the solver gets it, and the explicit
+    matrix whose dense pairs the fallback must return byte for byte.
+    """
 
     @staticmethod
-    def _assert_fell_back(L, k, backend, reason):
+    def arpack_case():
+        L = gapped_symmetric(300, [1.0, 0.9, 0.8])
+        return L, L
+
+    @staticmethod
+    def lanczos_case():
+        L = normalized_laplacian(random_affinity(12, n=40))
+        return L, L
+
+    @staticmethod
+    def _assert_fell_back(L, dense, k, backend, reason):
         vals, vecs, events, tracer = traced_solve(L, k, backend)
-        ref_vals, ref_vecs = top_eigenvectors(L, k, backend="dense")
+        ref_vals, ref_vecs = top_eigenvectors(dense, k, backend="dense")
         assert np.array_equal(vals, ref_vals)
         assert np.array_equal(vecs, ref_vecs)
         (fallback,) = events["eigen.fallback"]
@@ -264,8 +423,7 @@ class TestResidualGateFallback:
             raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
 
         monkeypatch.setattr(spla, "eigsh", stalls)
-        L = gapped_symmetric(300, [1.0, 0.9, 0.8])
-        fallback = self._assert_fell_back(L, 3, backend, "ArpackNoConvergence")
+        fallback = self._assert_fell_back(*self.arpack_case(), 3, backend, "ArpackNoConvergence")
         assert fallback["backend"] == "arpack"
 
     @pytest.mark.parametrize("backend", ["arpack", "auto"])
@@ -281,8 +439,7 @@ class TestResidualGateFallback:
             return vals, vecs
 
         monkeypatch.setattr(spla, "eigsh", bent)
-        L = gapped_symmetric(300, [1.0, 0.9, 0.8])
-        self._assert_fell_back(L, 3, backend, "residual")
+        self._assert_fell_back(*self.arpack_case(), 3, backend, "residual")
 
     def test_arpack_non_orthonormal_vectors(self, monkeypatch):
         import scipy.sparse.linalg as spla
@@ -294,8 +451,7 @@ class TestResidualGateFallback:
             return vals[[0, 0, 0]], vecs[:, [0, 0, 0]]
 
         monkeypatch.setattr(spla, "eigsh", repeated)
-        L = gapped_symmetric(300, [1.0, 0.9, 0.8])
-        self._assert_fell_back(L, 3, "auto", "orthonormality")
+        self._assert_fell_back(*self.arpack_case(), 3, "auto", "orthonormality")
 
     def test_lanczos_perturbed_ritz_vector(self, monkeypatch):
         import repro.spectral.eigen as eigen_mod
@@ -303,16 +459,30 @@ class TestResidualGateFallback:
         solve = eigen_mod.lanczos_top_eigenpairs
 
         def bent(*args, **kwargs):
-            vals, vecs = solve(*args, **kwargs)
+            vals, vecs, matvecs = solve(*args, **kwargs)
             vecs = vecs.copy()
             vecs[:, -1] += 1e-4 * np.random.default_rng(2).standard_normal(vecs.shape[0])
             vecs[:, -1] /= np.linalg.norm(vecs[:, -1])
-            return vals, vecs
+            return vals, vecs, matvecs
 
         monkeypatch.setattr(eigen_mod, "lanczos_top_eigenpairs", bent)
-        L = normalized_laplacian(random_affinity(12, n=40))
-        fallback = self._assert_fell_back(L, 3, "lanczos", "residual")
+        fallback = self._assert_fell_back(*self.lanczos_case(), 3, "lanczos", "residual")
         assert fallback["backend"] == "lanczos"
+
+
+class TestResidualGateFallbackOnOperator(TestResidualGateFallback):
+    """The same failures with the Eq.-2 operator as input: the fallback forms
+    exactly ``normalized_laplacian(S)`` and returns its dense pairs."""
+
+    @staticmethod
+    def arpack_case():
+        S = blocks_affinity()
+        return NormalizedLaplacianOperator(S), normalized_laplacian(S)
+
+    @staticmethod
+    def lanczos_case():
+        S = random_affinity(12, n=40)
+        return NormalizedLaplacianOperator(S), normalized_laplacian(S)
 
 
 class TestRestartedLanczos:
@@ -326,7 +496,7 @@ class TestRestartedLanczos:
         S[4:, 4:] = 1.0
         np.fill_diagonal(S, 0.0)
         L = normalized_laplacian(S)
-        vals, vecs = lanczos_top_eigenpairs(lambda v: L @ v, 8, 2, seed=0)
+        vals, vecs, _ = lanczos_top_eigenpairs(lambda v: L @ v, 8, 2, seed=0)
         assert np.allclose(vals, [1.0, 1.0], atol=1e-8)
         # The two component indicators must lie in the returned span.
         for indicator in (np.r_[np.ones(4), np.zeros(4)], np.r_[np.zeros(4), np.ones(4)]):
@@ -338,7 +508,7 @@ class TestRestartedLanczos:
         from repro.spectral.lanczos import lanczos_top_eigenpairs
 
         A = random_affinity(11, n=25)
-        vals, vecs = lanczos_top_eigenpairs(lambda v: A @ v, 25, 5, seed=1)
+        vals, vecs, _ = lanczos_top_eigenpairs(lambda v: A @ v, 25, 5, seed=1)
         expected = np.sort(np.linalg.eigvalsh(A))[::-1][:5]
         assert np.allclose(vals, expected, atol=1e-6)
         for j in range(5):
@@ -348,7 +518,7 @@ class TestRestartedLanczos:
         from repro.spectral.lanczos import lanczos_top_eigenpairs
 
         A = np.diag([3.0, 2.0, 1.0])
-        vals, vecs = lanczos_top_eigenpairs(lambda v: A @ v, 3, 10, seed=0)
+        vals, vecs, _ = lanczos_top_eigenpairs(lambda v: A @ v, 3, 10, seed=0)
         assert vals.shape[0] == 3
         assert np.allclose(np.sort(vals)[::-1], [3.0, 2.0, 1.0], atol=1e-9)
 

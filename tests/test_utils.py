@@ -17,6 +17,7 @@ from repro.utils import (
     sparse_matrix_bytes,
     spawn_rngs,
     timed,
+    traced_peak,
 )
 
 
@@ -136,6 +137,24 @@ class TestMemory:
     def test_empty_ledger(self):
         led = MemoryLedger()
         assert led.total == 0 and led.peak == 0
+
+    @pytest.mark.parametrize("outer", [False, True])
+    def test_traced_peak_counts_only_the_call(self, outer):
+        """An outer trace keeps running, and what it held before the call
+        is not charged to the call."""
+        import tracemalloc
+
+        if outer:
+            tracemalloc.start()
+        try:
+            held = np.ones(1 << 20) if outer else None  # 8 MiB traced before the call
+            vec, peak = traced_peak(lambda: np.ones(1 << 17))  # 1 MiB
+            assert vec.nbytes <= peak < 2 * vec.nbytes
+            assert tracemalloc.is_tracing() == outer
+            del held
+        finally:
+            if outer:
+                tracemalloc.stop()
 
 
 class TestValidation:
