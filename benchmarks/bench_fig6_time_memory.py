@@ -5,9 +5,11 @@ Wikipedia dataset: DASC is more than an order of magnitude faster than PSC
 at 2^18 and orders of magnitude lighter than SC, whose curve dies at 2^15
 (PSC's at 2^18). We measure real single-core wall time over 2^9 .. 2^12
 with the same early-termination structure: SC runs only while its O(N^2)
-eigendecomposition stays affordable, mirroring the truncated curves.
-Memory is each algorithm's Gram bytes modelled from matrix shapes at 4 bytes
-an entry (Eq. 12 for DASC), beside DASC's measured ``tracemalloc`` peak.
+eigendecomposition stays affordable, mirroring the truncated curves. Each
+time is the median of three fits, so the SC/DASC gap compares like with
+like. Memory is each algorithm's Gram bytes modelled from matrix shapes at
+4 bytes an entry (Eq. 12 for DASC), beside DASC's measured ``tracemalloc``
+peak, which holds one Gram block at a time.
 """
 
 from benchmarks._harness import run_once
@@ -36,8 +38,13 @@ def test_figure6_time_and_memory(benchmark):
     sc_growth = (SIZES[-1] / SIZES[0]) ** 2  # SC's exact quadratic factor
     assert dasc_growth < sc_growth
 
-    # The measured DASC peak holds the float64 Gram blocks (twice Eq. 12's
-    # 4-byte entries) and also grows slower than SC's quadratic factor.
+    # The measured DASC peak holds the largest float64 Gram block the fit
+    # builds, one block at a time: at the largest size it stays below the
+    # blocks' float64 bytes together. It also grows slower than SC's
+    # quadratic factor.
     for n in SIZES:
-        assert out["peak"]["DASC"][n] >= 2 * out["mem"]["DASC"][n]
+        assert out["peak"]["DASC"][n] >= 8 * max(out["blocks"]["DASC"][n]) ** 2
+    built = out["blocks"]["DASC"][SIZES[-1]]
+    assert len(built) > 1
+    assert out["peak"]["DASC"][SIZES[-1]] < 8 * sum(b * b for b in built)
     assert out["peak"]["DASC"][SIZES[-1]] / out["peak"]["DASC"][SIZES[0]] < sc_growth

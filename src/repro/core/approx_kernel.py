@@ -6,7 +6,8 @@ a bucket-sorted point order the result is block diagonal: one dense
 ``N^2``. This module assembles those blocks, tracks their exact memory
 footprint (Figure 6(b) / Eq. 12 accounting), and can materialise the
 equivalent full-size matrix or its Frobenius norm for the Figure-5 metric —
-without ever allocating N x N when only the norm is needed.
+without ever allocating N x N when only the norm is needed. ``DASC.fit``
+keeps the accounting without the blocks (see :class:`ApproximateKernel`).
 """
 
 from __future__ import annotations
@@ -31,26 +32,32 @@ class ApproximateKernel:
     Attributes
     ----------
     blocks:
-        One dense Gram matrix per bucket (bucket id order).
+        One dense Gram matrix per bucket (bucket id order), or ``None`` for
+        a kernel that keeps only the partition: ``DASC.fit`` builds each
+        block inside its bucket's task and drops it, so its
+        ``approx_kernel_`` answers the accounting queries (sizes,
+        :attr:`nbytes`, :attr:`stored_entries`) but not
+        :meth:`frobenius_norm` or :meth:`to_dense`. ``DASC.transform(X)``
+        returns the blocks.
     bucket_indices:
         Point indices (into the original data) for each block, same order.
     n_samples:
         N, the full matrix dimension.
     """
 
-    blocks: list[np.ndarray] = field(default_factory=list)
+    blocks: list[np.ndarray] | None = None
     bucket_indices: list[np.ndarray] = field(default_factory=list)
     n_samples: int = 0
 
     @property
     def n_blocks(self) -> int:
         """Number of buckets B."""
-        return len(self.blocks)
+        return len(self.bucket_indices)
 
     @property
     def block_sizes(self) -> np.ndarray:
         """(B,) sizes N_i of each block."""
-        return np.array([b.shape[0] for b in self.blocks], dtype=np.int64)
+        return np.array([idx.shape[0] for idx in self.bucket_indices], dtype=np.int64)
 
     @property
     def nbytes(self) -> int:
@@ -62,85 +69,44 @@ class ApproximateKernel:
         """``sum N_i^2`` — the entry count the approximation keeps."""
         return int((self.block_sizes.astype(np.int64) ** 2).sum())
 
+    def _require_blocks(self) -> list[np.ndarray]:
+        if self.blocks is None:
+            raise RuntimeError(
+                "this approximate kernel keeps only the bucket partition (DASC.fit "
+                "drops each Gram block once its bucket is clustered); call "
+                "DASC.transform(X) for the blocks"
+            )
+        return self.blocks
+
     def frobenius_norm(self) -> float:
         """Frobenius norm of the approximation, from the blocks directly."""
         total = 0.0
-        for block in self.blocks:
+        for block in self._require_blocks():
             total += float(np.einsum("ij,ij->", block, block))
         return float(np.sqrt(total))
 
     def to_dense(self) -> np.ndarray:
         """Materialise the full N x N approximate matrix (testing/small N only)."""
+        blocks = self._require_blocks()
         K = np.zeros((self.n_samples, self.n_samples))
-        for idx, block in zip(self.bucket_indices, self.blocks):
+        for idx, block in zip(self.bucket_indices, blocks):
             K[np.ix_(idx, idx)] = block
         return K
 
 
-def _bucket_block_worker(payload):
-    """Process-pool entry point: compute one bucket's Gram block.
-
-    The dataset arrives as a :class:`~repro.mapreduce.executor.SharedArray`
-    handle (a few bytes per task); only the bucket's rows are copied out of
-    the shared segment. The same function runs in-process on the serial
-    path, so both backends execute identical arithmetic.
-    """
-    from repro.mapreduce.executor import _null_child_tracer
-
-    _null_child_tracer()
-    shared, idx, kernel, zero_diagonal = payload
-    X = shared.asarray()
-    block = gram_matrix_auto(X[idx], kernel, zero_diagonal=zero_diagonal)
-    shared.close()
-    return block
-
-
 def build_approximate_kernel(
-    X, buckets: Buckets, kernel: Kernel, *, zero_diagonal: bool = True, executor=None
+    X, buckets: Buckets, kernel: Kernel, *, zero_diagonal: bool = True
 ) -> ApproximateKernel:
     """Compute the per-bucket Gram blocks (Algorithm 2, all reducers).
 
     ``zero_diagonal`` follows Algorithm 2, which writes 0 on each block's
-    diagonal (zero self-affinity). With a parallel ``executor`` the blocks
-    are computed across worker processes (dataset broadcast once through
-    shared memory) and collected in bucket order — bit-identical to the
-    serial result.
+    diagonal (zero self-affinity).
     """
     X = check_2d(X)
     if buckets.assignments.shape[0] != X.shape[0]:
         raise ValueError(
             f"buckets cover {buckets.assignments.shape[0]} points, data has {X.shape[0]}"
         )
-    approx = ApproximateKernel(n_samples=X.shape[0])
-    members = list(buckets.iter_members())
-    if executor is not None and getattr(executor, "parallel", False) and len(members) > 1:
-        from repro.mapreduce.executor import SharedArray, is_picklable
-
-        if is_picklable(kernel):
-            with SharedArray.create(X) as shared:
-                payloads = [(shared, idx, kernel, zero_diagonal) for _, idx in members]
-                blocks = executor.map_ordered(_bucket_block_worker, payloads)
-            approx.blocks.extend(blocks)
-            approx.bucket_indices.extend(idx for _, idx in members)
-            return approx
-    for _, idx in members:
-        approx.blocks.append(
-            _bucket_block_worker((_LocalArray(X), idx, kernel, zero_diagonal))
-        )
-        approx.bucket_indices.append(idx)
-    return approx
-
-
-class _LocalArray:
-    """Duck-typed stand-in for SharedArray on the serial path (no copy)."""
-
-    __slots__ = ("_array",)
-
-    def __init__(self, array: np.ndarray):
-        self._array = array
-
-    def asarray(self) -> np.ndarray:
-        return self._array
-
-    def close(self) -> None:
-        pass
+    indices = [idx for _, idx in buckets.iter_members()]
+    blocks = [gram_matrix_auto(X[idx], kernel, zero_diagonal=zero_diagonal) for idx in indices]
+    return ApproximateKernel(blocks=blocks, bucket_indices=indices, n_samples=X.shape[0])

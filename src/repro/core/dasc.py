@@ -4,9 +4,10 @@
 
 1. LSH signatures (Section 3.2, Eqs. 4-5),
 2. bucket grouping + Eq.-6 merging + small-bucket folding,
-3. per-bucket Gaussian Gram blocks (Eq. 1, Algorithm 2),
-4. per-bucket NJW spectral clustering (Eq. 2 Laplacian, top-K_i
-   eigenvectors, row-normalized embedding, K-means),
+3. + 4. one task per bucket (:func:`~repro.spectral.bucket.solve_bucket`):
+   the bucket's Gaussian Gram block (Eq. 1, Algorithm 2), then NJW spectral
+   clustering on it (Eq. 2 Laplacian, top-K_i eigenvectors, row-normalized
+   embedding, K-means); the block is dropped when the task returns,
 
 and exposes the combined labels plus per-stage time and exact Gram-memory
 accounting (the quantities of Figures 5 and 6 and Table 3).
@@ -29,8 +30,9 @@ from repro.core.config import DASCConfig
 from repro.core.refine import merge_clusters_to_k
 from repro.core.signatures import compute_signatures
 from repro.kernels.functions import GaussianKernel, Kernel
+from repro.kernels.matrix import gram_matrix_auto
 from repro.observability import get_tracer
-from repro.spectral.bucket import BucketClustering, bucket_seed, cluster_bucket
+from repro.spectral.bucket import BucketClustering, bucket_seed, needs_eigensolve, solve_bucket
 from repro.utils.memory import MemoryLedger
 from repro.utils.timing import Stopwatch
 from repro.utils.validation import check_2d
@@ -44,18 +46,25 @@ from repro.verify.invariants import (
 __all__ = ["DASC"]
 
 
-def _cluster_bucket_worker(payload) -> BucketClustering:
-    """Process-pool entry point: :func:`~repro.spectral.bucket.cluster_bucket`.
+def _solve_bucket_task(payload) -> tuple[BucketClustering, Stopwatch]:
+    """Process-pool entry point: one bucket's
+    :func:`~repro.spectral.bucket.solve_bucket`.
 
-    The serial loop calls it too, so every backend runs literally the same
-    function on the same inputs (explicit seeds, and the ``validate`` flag
-    carried across the process boundary) — the basis of the parallel
-    backend's bit-identity guarantee.
+    The dataset arrives as a :class:`~repro.mapreduce.executor.SharedArray`
+    handle (a few bytes per task); only the bucket's rows are copied out of
+    it, and only the clustering and the task's stage times travel back.
+    The task is the call the serial loop makes, with explicit seeds and the
+    ``validate`` flag carried across the process boundary — the basis of
+    the parallel backend's bit-identity guarantee.
     """
     from repro.mapreduce.executor import _null_child_tracer
 
     _null_child_tracer()
-    return cluster_bucket(*payload)
+    shared, idx, kernel, k_i, seed, options = payload
+    rows = shared.asarray()[idx]
+    shared.close()
+    watch = Stopwatch()
+    return solve_bucket(rows, kernel, k_i, seed, stopwatch=watch, **options), watch
 
 
 class DASC:
@@ -77,13 +86,16 @@ class DASC:
     labels_ : (n,) global cluster assignments in ``[0, n_clusters_)``
     n_clusters_ : actual number of clusters produced
     buckets_ : the final :class:`~repro.core.buckets.Buckets` partition
-    approx_kernel_ : the block-diagonal :class:`ApproximateKernel`
+    approx_kernel_ : the block-diagonal :class:`ApproximateKernel`'s partition
+        and accounting (sizes, ``nbytes``, ``stored_entries``); the fit
+        keeps no Gram block — :meth:`transform` returns them
     bucket_clusterings_ : per-bucket :class:`~repro.spectral.bucket.BucketClustering`
         (local labels and Nyström artifacts; what :meth:`export_model` reads)
     signatures_ : (n,) packed uint64 signatures
     n_bits_ : resolved signature length M
     sigma_ : resolved Gaussian bandwidth
-    stopwatch_ : per-stage wall time (hash/bucket/kernel/spectral)
+    stopwatch_ : per-stage time (hash/bucket/kernel/spectral); kernel and
+        spectral sum the per-bucket tasks, across workers under a pool
     memory_ : Gram-storage ledger (the Figure-6(b) quantity)
     """
 
@@ -131,11 +143,14 @@ class DASC:
         return resolve_executor(self.config.n_jobs)
 
     def _resolve_kernel(self, X: np.ndarray) -> Kernel:
+        """Set ``sigma_`` and ``kernel_`` for ``X`` and return the kernel."""
         if self._kernel_override is not None:
             self.sigma_ = getattr(self._kernel_override, "sigma", None)
-            return self._kernel_override
-        self.sigma_ = self.config.resolve_sigma(X)
-        return GaussianKernel(self.sigma_)
+            self.kernel_ = self._kernel_override
+        else:
+            self.sigma_ = self.config.resolve_sigma(X)
+            self.kernel_ = GaussianKernel(self.sigma_)
+        return self.kernel_
 
     def partition(self, X) -> Buckets:
         """Stages 1-2: hash, group, merge, fold. Returns the final buckets."""
@@ -168,14 +183,9 @@ class DASC:
         tracer = get_tracer()
         buckets = self.partition(X)
         kernel = self._resolve_kernel(X)
-        self.kernel_ = kernel
         with self.stopwatch_.lap("kernel"), tracer.span("dasc.kernel") as span:
             approx = build_approximate_kernel(
-                X,
-                buckets,
-                kernel,
-                zero_diagonal=self.config.zero_diagonal,
-                executor=self._resolve_executor(),
+                X, buckets, kernel, zero_diagonal=self.config.zero_diagonal
             )
             span.set("n_blocks", approx.n_blocks)
             span.set("gram_bytes", approx.nbytes)
@@ -210,14 +220,27 @@ class DASC:
     def _fit_traced(self, X, tracer, fit_span) -> None:
         n = X.shape[0]
         k_total = self.config.resolve_n_clusters(n)
-        approx = self.transform(X)
-        buckets = self.buckets_
+        buckets = self.partition(X)
+        kernel = self._resolve_kernel(X)
+        members = [idx for _, idx in buckets.iter_members()]
+        approx = ApproximateKernel(bucket_indices=members, n_samples=n)
+        self.memory_.charge("gram_blocks", approx.nbytes)
+        self.approx_kernel_ = approx
 
         eigengap_k = None
         if self.config.allocation == "eigengap":
             # Data-driven K_i: read each bucket's cluster count off its own
-            # Gram block's spectrum (extension beyond the paper).
-            eigengap_k = [choose_k_eigengap(block, k_total) for block in approx.blocks]
+            # Gram block's spectrum (extension beyond the paper). The
+            # allocation needs every estimate before any bucket is
+            # clustered, so each block is built here and again in its task.
+            with self.stopwatch_.lap("kernel"):
+                eigengap_k = [
+                    choose_k_eigengap(
+                        gram_matrix_auto(X[idx], kernel, zero_diagonal=self.config.zero_diagonal),
+                        k_total,
+                    )
+                    for idx in members
+                ]
         allocation = allocate_clusters(
             buckets.sizes, k_total, policy=self.config.allocation, eigengap_k=eigengap_k
         )
@@ -225,25 +248,22 @@ class DASC:
 
         labels = np.full(n, -1, dtype=np.int64)
         executor = self._resolve_executor()
-        payloads = [
-            (
-                block.shape[0], int(allocation[b]), block, bucket_seed(self.config.seed, b),
-                self.config.eig_backend, self.config.kmeans_n_init, self._validate_active(),
-            )
-            for b, block in enumerate(approx.blocks)
-        ]
         offset = 0
-        with self.stopwatch_.lap("spectral"), tracer.span("dasc.spectral") as span:
-            if executor.parallel and len(payloads) > 1:
-                clusterings = executor.map_ordered(_cluster_bucket_worker, payloads)
-            else:
-                clusterings = [_cluster_bucket_worker(p) for p in payloads]
-            for b, (idx, clustering) in enumerate(zip(approx.bucket_indices, clusterings)):
+        with tracer.span("dasc.spectral") as span:
+            clusterings = self._solve_buckets(X, members, kernel, allocation, executor)
+            for b, (idx, clustering) in enumerate(zip(members, clusterings)):
                 labels[idx] = offset + clustering.labels
                 offset += int(allocation[b])
             span.set("n_blocks", approx.n_blocks)
             span.set("n_local_clusters", offset)
             span.set("executor", executor.describe())
+        if tracer.enabled:
+            tracer.metrics.gauge("dasc.sigma").set(self.sigma_)
+            tracer.metrics.gauge("dasc.gram_bytes").set(approx.nbytes)
+            hist = tracer.metrics.histogram("dasc.kernel_block_bytes")
+            for idx, clustering in zip(members, clusterings):
+                if clustering.mode == "nystrom":
+                    hist.observe(idx.shape[0] * idx.shape[0] * 4)
         if (labels < 0).any():
             raise RuntimeError(
                 f"{int((labels < 0).sum())} points were never assigned a bucket cluster"
@@ -263,6 +283,51 @@ class DASC:
         self.labels_ = labels
         self.n_clusters_ = offset
         self.bucket_clusterings_ = clusterings
+
+    def _solve_buckets(self, X, members, kernel, allocation, executor) -> list[BucketClustering]:
+        """Every bucket's :func:`~repro.spectral.bucket.solve_bucket`, in bucket order.
+
+        Serially the buckets run one after another, so one Gram block is
+        alive at a time. Under a process pool, the buckets that need an
+        eigensolve fan out once: X is shared once, the largest bucket goes
+        first, and only the clusterings come back. The rest need no block
+        and run in place, as every bucket does when the kernel does not
+        pickle.
+        """
+        options = {
+            "zero_diagonal": self.config.zero_diagonal,
+            "eig_backend": self.config.eig_backend,
+            "kmeans_n_init": self.config.kmeans_n_init,
+            "validate": self._validate_active(),
+        }
+        tasks = [
+            (b, idx, int(allocation[b]), bucket_seed(self.config.seed, b))
+            for b, idx in enumerate(members)
+        ]
+        clusterings: list = [None] * len(tasks)
+        solved = [t for t in tasks if needs_eigensolve(t[1].shape[0], t[2])]
+        from repro.mapreduce.executor import SharedArray, is_picklable
+
+        if executor.parallel and len(solved) > 1 and is_picklable(kernel):
+
+            solved.sort(key=lambda task: -task[1].shape[0])
+            with SharedArray.create(X) as shared:
+                results = executor.map_ordered(
+                    _solve_bucket_task,
+                    [
+                        (shared, idx, kernel, k_i, seed, {**options, "bucket_id": b})
+                        for b, idx, k_i, seed in solved
+                    ],
+                )
+            for (b, *_), (clustering, watch) in zip(solved, results):
+                clusterings[b] = clustering
+                self.stopwatch_.merge(watch)
+        for b, idx, k_i, seed in tasks:
+            if clusterings[b] is None:
+                clusterings[b] = solve_bucket(
+                    X[idx], kernel, k_i, seed, bucket_id=b, stopwatch=self.stopwatch_, **options
+                )
+        return clusterings
 
     def fit_predict(self, X) -> np.ndarray:
         """Fit and return the global labels."""

@@ -29,7 +29,7 @@ from repro.core.signatures import make_hasher
 from repro.kernels.functions import GaussianKernel
 from repro.kernels.matrix import gram_matrix_auto
 from repro.observability import get_tracer
-from repro.spectral.bucket import BucketClustering, bucket_seed, cluster_bucket, needs_eigensolve
+from repro.spectral.bucket import BucketClustering, bucket_seed, solve_bucket
 from repro.utils.validation import check_2d
 from repro.verify.invariants import check_buckets, check_labels_range, validation_enabled
 
@@ -143,10 +143,11 @@ class StreamingDASC:
     def finalize(self) -> np.ndarray:
         """Cluster every bucket and return labels in absorption order.
 
-        Buckets are clustered serially in bucket order, each from its own
-        Gram block, so at most one block is alive at a time. Under
-        ``allocation="eigengap"`` each block is built twice, because the
-        allocation needs every bucket's estimate before any is clustered.
+        Buckets are clustered serially in bucket order, each by its own
+        :func:`~repro.spectral.bucket.solve_bucket` task, so at most one
+        Gram block is alive at a time. Under ``allocation="eigengap"`` each
+        block is built twice, because the allocation needs every bucket's
+        estimate before any is clustered.
         """
         if not self._chunks:
             raise RuntimeError("no data absorbed; call partial_fit() first")
@@ -167,14 +168,16 @@ class StreamingDASC:
                 tracer.metrics.gauge("streaming.peak_block_bytes").set(self.peak_block_bytes())
             k_total = self.config.resolve_n_clusters(X.shape[0])
             kernel = GaussianKernel(self._sigma)
+            zero_diagonal = self.config.zero_diagonal
             members = [idx for _, idx in buckets.iter_members()]
-
-            def block(idx):
-                return gram_matrix_auto(X[idx], kernel, zero_diagonal=self.config.zero_diagonal)
-
             eigengap_k = None
             if self.config.allocation == "eigengap":
-                eigengap_k = [choose_k_eigengap(block(idx), k_total) for idx in members]
+                eigengap_k = [
+                    choose_k_eigengap(
+                        gram_matrix_auto(X[idx], kernel, zero_diagonal=zero_diagonal), k_total
+                    )
+                    for idx in members
+                ]
             ks = allocate_clusters(
                 buckets.sizes, k_total, policy=self.config.allocation, eigengap_k=eigengap_k
             )
@@ -182,16 +185,14 @@ class StreamingDASC:
             clusterings = []
             offset = 0
             for b, idx in enumerate(members):
-                n_b, k_i = idx.shape[0], int(ks[b])
-                clustering = cluster_bucket(
-                    n_b, k_i, block(idx) if needs_eigensolve(n_b, k_i) else None,
-                    bucket_seed(self.config.seed, b),
-                    eig_backend=self.config.eig_backend,
-                    kmeans_n_init=self.config.kmeans_n_init, validate=validate,
+                clustering = solve_bucket(
+                    X[idx], kernel, int(ks[b]), bucket_seed(self.config.seed, b),
+                    zero_diagonal=zero_diagonal, eig_backend=self.config.eig_backend,
+                    kmeans_n_init=self.config.kmeans_n_init, validate=validate, bucket_id=b,
                 )
                 clusterings.append(clustering)
                 labels[idx] = offset + clustering.labels
-                offset += k_i
+                offset += int(ks[b])
             if (labels < 0).any():
                 raise RuntimeError(
                     f"{int((labels < 0).sum())} points were never assigned a bucket cluster"

@@ -4,10 +4,11 @@ Algorithm 2's reducer receives ``(signature, list of indices)`` and computes
 the bucket's sub-similarity matrix with ``simFunc`` (the Gaussian kernel,
 Eq. 1), writing 0 on the diagonal. The paper then hands the matrices to
 Mahout's spectral clustering; here the same reducer carries on with the NJW
-steps (:func:`repro.spectral.bucket.cluster_bucket`: Eq.-2 Laplacian,
-top-K_i eigenvectors, row-normalized K-means) so a single reduce call turns
-one bucket into final labels — which is exactly the per-bucket unit of
-parallelism the elasticity experiment exploits.
+steps (Eq.-2 Laplacian, top-K_i eigenvectors, row-normalized K-means) in
+one call to :func:`repro.spectral.bucket.solve_bucket`, the per-bucket task
+``DASC.fit`` runs too, so a single reduce call turns one bucket into final
+labels — which is exactly the per-bucket unit of parallelism the elasticity
+experiment exploits.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.functions import GaussianKernel
-from repro.kernels.matrix import gram_matrix_auto
 from repro.mapreduce.types import JobSpec
-from repro.spectral.bucket import bucket_seed, cluster_bucket, needs_eigensolve
+from repro.spectral.bucket import bucket_seed, solve_bucket
 
 __all__ = [
     "similarity_reducer",
@@ -76,24 +76,13 @@ def similarity_reducer(bucket_id, members, ctx):
     ctx.increment("dasc", "buckets_reduced")
     ctx.increment("dasc", "similarity_entries", n_i * n_i)
 
-    validate = bool(params.get("validate", False))
-    S = None
-    if needs_eigensolve(n_i, k_i):
-        # Algorithm 2: the bucket's Gram block (zero diagonal by default)...
-        zero_diagonal = params["zero_diagonal"]
-        S = gram_matrix_auto(X, GaussianKernel(params["sigma"]), zero_diagonal=zero_diagonal)
-        if validate:
-            from repro.verify.invariants import check_gram_block
-
-            check_gram_block(
-                S, zero_diagonal=zero_diagonal, unit_range=True,
-                stage="mr.stage2", bucket_id=int(bucket_id),
-            )
-    # ...then Eq. 2 + NJW embedding + K-means on the embedding rows.
-    local = cluster_bucket(
-        n_i, k_i, S, bucket_seed(params["seed"], bucket_id),
-        eig_backend=params["eig_backend"], kmeans_n_init=params["kmeans_n_init"],
-        validate=validate,
+    # Algorithm 2's Gram block (zero diagonal by default), then Eq. 2 + NJW
+    # embedding + K-means on the embedding rows: one per-bucket task.
+    local = solve_bucket(
+        X, GaussianKernel(params["sigma"]), k_i, bucket_seed(params["seed"], bucket_id),
+        zero_diagonal=params["zero_diagonal"], eig_backend=params["eig_backend"],
+        kmeans_n_init=params["kmeans_n_init"], validate=bool(params.get("validate", False)),
+        bucket_id=int(bucket_id),
     ).labels
 
     for idx, lab in zip(indices, local):

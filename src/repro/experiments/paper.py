@@ -220,12 +220,25 @@ def figure5(sizes=(1024, 2048, 4096), bit_sweep=(2, 4, 6, 8, 10, 12), *, sigma=0
     )
 
 
+def _median_time(fit, repeats: int = 3):
+    """``(median seconds, last result)`` of ``repeats`` calls of ``fit``."""
+    times, result = [], None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fit()
+        times.append(time.perf_counter() - start)
+    return float(np.median(times)), result
+
+
 def figure6(sizes=(2**9, 2**10, 2**11, 2**12), sc_max=2**11, *, seed=0) -> ExperimentResult:
     """Figure 6: measured wall time and Gram memory for DASC / SC / PSC.
 
-    The ``m`` columns model Gram memory from matrix shapes at 4 bytes an
-    entry (Eq. 12). ``peak DASC`` is measured: the ``tracemalloc`` peak of a
-    second ``DASC.fit`` with the same seed, run after every timed fit.
+    Each time is the median of three fits. The ``m`` columns model Gram
+    memory from matrix shapes at 4 bytes an entry (Eq. 12). ``peak DASC``
+    is measured: the ``tracemalloc`` peak of one more ``DASC.fit`` with the
+    same seed, run after every timed fit. ``data["blocks"]["DASC"]`` lists
+    the sizes of the Gram blocks the fit built (one per solved bucket; the
+    fit holds one at a time).
     """
     from repro import DASC, PSC, SpectralClustering
     from repro.data import make_wikipedia_dataset
@@ -235,6 +248,7 @@ def figure6(sizes=(2**9, 2**10, 2**11, 2**12), sc_max=2**11, *, seed=0) -> Exper
         "time": {a: {} for a in ("DASC", "SC", "PSC")},
         "mem": {a: {} for a in ("DASC", "SC", "PSC")},
         "peak": {"DASC": {}},
+        "blocks": {"DASC": {}},
     }
     sigma = 0.5
     inputs = {}
@@ -243,20 +257,23 @@ def figure6(sizes=(2**9, 2**10, 2**11, 2**12), sc_max=2**11, *, seed=0) -> Exper
         X, _ = make_wikipedia_dataset(n, n_categories=k, seed=seed)
         inputs[n] = k, X
 
-        start = time.perf_counter()
-        dasc = DASC(k, sigma=sigma, seed=seed).fit(X)
-        out["time"]["DASC"][n] = time.perf_counter() - start
+        out["time"]["DASC"][n], dasc = _median_time(lambda: DASC(k, sigma=sigma, seed=seed).fit(X))
         out["mem"]["DASC"][n] = dasc.approx_kernel_.nbytes
+        out["blocks"]["DASC"][n] = [
+            int(idx.shape[0])
+            for idx, bucket in zip(dasc.approx_kernel_.bucket_indices, dasc.bucket_clusterings_)
+            if bucket.mode == "nystrom"
+        ]
 
-        start = time.perf_counter()
-        psc = PSC(k, n_neighbors=16, sigma=sigma, seed=seed).fit(X)
-        out["time"]["PSC"][n] = time.perf_counter() - start
+        out["time"]["PSC"][n], psc = _median_time(
+            lambda: PSC(k, n_neighbors=16, sigma=sigma, seed=seed).fit(X)
+        )
         out["mem"]["PSC"][n] = psc.memory_.total
 
         if n <= sc_max:
-            start = time.perf_counter()
-            SpectralClustering(k, sigma=sigma, seed=seed).fit(X)
-            out["time"]["SC"][n] = time.perf_counter() - start
+            out["time"]["SC"][n], _ = _median_time(
+                lambda: SpectralClustering(k, sigma=sigma, seed=seed).fit(X)
+            )
             out["mem"]["SC"][n] = dense_matrix_bytes(n)
     # Traced after every timing, so the timed fits run in the same order
     # and state as without this column.

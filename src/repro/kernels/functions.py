@@ -40,6 +40,13 @@ class Kernel:
     def compute(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def compute_into(self, X: np.ndarray, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write ``compute(X, Y)`` into the ``(n, m)`` float64 view ``out``
+        and return it. This generic version goes through one temporary; a
+        kernel that can build in place overrides it."""
+        out[...] = self.compute(X, Y)
+        return out
+
     def diagonal(self, X) -> np.ndarray:
         """k(x, x) for each row of X without forming the full matrix.
 
@@ -61,13 +68,9 @@ class Kernel:
         return out
 
 
-def _sq_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances via the expanded-norm identity."""
-    x2 = np.einsum("ij,ij->i", X, X)[:, None]
-    y2 = np.einsum("ij,ij->i", Y, Y)[None, :]
-    d2 = x2 + y2 - 2.0 * (X @ Y.T)
-    np.maximum(d2, 0.0, out=d2)  # clip tiny negative values from cancellation
-    return d2
+#: Entries per row chunk of the in-place Gaussian: the ``|x|^2 + |y|^2``
+#: scratch stays at 256 KB, so each chunk's passes run in cache.
+_CHUNK_ENTRIES = 2**15
 
 
 class GaussianKernel(Kernel):
@@ -84,7 +87,30 @@ class GaussianKernel(Kernel):
         self.sigma = float(sigma)
 
     def compute(self, X, Y):
-        return np.exp(_sq_distances(X, Y) / (-2.0 * self.sigma**2))
+        return self.compute_into(X, Y, np.empty((X.shape[0], Y.shape[0])))
+
+    def compute_into(self, X, Y, out):
+        """Build the kernel inside ``out``: BLAS writes ``X Y^T`` there, and
+        each row chunk becomes ``exp(max(|x|^2 + |y|^2 - 2 x.y, 0) / (-2 sigma^2))``
+        in place. Every step is the elementwise operation a
+        temporary-per-step evaluation would apply, so the entries are the
+        same bits; the only large allocation is ``out``."""
+        np.matmul(X, Y.T, out=out)
+        x2 = np.einsum("ij,ij->i", X, X)
+        y2 = np.einsum("ij,ij->i", Y, Y)
+        scale = -2.0 * self.sigma**2
+        step = max(1, _CHUNK_ENTRIES // max(1, Y.shape[0]))
+        norms = np.empty((min(step, X.shape[0]), Y.shape[0]))
+        for start in range(0, X.shape[0], step):
+            rows = out[start : start + step]
+            total = norms[: rows.shape[0]]
+            np.add(x2[start : start + step, None], y2, out=total)
+            rows *= 2.0
+            np.subtract(total, rows, out=rows)
+            np.maximum(rows, 0.0, out=rows)  # clip tiny negative values from cancellation
+            rows /= scale
+            np.exp(rows, out=rows)
+        return out
 
     def diagonal(self, X):
         X = check_2d(X)

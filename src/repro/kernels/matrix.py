@@ -86,7 +86,9 @@ def gram_matrix_blocked(
 
     Equivalent to :func:`gram_matrix` but bounds the temporary working set,
     exploiting symmetry by computing only the upper-triangular panels and
-    mirroring them.
+    mirroring them. Each panel is written straight into the result (a
+    kernel that builds in place, such as the Gaussian, needs no panel
+    temporary).
     """
     X = check_2d(X)
     if block_size < 1:
@@ -95,9 +97,14 @@ def gram_matrix_blocked(
     K = np.empty((n, n), dtype=np.float64)
     for start in range(0, n, block_size):
         stop = min(start + block_size, n)
-        panel = kernel(X[start:stop], X[start:])  # upper-tri panel from the diagonal right
-        K[start:stop, start:] = panel
-        K[start:, start:stop] = panel.T
+        # The upper-triangular panel from the diagonal right, built in K...
+        kernel.compute_into(X[start:stop], X[start:], K[start:stop, start:])
+        # ...mirrored below the diagonal. The diagonal block is stored
+        # transposed too, as mirroring the whole panel leaves it; BLAS need
+        # not round k(x_i, x_j) and k(x_j, x_i) alike, and this keeps which
+        # of the two is stored.
+        K[stop:, start:stop] = K[start:stop, stop:].T
+        K[start:stop, start:stop] = K[start:stop, start:stop].T.copy()
     if zero_diagonal:
         np.fill_diagonal(K, 0.0)
     return K

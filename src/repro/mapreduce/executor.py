@@ -44,6 +44,7 @@ from __future__ import annotations
 import atexit
 import os
 import pickle
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -142,6 +143,32 @@ _SHARED_POOLS: dict[int, ProcessPoolExecutor] = {}
 # deadlocks — and a hung worker then hangs the parent's shutdown join. Drop
 # the inherited entries the moment a child is born.
 os.register_at_fork(after_in_child=_SHARED_POOLS.clear)
+
+
+# The pid of the resource tracker a fork child inherited from its parent, if
+# any (SharedArray.asarray must not unregister with a shared tracker).
+_INHERITED_TRACKER_PID = None
+
+
+def _note_inherited_tracker() -> None:
+    global _INHERITED_TRACKER_PID
+    module = sys.modules.get("multiprocessing.resource_tracker")
+    _INHERITED_TRACKER_PID = getattr(getattr(module, "_resource_tracker", None), "_pid", None)
+
+
+os.register_at_fork(after_in_child=_note_inherited_tracker)
+
+
+def _owns_resource_tracker() -> bool:
+    """Whether this process launched the resource tracker it reports to.
+
+    A fork child inherits its parent's tracker pid (noted at fork); a spawn
+    child inherits only the tracker's pipe, so it holds no pid at all.
+    """
+    from multiprocessing import resource_tracker
+
+    pid = getattr(resource_tracker._resource_tracker, "_pid", None)
+    return pid is not None and pid != _INHERITED_TRACKER_PID
 
 
 def _make_pool(n_workers: int) -> ProcessPoolExecutor:
@@ -367,19 +394,18 @@ class SharedArray:
     def asarray(self) -> np.ndarray:
         """Attach (if needed) and view the shared segment as a read-only array."""
         if self._shm is None:
-            from multiprocessing import shared_memory
+            from multiprocessing import resource_tracker, shared_memory
 
             self._shm = shared_memory.SharedMemory(name=self.name)
-            try:
-                # An attaching (non-owning) process must not let Python's
-                # resource tracker "clean up" the owner's segment at exit
-                # (bpo-38119); 3.13 has track=False, older versions need
-                # the unregister workaround.
-                from multiprocessing import resource_tracker
-
+            # Attaching registers the segment with the resource tracker,
+            # which unlinks what is still registered when its processes
+            # exit (bpo-38119; 3.13 has track=False). A process with a
+            # tracker of its own must take the entry back, or the owner's
+            # segment dies with it. A child sharing its parent's tracker
+            # must not: the entry it would remove is the owner's, and the
+            # owner's unlink then fails inside the tracker.
+            if not self._owner and _owns_resource_tracker():
                 resource_tracker.unregister(self._shm._name, "shared_memory")
-            except Exception:
-                pass
         view = np.ndarray(self.shape, dtype=np.dtype(self.dtype), buffer=self._shm.buf)
         view.flags.writeable = self._owner
         return view

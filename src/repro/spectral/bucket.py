@@ -1,13 +1,17 @@
 """One bucket's spectral clustering — DASC's unit of work.
 
-Every path that clusters a bucket runs :func:`cluster_bucket`: ``DASC.fit``
+Every path that clusters a bucket runs :func:`solve_bucket`: ``DASC.fit``
 (serially or in process-pool workers), ``StreamingDASC.finalize`` and the
-stage-2 reducer (one per bucket, Section 5.1). It applies the NJW steps to
-the bucket's Gram block — the Eq.-2 matrix, its top-``k_i`` eigenvectors,
-row-normalized, then K-means — and returns the local labels with the
-Nyström artifacts serving needs, so an exported model reads them instead of
-clustering the bucket again. The Eq.-2 matrix is an operator over the Gram
-block; only a dense eigensolve forms it.
+stage-2 reducer (one per bucket, Section 5.1). Given the bucket's rows it
+builds the bucket's Gram block (Algorithm 2) — only when the eigensolve
+needs it — and hands it to :func:`cluster_bucket`, which applies the NJW
+steps: the Eq.-2 matrix, its top-``k_i`` eigenvectors, row-normalized,
+then K-means. The block is dropped when the call returns, so a process
+running buckets one after another holds one block at a time. The result
+is the local labels with the Nyström artifacts serving needs, so an
+exported model reads them instead of clustering the bucket again. The
+Eq.-2 matrix is an operator over the Gram block; only a dense eigensolve
+forms it.
 """
 
 from __future__ import annotations
@@ -17,13 +21,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kernels.matrix import gram_matrix_auto
 from repro.observability import get_tracer
 from repro.spectral.eigen import top_eigenvectors
 from repro.spectral.embedding import row_normalize
 from repro.spectral.kmeans import KMeans
 from repro.spectral.laplacian import NormalizedLaplacianOperator
+from repro.utils.timing import Stopwatch
 
-__all__ = ["BucketClustering", "bucket_seed", "cluster_bucket", "needs_eigensolve"]
+__all__ = [
+    "BucketClustering",
+    "bucket_seed",
+    "cluster_bucket",
+    "needs_eigensolve",
+    "solve_bucket",
+]
 
 
 @dataclass
@@ -113,4 +125,50 @@ def cluster_bucket(
             basis=vecs,
             eigenvalues=vals,
             centroids=km.cluster_centers_,
+        )
+
+
+def solve_bucket(
+    rows: np.ndarray,
+    kernel,
+    k_i: int,
+    seed=None,
+    *,
+    zero_diagonal: bool = True,
+    eig_backend: str = "auto",
+    kmeans_n_init: int = 4,
+    validate: bool = False,
+    bucket_id: int | None = None,
+    stopwatch: Stopwatch | None = None,
+) -> BucketClustering:
+    """Cluster the bucket whose points are ``rows`` into ``k_i`` local labels.
+
+    When :func:`needs_eigensolve` holds, the bucket's Gram block
+    (``kernel`` over ``rows``, zero diagonal by default, as Algorithm 2
+    writes it) is built in a ``dasc.kernel`` trace span carrying ``n_i``,
+    checked under ``validate``
+    (:func:`~repro.verify.invariants.check_gram_block`), and passed to
+    :func:`cluster_bucket` with the other arguments; it is not kept.
+    Otherwise no block is built. ``bucket_id`` names the bucket in a failed
+    check. A ``stopwatch`` accumulates the block's build under the
+    ``"kernel"`` lap and the clustering under ``"spectral"``.
+    """
+    watch = stopwatch if stopwatch is not None else Stopwatch()
+    n_i = rows.shape[0]
+    S = None
+    with watch.lap("kernel"):
+        if needs_eigensolve(n_i, k_i):
+            with get_tracer().span("dasc.kernel", n_i=n_i):
+                S = gram_matrix_auto(rows, kernel, zero_diagonal=zero_diagonal)
+            if validate:
+                from repro.verify.invariants import check_gram_block
+
+                check_gram_block(
+                    S, zero_diagonal=zero_diagonal,
+                    unit_range=getattr(kernel, "unit_range", False), bucket_id=bucket_id,
+                )
+    with watch.lap("spectral"):
+        return cluster_bucket(
+            n_i, k_i, S, seed, eig_backend=eig_backend, kmeans_n_init=kmeans_n_init,
+            validate=validate,
         )

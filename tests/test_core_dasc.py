@@ -131,8 +131,11 @@ class TestBucketSeed:
     def test_each_bucket_reclusters_alone(self, blobs_medium):
         """A bucket's labels depend on its block, K_i and bucket_seed(seed, b) only."""
         X, _ = blobs_medium
-        dasc = DASC(6, n_bits=8, min_bucket_size=4, seed=3).fit(X)
-        for b, block in enumerate(dasc.approx_kernel_.blocks):
+        dasc = DASC(12, n_bits=8, min_bucket_size=4, seed=3).fit(X)
+        blocks = DASC(12, n_bits=8, min_bucket_size=4, seed=3).transform(X).blocks
+        assert len(blocks) == dasc.buckets_.n_buckets > 1
+        assert all(c.mode == "nystrom" for c in dasc.bucket_clusterings_)
+        for b, block in enumerate(blocks):
             alone = cluster_bucket(
                 block.shape[0], int(dasc.cluster_allocation_[b]), block, bucket_seed(3, b)
             )
@@ -142,6 +145,60 @@ class TestBucketSeed:
         assert bucket_seed(5, 2) == bucket_seed(np.int64(5), 2) == 7
         assert bucket_seed(None, 4) == bucket_seed(0, 4) == 4
         assert bucket_seed(2**31 - 1, 1) == 0
+
+
+class TestPerBucketTask:
+    """Each bucket's Gram block is built inside its own task and dropped."""
+
+    def test_no_block_for_buckets_that_skip_the_eigensolve(self, blobs_small, monkeypatch):
+        import repro.core.dasc as dasc_mod
+        import repro.spectral.bucket as bucket_mod
+
+        built = []
+        real = bucket_mod.gram_matrix_auto
+
+        def spy(rows, *args, **kwargs):
+            built.append(rows.shape[0])
+            return real(rows, *args, **kwargs)
+
+        monkeypatch.setattr(bucket_mod, "gram_matrix_auto", spy)
+        # Four 100-point buckets: k_i = n_i, k_i = 1, a solved one, k_i > n_i.
+        monkeypatch.setattr(
+            dasc_mod, "allocate_clusters", lambda *a, **k: np.array([100, 1, 3, 150])
+        )
+        X, _ = blobs_small
+        est = DASC(4, n_bits=6, seed=0).fit(X)
+        assert est.buckets_.sizes.tolist() == [100] * 4
+        assert [c.mode for c in est.bucket_clusterings_] == ["nn", "const", "nystrom", "nn"]
+        assert built == [100]
+
+    def test_one_block_alive_at_a_time(self):
+        """Two solved 1000-point buckets: the fit's traced peak stays below
+        the float64 bytes of both blocks together. Serial and unvalidated:
+        workers would build the blocks outside this process, and the
+        symmetry check holds a temporary the size of a block."""
+        from repro.data import make_blobs
+        from repro.utils import traced_peak
+
+        X, _ = make_blobs(n_samples=2000, n_clusters=4, n_features=16, cluster_std=0.03, seed=0)
+        est, peak = traced_peak(lambda: DASC(8, seed=0, n_jobs=1, validate=False).fit(X))
+        sizes = est.buckets_.sizes
+        assert sizes.tolist() == [1000, 1000]
+        assert [c.mode for c in est.bucket_clusterings_] == ["nystrom", "nystrom"]
+        assert peak < 8 * int((sizes**2).sum()), peak
+
+    def test_fit_keeps_the_accounting_not_the_blocks(self, blobs_small):
+        X, _ = blobs_small
+        fitted = DASC(4, seed=0).fit(X).approx_kernel_
+        built = DASC(4, seed=0).transform(X)
+        assert fitted.blocks is None and len(built.blocks) == built.n_blocks
+        assert fitted.n_blocks == built.n_blocks
+        assert fitted.nbytes == built.nbytes
+        assert fitted.stored_entries == built.stored_entries
+        assert fitted.block_sizes.tolist() == built.block_sizes.tolist()
+        for method in (fitted.frobenius_norm, fitted.to_dense):
+            with pytest.raises(RuntimeError, match=r"transform\(X\)"):
+                method()
 
 
 def _blobs_2d(n, centres, std, seed=0):
@@ -210,7 +267,7 @@ class TestAutoEigensolver:
         auto, records = _one_bucket_fit(X, 3, 0.02)
         dense, _ = _one_bucket_fit(X, 3, 0.02, backend="dense")
         assert [e["solver"] for e in _events(records, "eigen.solve")] == ["arpack"]
-        L = normalized_laplacian(dense.approx_kernel_.blocks[0])
+        L = normalized_laplacian(DASC(config=dense.config).transform(X).blocks[0])
         for est in (auto, dense):
             bucket = est.bucket_clusterings_[0]
             assert np.abs(bucket.eigenvalues - 1.0).max() <= 1e-10

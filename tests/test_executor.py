@@ -1,7 +1,12 @@
 """Executor backends: worker resolution, determinism, fallback, shared memory."""
 
+import dataclasses
+import multiprocessing as mp
 import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +155,55 @@ class TestSharedArray:
             sums = ex.map_ordered(_shared_row_sum, [(shared, i) for i in range(8)])
         np.testing.assert_allclose(sums, X.sum(axis=1))
 
+    @pytest.mark.skipif("fork" not in mp.get_all_start_methods(), reason="needs fork")
+    def test_forked_attach_leaves_the_owners_registration(self):
+        """A fork child reports to its parent's resource tracker, where the
+        segment is registered once, by the owner. An attach that takes that
+        entry back makes the owner's unlink fail inside the tracker
+        (``KeyError: '/psm_...'`` on stderr)."""
+        from multiprocessing import resource_tracker
+
+        ctx = mp.get_context("fork")
+        X = np.arange(6, dtype=np.float64).reshape(2, 3)
+        with SharedArray.create(X) as shared:
+            reader, writer = ctx.Pipe(duplex=False)
+
+            def child():
+                calls = []
+                resource_tracker.unregister = lambda name, rtype: calls.append(name)
+                handle = pickle.loads(pickle.dumps(shared))
+                writer.send((handle.asarray().tolist(), calls))
+                handle.close()
+
+            proc = ctx.Process(target=child)
+            proc.start()
+            rows, calls = reader.recv()
+            proc.join()
+        assert rows == X.tolist()
+        assert calls == []
+
+    def test_attach_from_an_unrelated_process_keeps_the_segment(self):
+        """A process with a tracker of its own takes the attach's
+        registration back, so its exit does not unlink the owner's segment."""
+        X = np.arange(12, dtype=np.float64).reshape(3, 4)
+        src = Path(__file__).resolve().parent.parent / "src"
+        with SharedArray.create(X) as shared:
+            probe = (
+                "from repro.mapreduce.executor import SharedArray\n"
+                f"h = SharedArray({shared.name!r}, {shared.shape!r}, {shared.dtype!r})\n"
+                "print(float(h.asarray().sum()))\n"
+                "h.close()\n"
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+                capture_output=True, text=True, check=True,
+            )
+            assert float(out.stdout) == X.sum()
+            assert "leaked" not in out.stderr and "Traceback" not in out.stderr
+            handle = pickle.loads(pickle.dumps(shared))
+            np.testing.assert_array_equal(handle.asarray(), X)  # still linked
+            handle.close()
+
 
 def _shared_row_sum(payload):
     shared, row = payload
@@ -213,27 +267,46 @@ class TestEngineParallelSemantics:
         assert result.output == baseline.output
 
 
+def assert_same_clusterings(got, want):
+    """Every field of every bucket's clustering equal, arrays bit for bit."""
+    assert len(got) == len(want)
+    for b, (g, w) in enumerate(zip(got, want)):
+        for field in dataclasses.fields(g):
+            a, e = getattr(g, field.name), getattr(w, field.name)
+            if isinstance(e, np.ndarray):
+                np.testing.assert_array_equal(a, e, err_msg=f"bucket {b} {field.name}")
+            else:
+                assert a == e, (b, field.name)
+
+
+def _solved(est) -> int:
+    return sum(c.mode == "nystrom" for c in est.bucket_clusterings_)
+
+
 class TestDASCParallel:
     def test_fit_bit_identical(self, blobs_small):
+        """Four 100-point buckets, each solved in a worker."""
         from repro.core import DASCConfig
         from repro.core.dasc import DASC
 
         X, _ = blobs_small
-        serial = DASC(4, config=DASCConfig(seed=0)).fit(X)
-        parallel = DASC(4, config=DASCConfig(seed=0, n_jobs=2)).fit(X)
+        serial = DASC(8, config=DASCConfig(seed=0, n_bits=6)).fit(X)
+        parallel = DASC(8, config=DASCConfig(seed=0, n_bits=6, n_jobs=2)).fit(X)
+        assert _solved(serial) == 4
         assert np.array_equal(parallel.labels_, serial.labels_)
         assert parallel.n_clusters_ == serial.n_clusters_
-        for a, b in zip(serial.approx_kernel_.blocks, parallel.approx_kernel_.blocks):
-            np.testing.assert_array_equal(a, b)
+        assert_same_clusterings(parallel.bucket_clusterings_, serial.bucket_clusterings_)
 
     def test_eigengap_allocation_bit_identical(self, blobs_small):
         from repro.core import DASCConfig
         from repro.core.dasc import DASC
 
         X, _ = blobs_small
-        serial = DASC(4, config=DASCConfig(seed=0, allocation="eigengap")).fit(X)
-        parallel = DASC(4, config=DASCConfig(seed=0, allocation="eigengap", n_jobs=2)).fit(X)
+        serial = DASC(6, config=DASCConfig(seed=0, allocation="eigengap")).fit(X)
+        parallel = DASC(6, config=DASCConfig(seed=0, allocation="eigengap", n_jobs=2)).fit(X)
+        assert _solved(serial) == 2
         assert np.array_equal(parallel.labels_, serial.labels_)
         np.testing.assert_array_equal(
             parallel.cluster_allocation_, serial.cluster_allocation_
         )
+        assert_same_clusterings(parallel.bucket_clusterings_, serial.bucket_clusterings_)

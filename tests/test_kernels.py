@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import (
+    BLOCKED_THRESHOLD,
     CosineKernel,
     GaussianKernel,
     LaplacianKernel,
@@ -13,6 +14,7 @@ from repro.kernels import (
     PolynomialKernel,
     get_kernel,
     gram_matrix,
+    gram_matrix_auto,
     gram_matrix_blocked,
     mean_knn_heuristic,
     median_heuristic,
@@ -220,6 +222,77 @@ class TestGramMatrixAuto:
             assert np.array_equal(plain, blocked)
         else:
             np.testing.assert_allclose(blocked, plain, rtol=0, atol=5e-14)
+
+
+def _gaussian_one_temporary_per_step(X, Y, sigma):
+    """Eq. (1) the plain way: every step of the expression allocates."""
+    x2 = np.einsum("ij,ij->i", X, X)[:, None]
+    y2 = np.einsum("ij,ij->i", Y, Y)[None, :]
+    d2 = x2 + y2 - 2.0 * (X @ Y.T)
+    np.maximum(d2, 0.0, out=d2)
+    return np.exp(d2 / (-2.0 * sigma**2))
+
+
+def _gram_one_temporary_per_step(X, sigma, zero_diagonal, threshold, block_size):
+    """The same partition as gram_matrix_auto, each panel built apart and copied in."""
+    n = X.shape[0]
+    if n <= threshold:
+        K = _gaussian_one_temporary_per_step(X, X, sigma)
+    else:
+        K = np.empty((n, n))
+        for start in range(0, n, block_size):
+            stop = min(start + block_size, n)
+            panel = _gaussian_one_temporary_per_step(X[start:stop], X[start:], sigma)
+            K[start:stop, start:] = panel
+            K[start:, start:stop] = panel.T
+    if zero_diagonal:
+        np.fill_diagonal(K, 0.0)
+    return K
+
+
+class TestInPlaceGaussian:
+    """The Gaussian is built inside its output and must be the same bits."""
+
+    @pytest.mark.parametrize("zero_diagonal", [True, False])
+    @pytest.mark.parametrize(
+        "n, threshold, block_size",
+        [
+            (BLOCKED_THRESHOLD, BLOCKED_THRESHOLD, 1024),
+            (BLOCKED_THRESHOLD + 1, BLOCKED_THRESHOLD, 1024),
+            (3072, BLOCKED_THRESHOLD, 1024),
+            (3073, BLOCKED_THRESHOLD, 1024),
+            (63, 64, 32),
+            (64, 64, 32),
+            (65, 64, 32),
+            (96, 64, 32),
+            (97, 64, 32),
+        ],
+    )
+    def test_gram_bitwise_equal(self, n, threshold, block_size, zero_diagonal):
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, 8))
+        X[n // 2] = X[3]  # a duplicate row: a zero distance off the diagonal
+        got = gram_matrix_auto(
+            X, GaussianKernel(0.6), zero_diagonal=zero_diagonal,
+            threshold=threshold, block_size=block_size,
+        )
+        want = _gram_one_temporary_per_step(X, 0.6, zero_diagonal, threshold, block_size)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m, n", [(1, 50), (7, 300), (300, 7)])
+    def test_cross_kernel_bitwise_equal(self, m, n):
+        rng = np.random.default_rng(m + n)
+        X, Y = rng.standard_normal((m, 5)), rng.standard_normal((n, 5))
+        assert np.array_equal(GaussianKernel(0.8)(X, Y), _gaussian_one_temporary_per_step(X, Y, 0.8))
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: type(k).__name__)
+    def test_compute_into_fills_a_strided_view(self, kernel, rng):
+        X, Y = rng.standard_normal((6, 3)), rng.standard_normal((9, 3))
+        buffer = np.full((8, 12), np.nan)
+        out = buffer[1:7, 2:11]
+        assert kernel.compute_into(X, Y, out) is out
+        np.testing.assert_array_equal(out, kernel(X, Y))
+        assert np.isnan(buffer[0]).all() and np.isnan(buffer[:, :2]).all()
 
 
 class TestDiagonalVectorized:
