@@ -22,7 +22,6 @@ from benchmarks._harness import print_table, run_once
 from repro.core.config import DASCConfig
 from repro.core.dasc import DASC
 from repro.data import make_blobs
-from repro.mapreduce import JobSpec, MapReduceEngine, ParallelExecutor, SerialExecutor
 
 N_SAMPLES = 20_000
 N_CLUSTERS = 8
@@ -62,48 +61,3 @@ def test_dasc_fit_speedup(benchmark):
     if (os.cpu_count() or 1) >= 4:
         assert speedup_at_4 >= 2.0, f"expected >= 2x at 4 workers, got {speedup_at_4:.2f}x"
 
-
-def _burn_mapper(key, value, ctx):
-    """A compute-bound mapper (repeated small matrix products)."""
-    rng = np.random.default_rng(int(key) % 65536)
-    a = rng.standard_normal((96, 96))
-    for _ in range(4):
-        a = a @ a.T / 96.0
-    ctx.increment("burn", "records")
-    yield (int(key) % 4, float(abs(a).mean()))
-
-
-def _sum_reducer(key, values, ctx):
-    yield (key, float(np.sum(values)))
-
-
-def test_engine_map_phase_speedup(benchmark):
-    """MapReduceEngine task fan-out: identical output, scaled wall clock."""
-    job = JobSpec(name="burn", mapper=_burn_mapper, reducer=_sum_reducer, n_reducers=4)
-    splits = [[(i * 8 + j, None) for j in range(8)] for i in range(24)]
-
-    def sweep():
-        results = {}
-        for w in WORKER_COUNTS:
-            executor = SerialExecutor() if w == 1 else ParallelExecutor(w, fallback=False)
-            engine = MapReduceEngine(executor=executor)
-            start = time.perf_counter()
-            out = engine.run(job, splits)
-            results[w] = (time.perf_counter() - start, out.output, out.counters.as_dict())
-        return results
-
-    results = run_once(benchmark, sweep)
-    base_time, base_output, base_counters = results[1]
-    rows = []
-    for w in WORKER_COUNTS:
-        elapsed, output, counters = results[w]
-        assert output == base_output, f"reduce output diverged at {w} workers"
-        assert counters == base_counters, f"counters diverged at {w} workers"
-        rows.append([w, f"{elapsed:.2f}", f"{base_time / elapsed:.2f}x"])
-    print_table(
-        f"MapReduce map-phase speedup ({os.cpu_count()} cores visible)",
-        ["workers", "seconds", "speedup"],
-        rows,
-    )
-    benchmark.extra_info["cores_available"] = os.cpu_count()
-    benchmark.extra_info["seconds_by_workers"] = {str(w): results[w][0] for w in WORKER_COUNTS}

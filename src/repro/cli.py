@@ -20,7 +20,7 @@ Three subcommands cover the common workflows:
   benchmark runs into schema-versioned ``BENCH_<tag>.json`` snapshots and
   gate a current snapshot against a committed baseline in CI.
 * ``repro verify`` — the differential verification harness: the same
-  seeded workload through serial vs process-pool execution, local vs
+  seeded workload through a serial vs process-pool ``DASC.fit``, local vs
   MapReduce DASC, and crash-resumed vs uninterrupted job flows
   (bit-identical labels/counters), plus DASC-vs-exact-SC quality gates
   (Section 5.3), with stage-boundary invariant checks armed.
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument(
         "--n-jobs", type=int, default=2,
-        help="worker processes for the parallel legs (default: 2)",
+        help="worker processes for the parallel DASC.fit legs (default: 2)",
     )
     p_verify.add_argument("--n-nodes", type=int, default=4, help="simulated cluster size")
     p_verify.add_argument("--nmi-min", type=float, default=0.95, help="NMI quality gate")

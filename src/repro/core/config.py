@@ -106,7 +106,9 @@ class DASCConfig:
         ``None`` defers to the ``REPRO_N_JOBS`` environment variable
         (unset: serial); ``-1`` uses all visible cores. Results are
         bit-identical to serial for any value — buckets are independent
-        sub-problems and labels merge in bucket order.
+        sub-problems and labels merge in bucket order. Only ``DASC.fit``
+        reads it: ``StreamingDASC`` clusters its buckets serially, and
+        ``DistributedDASC``'s are stage-2 reduce tasks, run in-process.
     validate:
         Run the :mod:`repro.verify.invariants` checks at every stage
         boundary (bucket partition, Gram blocks, Laplacian spectrum,

@@ -127,12 +127,6 @@ class DistributedDASC:
         is created when omitted, so independent runs don't share state).
     split_size:
         Records per HDFS input split (the unit of map parallelism).
-    n_jobs:
-        Worker processes for real task compute (``None``: the
-        ``REPRO_N_JOBS`` environment variable, unset = serial). Applies
-        when the driver creates its own EMR service; an explicit ``emr``
-        keeps whatever executor it was built with. Results are
-        bit-identical to serial for any value.
     autoscaler:
         Optional :class:`~repro.mapreduce.autoscale.Autoscaler` making the
         provisioned cluster elastic: it resizes between the flow's phases
@@ -150,7 +144,6 @@ class DistributedDASC:
         config: DASCConfig | None = None,
         emr: ElasticMapReduce | None = None,
         split_size: int = 1024,
-        n_jobs: int | None = None,
         autoscaler=None,
     ):
         self.config = replace(config) if config is not None else DASCConfig()
@@ -166,12 +159,7 @@ class DistributedDASC:
         if n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
         self.n_nodes = int(n_nodes)
-        if emr is not None:
-            self.emr = emr
-        else:
-            from repro.mapreduce.executor import resolve_executor
-
-            self.emr = ElasticMapReduce(executor=resolve_executor(n_jobs))
+        self.emr = emr if emr is not None else ElasticMapReduce()
         self.split_size = int(split_size)
         self.autoscaler = autoscaler
         self._pending: dict[str, dict] = {}

@@ -4,7 +4,8 @@ A deterministic, in-process MapReduce engine with the pieces the paper's
 deployment story needs:
 
 * :mod:`repro.mapreduce.types` — keyed records and job definitions,
-* :mod:`repro.mapreduce.engine` — map / combine / shuffle-sort / reduce,
+* :mod:`repro.mapreduce.engine` — map / shuffle-sort / reduce, every task
+  in-process,
 * :mod:`repro.mapreduce.hdfs` — a simulated distributed filesystem
   (splits, replication, block placement),
 * :mod:`repro.mapreduce.cluster` — a simulated cluster: nodes with map and
@@ -23,7 +24,8 @@ deployment story needs:
   seeded retries, quarantine),
 * :mod:`repro.mapreduce.counters` — Hadoop-style counters,
 * :mod:`repro.mapreduce.executor` — serial / process-pool execution
-  backends for real-core task parallelism (``REPRO_N_JOBS``).
+  backends for real-core parallelism, used by ``DASC.fit``'s per-bucket
+  fan-out (``REPRO_N_JOBS``).
 """
 
 from repro.mapreduce.types import MapTaskResult, JobSpec
@@ -34,7 +36,6 @@ from repro.mapreduce.executor import (
     ParallelExecutor,
     SerialExecutor,
     SharedArray,
-    default_executor,
     effective_n_jobs,
     resolve_executor,
 )
@@ -94,7 +95,6 @@ __all__ = [
     "SharedArray",
     "effective_n_jobs",
     "resolve_executor",
-    "default_executor",
     "SimulatedHDFS",
     "FileSplit",
     "ReplicaUnavailableError",

@@ -36,9 +36,6 @@ class ElasticMapReduce:
     ----------
     node_config:
         Per-node resources of provisioned clusters (Table 2 defaults).
-    executor:
-        Task-compute backend shared by provisioned engines (``None``: each
-        engine resolves from ``REPRO_N_JOBS``).
     store:
         The raw object store backing the service (``None``: a fresh
         :class:`S3Store`). Pass a
@@ -54,14 +51,12 @@ class ElasticMapReduce:
         self,
         *,
         node_config: NodeConfig = EMR_NODE_CONFIG,
-        executor=None,
         store=None,
         retry: RetryPolicy | None = None,
     ):
         self.s3 = store if store is not None else S3Store()
         self.storage = ResilientStore.wrap(self.s3, retry=retry)
         self.node_config = node_config
-        self.executor = executor  # None: each engine resolves from REPRO_N_JOBS
         self._flows: dict[str, _ProvisionedFlow] = {}
         self._next_id = 0
 
@@ -83,7 +78,7 @@ class ElasticMapReduce:
         cluster = SimulatedCluster(n_nodes, node=self.node_config)
         flow_id = f"j-{self._next_id:06d}"
         flow = JobFlow(
-            engine=MapReduceEngine(cluster, executor=self.executor),
+            engine=MapReduceEngine(cluster),
             fs=SimulatedHDFS(
                 n_nodes, replication=self.node_config.replication, default_split_size=split_size
             ),

@@ -1,24 +1,16 @@
-"""The MapReduce engine: map -> combine -> partition -> sort -> reduce.
+"""The MapReduce engine: map -> partition -> sort -> reduce.
 
 Executes a :class:`~repro.mapreduce.types.JobSpec` over input splits with
-full Hadoop semantics (per-split map tasks, optional combiner, hash
-partitioning, per-partition key sort, one reduce call per key) while
-tracking, for every task, an abstract *cost* that the simulated cluster
-turns into a makespan. Execution is deterministic; *where* tasks run is the
-engine's executor backend:
-
-* the default :class:`~repro.mapreduce.executor.SerialExecutor` runs every
-  task in-process (the historical behavior);
-* a :class:`~repro.mapreduce.executor.ParallelExecutor` fans independent
-  map tasks and per-partition reduce tasks out across worker processes and
-  collects the results **in task order**, so outputs, shuffle partitioning
-  and counter totals are bit-identical to a serial run — only the real
-  wall-clock changes. Jobs whose callables cannot cross a process boundary
-  (closures, lambdas) stay on the serial path automatically.
+Hadoop semantics (per-split map tasks, hash partitioning, per-partition key
+sort, one reduce call per key) while tracking, for every task, an abstract
+*cost* that the simulated cluster turns into a makespan. Every task runs
+in-process, in task order, so execution is deterministic: *where* a task
+runs is the simulated cluster's business (Table 3's elasticity), and only
+its makespan depends on it.
 
 Task bodies are pure module-level functions (:func:`execute_map_task`,
-:func:`execute_reduce_task`) so both backends — and the fault-injecting
-engine's retries — run literally the same code.
+:func:`execute_reduce_task`) so the plain engine and the fault-injecting
+engine's retries run literally the same code.
 """
 
 from __future__ import annotations
@@ -31,7 +23,6 @@ from typing import Any
 
 from repro.mapreduce.cluster import SimulatedCluster, TaskStats
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.executor import default_executor, is_picklable
 from repro.mapreduce.hdfs import FileSplit
 from repro.mapreduce.types import JobSpec, MapTaskResult
 from repro.observability import get_tracer
@@ -138,23 +129,11 @@ def _sort_key(item: tuple) -> tuple:
 
 # -- pure task bodies --------------------------------------------------------
 #
-# Module-level so that (a) worker processes can import them by reference and
-# (b) serial, parallel, and fault-retried execution share one code path.
-
-
-def _combine_records(job: JobSpec, records: list[tuple], ctx: TaskContext) -> list[tuple]:
-    grouped: dict[Any, list] = defaultdict(list)
-    for key, value in records:
-        grouped[key].append(value)
-    out: list[tuple] = []
-    for key in grouped:
-        out.extend(tuple(r) for r in job.combiner(key, grouped[key], ctx))
-    ctx.counters.increment("combine", "output_records", len(out))
-    return out
+# Module-level so that plain and fault-retried execution share one code path.
 
 
 def execute_map_task(job: JobSpec, records, ctx: TaskContext) -> MapTaskResult:
-    """Run one map task (mapper over every record, then the combiner)."""
+    """Run one map task (the mapper over every record)."""
     emitted: list[tuple] = []
     cost = 0.0
     n_in = 0
@@ -166,8 +145,6 @@ def execute_map_task(job: JobSpec, records, ctx: TaskContext) -> MapTaskResult:
         cost += job.map_cost(key, value) if job.map_cost else 1.0
     ctx.counters.increment("map", "input_records", n_in)
     ctx.counters.increment("map", "output_records", len(emitted))
-    if job.combiner is not None:
-        emitted = _combine_records(job, emitted, ctx)
     return MapTaskResult(records=emitted, n_input_records=n_in, cost=cost)
 
 
@@ -191,43 +168,6 @@ def execute_reduce_task(job: JobSpec, records: list[tuple], ctx: TaskContext):
     return out, cost
 
 
-def _map_task_worker(payload):
-    """Process-pool entry point for one map task.
-
-    Returns ``(status, value, counters, elapsed)`` instead of raising so the
-    parent can merge partial counters in task order before surfacing an
-    error — matching the serial engine's partial-state semantics exactly.
-    """
-    from repro.mapreduce.executor import _null_child_tracer
-
-    _null_child_tracer()
-    job, records, task_id = payload
-    counters = Counters()
-    ctx = TaskContext(job=job, counters=counters, task_id=task_id)
-    start = time.perf_counter()
-    try:
-        result = execute_map_task(job, records, ctx)
-    except Exception as exc:  # surfaced (with counters) by the parent
-        return ("error", exc, counters, time.perf_counter() - start)
-    return ("ok", result, counters, time.perf_counter() - start)
-
-
-def _reduce_task_worker(payload):
-    """Process-pool entry point for one reduce task (same contract as map)."""
-    from repro.mapreduce.executor import _null_child_tracer
-
-    _null_child_tracer()
-    job, records, task_id = payload
-    counters = Counters()
-    ctx = TaskContext(job=job, counters=counters, task_id=task_id)
-    start = time.perf_counter()
-    try:
-        out, cost = execute_reduce_task(job, records, ctx)
-    except Exception as exc:
-        return ("error", exc, counters, time.perf_counter() - start)
-    return ("ok", (out, cost), counters, time.perf_counter() - start)
-
-
 class MapReduceEngine:
     """Runs JobSpecs on a :class:`SimulatedCluster`.
 
@@ -236,16 +176,10 @@ class MapReduceEngine:
     cluster:
         The simulated cluster providing slots (default: one single-slot-ish
         node, i.e. serial semantics).
-    executor:
-        Execution backend for task compute. Default:
-        :func:`~repro.mapreduce.executor.default_executor` — serial unless
-        ``REPRO_N_JOBS`` asks for workers. The simulated *makespan* is
-        unaffected by the backend; only real wall-clock is.
     """
 
-    def __init__(self, cluster: SimulatedCluster | None = None, *, executor=None, autoscaler=None):
+    def __init__(self, cluster: SimulatedCluster | None = None, *, autoscaler=None):
         self.cluster = cluster if cluster is not None else SimulatedCluster(1)
-        self.executor = executor if executor is not None else default_executor()
         # Between-phase resize hook (see repro.mapreduce.autoscale); a bound
         # JobFlow installs its autoscaler here for the duration of a run.
         self.autoscaler = autoscaler
@@ -260,32 +194,12 @@ class MapReduceEngine:
         """
         tracer = get_tracer()
         with tracer.span("mr.job", job=job.name, n_splits=len(splits)) as job_span:
-            result = self._run_job(job, splits, tracer, job_span)
+            result = self._run_job(job, splits, tracer)
             job_span.set("makespan", result.makespan)
             job_span.set("n_output_records", len(result.output))
         return result
 
-    def _parallel_tasks_enabled(self, job: JobSpec) -> bool:
-        """Whether this job's tasks may run on the parallel backend.
-
-        Requires a parallel executor, un-overridden task hooks (the fault
-        engine's per-attempt retries are inherently in-process), and a
-        picklable job spec. Anything else silently stays serial — behavior,
-        not performance, is the contract.
-        """
-        if not getattr(self.executor, "parallel", False):
-            return False
-        if type(self)._run_map_task is not MapReduceEngine._run_map_task:
-            return False
-        if type(self)._run_reduce_task is not MapReduceEngine._run_reduce_task:
-            return False
-        return is_picklable(job)
-
-    def _run_job(self, job: JobSpec, splits, tracer, job_span) -> JobResult:
-        parallel = self._parallel_tasks_enabled(job)
-        if tracer.enabled:
-            job_span.set("executor", self.executor.describe() if parallel else "serial")
-
+    def _run_job(self, job: JobSpec, splits, tracer) -> JobResult:
         # -- map phase -------------------------------------------------------
         split_records = []
         placements = []
@@ -299,18 +213,15 @@ class MapReduceEngine:
         counters = Counters()
         validate = _validation_enabled()
         phase_start = time.perf_counter()
-        if parallel:
-            map_results = self._map_phase_parallel(job, split_records, counters, tracer)
-        else:
-            map_results = self._map_phase_serial(job, split_records, counters, tracer)
+        map_results = self._map_phase(job, split_records, counters, tracer)
         map_wall = time.perf_counter() - phase_start
         with tracer.span("mr.schedule", phase="map"):
             map_stats = self._schedule_map_phase(map_results, placements, counters)
         map_stats.real_elapsed = map_wall
         counters.increment("job", "map_tasks", len(map_results))
         if validate:
-            # Counter conservation: retries and parallel fan-out must tally
-            # each input record exactly once (the bit-identity contract).
+            # Counter conservation: retries must tally each input record
+            # exactly once (the bit-identity contract).
             from repro.verify.invariants import check_counter_equals
 
             check_counter_equals(
@@ -345,14 +256,9 @@ class MapReduceEngine:
                     "bytes", sum(approx_bytes(partitions[p]) for p in ordered)
                 )
         phase_start = time.perf_counter()
-        if parallel:
-            output, partition_outputs, reduce_costs = self._reduce_phase_parallel(
-                job, partitions, counters, tracer
-            )
-        else:
-            output, partition_outputs, reduce_costs = self._reduce_phase_serial(
-                job, partitions, counters, tracer
-            )
+        output, partition_outputs, reduce_costs = self._reduce_phase(
+            job, partitions, counters, tracer
+        )
         reduce_wall = time.perf_counter() - phase_start
         # Between-phase decision point: the map phase is scheduled and the
         # reduce queue is known, but the reduce phase is not yet placed —
@@ -380,9 +286,9 @@ class MapReduceEngine:
             partitions=partition_outputs,
         )
 
-    # -- phase drivers (serial / parallel) -----------------------------------
+    # -- phase drivers -------------------------------------------------------
 
-    def _map_phase_serial(self, job, split_records, counters, tracer):
+    def _map_phase(self, job, split_records, counters, tracer):
         map_results = []
         try:
             for i, records in enumerate(split_records):
@@ -410,36 +316,7 @@ class MapReduceEngine:
             raise
         return map_results
 
-    def _map_phase_parallel(self, job, split_records, counters, tracer):
-        payloads = [
-            (job, records, f"map-{i}") for i, records in enumerate(split_records)
-        ]
-        outcomes = self.executor.map_ordered(_map_task_worker, payloads)
-        map_results = []
-        for i, (status, value, task_counters, elapsed) in enumerate(outcomes):
-            # Merge in task order: identical totals to the serial shared-
-            # counter path, and on error the merged prefix (plus the failing
-            # task's partial increments) matches serial partial state.
-            counters.merge(task_counters)
-            if status == "error":
-                value.counters = counters
-                raise value
-            with tracer.span("mr.map_task", task=f"map-{i}") as task_span:
-                if tracer.enabled:
-                    task_span.set("cost", value.cost)
-                    task_span.set("n_input_records", value.n_input_records)
-                    task_span.set("n_output_records", len(value.records))
-                    task_span.set("bytes_in", approx_bytes(split_records[i]))
-                    task_span.set("bytes_out", approx_bytes(value.records))
-                    task_span.set("counters", task_counters.as_dict())
-                    task_span.set("worker_time", elapsed)
-                    tracer.metrics.histogram(
-                        "mr.task_seconds", time_buckets()
-                    ).observe(elapsed)
-            map_results.append(value)
-        return map_results
-
-    def _reduce_phase_serial(self, job, partitions, counters, tracer):
+    def _reduce_phase(self, job, partitions, counters, tracer):
         output: list[tuple] = []
         reduce_costs = []
         partition_outputs: dict[int, list[tuple]] = {}
@@ -467,36 +344,6 @@ class MapReduceEngine:
         except Exception as exc:
             exc.counters = counters
             raise
-        return output, partition_outputs, reduce_costs
-
-    def _reduce_phase_parallel(self, job, partitions, counters, tracer):
-        order = sorted(partitions)
-        payloads = [(job, partitions[p], f"reduce-{p}") for p in order]
-        outcomes = self.executor.map_ordered(_reduce_task_worker, payloads)
-        output: list[tuple] = []
-        reduce_costs = []
-        partition_outputs: dict[int, list[tuple]] = {}
-        for p, (status, value, task_counters, elapsed) in zip(order, outcomes):
-            counters.merge(task_counters)
-            if status == "error":
-                value.counters = counters
-                raise value
-            part_out, cost = value
-            with tracer.span("mr.reduce_task", task=f"reduce-{p}") as task_span:
-                if tracer.enabled:
-                    task_span.set("cost", cost)
-                    task_span.set("n_input_records", len(partitions[p]))
-                    task_span.set("n_output_records", len(part_out))
-                    task_span.set("bytes_in", approx_bytes(partitions[p]))
-                    task_span.set("bytes_out", approx_bytes(part_out))
-                    task_span.set("counters", task_counters.as_dict())
-                    task_span.set("worker_time", elapsed)
-                    tracer.metrics.histogram(
-                        "mr.task_seconds", time_buckets()
-                    ).observe(elapsed)
-            partition_outputs[p] = part_out
-            output.extend(part_out)
-            reduce_costs.append(cost)
         return output, partition_outputs, reduce_costs
 
     # -- scheduling hooks (overridden by the fault-injecting engine) ---------
@@ -531,9 +378,8 @@ class MapReduceEngine:
                 partitions[p].append(record)
                 n_shuffled += 1
         counters.increment("shuffle", "records", n_shuffled)
-        if job.sort_keys:
-            for p in partitions:
-                partitions[p].sort(key=_sort_key)
+        for p in partitions:
+            partitions[p].sort(key=_sort_key)
         return partitions
 
     def _run_reduce_task(self, job: JobSpec, records: list[tuple], ctx: TaskContext):

@@ -1,33 +1,33 @@
 """Execution backends: run independent tasks serially or on real cores.
 
-The simulated cluster models *scheduling*; this module supplies the actual
-*compute* parallelism the paper's elasticity argument rests on. A task here
-is one pure function call over one picklable payload — exactly the shape of
-a map task, a reduce call, or a per-bucket kernel+spectral solve, all of
-which are independent by construction (Section 4's decomposition).
+The simulated cluster models *scheduling*; this module supplies real-core
+*compute* parallelism where it measurably pays: ``DASC.fit``'s per-bucket
+kernel + spectral solves, which are independent by construction (Section
+4's decomposition). A task here is one pure function call over one
+picklable payload. The MapReduce engine does not use it: its tasks run
+in-process, and the simulated cluster alone decides their makespan.
 
 Two backends share one interface:
 
-* :class:`SerialExecutor` — in-process, in-order execution. The default;
-  preserves the engine's historical behavior exactly.
+* :class:`SerialExecutor` — in-process, in-order execution. The default.
 * :class:`ParallelExecutor` — a shared :class:`concurrent.futures.
   ProcessPoolExecutor` (``fork`` start method where available, so workers
   inherit the loaded modules). Results are collected **in submission
   order**, which is what makes the parallel backend bit-identical to the
-  serial one: same outputs, same counter totals, same shuffle inputs.
+  serial one.
 
 Determinism and robustness contract:
 
 * ``map_ordered(fn, payloads)`` returns ``[fn(p) for p in payloads]`` — the
   backend only changes *where* the calls run, never the results or their
   order. Tasks must be pure functions of their payloads.
+* A task that raises surfaces its own exception, as a serial run would.
 * If the pool cannot start, a worker dies mid-task (``BrokenProcessPool``),
   or a payload refuses to pickle, the executor falls back to executing the
   payloads serially in-process — the same degradation idea as the fault
   machinery's task re-execution: tasks are deterministic, so re-running
   them is always safe. The fallback is reported as an
-  ``executor.fallback`` trace event, never through counters (counters must
-  stay bit-identical to a serial run).
+  ``executor.fallback`` trace event.
 
 :class:`SharedArray` broadcasts a large read-only ``numpy`` array (the
 dataset) to workers through POSIX shared memory, so per-bucket tasks ship
@@ -35,8 +35,9 @@ only their index arrays instead of copying the data once per task.
 
 Worker-count resolution honors the ``REPRO_N_JOBS`` environment variable:
 ``resolve_executor(None)`` is serial unless ``REPRO_N_JOBS`` is set to a
-value greater than 1 — which is how the CI matrix leg flips the whole test
-suite onto the parallel backend without touching any call site.
+value greater than 1 — which is how the CI matrix leg puts every
+``DASC.fit`` in the test suite on the parallel backend without touching
+any call site.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ __all__ = [
     "SharedArray",
     "effective_n_jobs",
     "resolve_executor",
-    "default_executor",
     "is_picklable",
 ]
 
@@ -71,15 +71,14 @@ logger = get_logger("mapreduce.executor")
 
 
 class ExecutorError(RuntimeError):
-    """The parallel backend failed and serial fallback was disabled."""
+    """Parallel execution failed and serial fallback was disabled."""
 
 
 def is_picklable(obj) -> bool:
     """Whether ``obj`` survives pickling (the bar for crossing a process).
 
-    Jobs built from module-level callables pass; ad-hoc closures and lambdas
-    (common in tests) fail, in which case the engine simply keeps them on
-    the serial path.
+    Objects built from module-level callables pass; ad-hoc closures and
+    lambdas fail, in which case ``DASC.fit`` keeps its buckets in-process.
     """
     try:
         pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
@@ -109,7 +108,7 @@ def effective_n_jobs(n_jobs: int | None = None) -> int:
 
 
 class SerialExecutor:
-    """In-process, in-order execution — the historical engine behavior."""
+    """In-process, in-order execution."""
 
     parallel = False
     n_workers = 1
@@ -131,9 +130,9 @@ class SerialExecutor:
 
 # -- shared process pools ----------------------------------------------------
 #
-# Pools are expensive to start and cheap to keep; engines and estimators are
-# constructed freely all over the test suite, so executors share one pool
-# per worker count for the life of the process.
+# Pools are expensive to start and cheap to keep; estimators are constructed
+# freely all over the test suite, so executors share one pool per worker
+# count for the life of the process.
 
 _SHARED_POOLS: dict[int, ProcessPoolExecutor] = {}
 
@@ -242,9 +241,8 @@ def _null_child_tracer() -> None:
 
     A forked worker inherits the parent's tracer — including an open trace
     file descriptor. Two processes appending spans to one stream would
-    interleave garbage, so workers run silent and the parent re-emits one
-    span per task from the results (same names, same attributes; the
-    Section-5.6 report reconstructs identically).
+    interleave garbage, so workers run silent; only their results (and
+    stage times) come back to the parent.
 
     No-op outside a child process: the serial fallback runs worker entry
     points in the parent, whose tracer must survive.
@@ -268,8 +266,9 @@ class ParallelExecutor:
         all cores).
     fallback:
         Re-run the payloads serially when the pool breaks or payloads don't
-        pickle (default). With ``fallback=False`` those conditions raise
-        :class:`ExecutorError` instead (used by tests).
+        pickle (default). With ``fallback=False`` those conditions, and a
+        task that raises, raise :class:`ExecutorError` instead (used by
+        tests).
     """
 
     parallel = True
@@ -286,10 +285,10 @@ class ParallelExecutor:
     def map_ordered(self, fn, payloads: list) -> list:
         """Run ``fn`` over ``payloads`` on the pool; results in input order.
 
-        Task-level exceptions propagate exactly as they would serially (the
-        failing payload is re-executed in-process to surface the error with
-        identical semantics); infrastructure failures trigger the serial
-        fallback for the whole batch.
+        A task that raises surfaces its own exception, as it would
+        serially, and nothing is re-run. Only pool failures — a payload
+        that does not pickle, a pool that cannot start, a worker that dies
+        — re-run the whole batch in-process.
         """
         if not payloads:
             return []
@@ -301,32 +300,49 @@ class ParallelExecutor:
             ]
             pool = _get_shared_pool(self.n_workers)
             futures = [pool.submit(_run_pickled, b) for b in blobs]
-            return [f.result() for f in futures]
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
-            # Serialization failed, the pool never started, a worker died
-            # mid-task, or the task itself raised. Tasks are pure, so serial
-            # re-execution is safe and reproduces task-level exceptions
-            # deterministically. The pool is only torn down when its workers
-            # are actually gone — a task exception leaves it healthy.
-            if isinstance(exc, BrokenProcessPool):
-                _discard_shared_pool(self.n_workers)
-            if not self.fallback:
-                raise ExecutorError(
-                    f"parallel execution failed ({type(exc).__name__}: {exc})"
-                ) from exc
-            logger.warning(
-                "parallel backend failed (%s: %s); falling back to serial",
-                type(exc).__name__, exc,
-            )
-            get_tracer().event(
-                "executor.fallback",
-                n_workers=self.n_workers,
-                n_tasks=len(payloads),
-                reason=f"{type(exc).__name__}: {exc}",
-            )
-            return [fn(p) for p in payloads]
+            return self._fall_back(fn, payloads, exc)
+        results = []
+        for future in futures:
+            try:
+                results.append(future.result())
+            except BrokenProcessPool as exc:
+                return self._fall_back(fn, payloads, exc)
+            except Exception as exc:
+                # The task itself raised; the pool stays healthy.
+                for pending in futures:
+                    pending.cancel()
+                if not self.fallback:
+                    raise ExecutorError(
+                        f"parallel task failed ({type(exc).__name__}: {exc})"
+                    ) from exc
+                raise
+        return results
+
+    def _fall_back(self, fn, payloads: list, exc: Exception) -> list:
+        """Run the batch in-process after a pool failure (or raise when
+        ``fallback=False``); the fallback is logged and traced."""
+        if isinstance(exc, BrokenProcessPool):
+            # The workers are gone: tear the pool down (the next use starts
+            # a fresh one). Any other failure leaves it healthy.
+            _discard_shared_pool(self.n_workers)
+        if not self.fallback:
+            raise ExecutorError(
+                f"parallel execution failed ({type(exc).__name__}: {exc})"
+            ) from exc
+        logger.warning(
+            "parallel backend failed (%s: %s); falling back to serial",
+            type(exc).__name__, exc,
+        )
+        get_tracer().event(
+            "executor.fallback",
+            n_workers=self.n_workers,
+            n_tasks=len(payloads),
+            reason=f"{type(exc).__name__}: {exc}",
+        )
+        return [fn(p) for p in payloads]
 
     def describe(self) -> str:
         """Short label for traces and reports."""
@@ -344,11 +360,6 @@ def resolve_executor(n_jobs: int | None = None):
     """Build the executor an ``n_jobs`` option (or the environment) asks for."""
     n = effective_n_jobs(n_jobs)
     return ParallelExecutor(n) if n > 1 else SerialExecutor()
-
-
-def default_executor():
-    """The executor implied by the environment (serial unless REPRO_N_JOBS > 1)."""
-    return resolve_executor(None)
 
 
 class SharedArray:

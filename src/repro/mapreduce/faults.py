@@ -225,14 +225,8 @@ class FaultyEngine(MapReduceEngine):
         policy: FaultPolicy | None = None,
         node_policy: NodeFailurePolicy | None = None,
         straggler_policy: StragglerPolicy | None = None,
-        executor=None,
     ):
-        # The executor is accepted for interface parity but task attempts
-        # always run in-process: retries mutate scratch counters and the
-        # per-attempt fault oracles draw from shared sequential RNG state,
-        # both inherently single-process. The base engine's override guard
-        # keeps this class on the serial path automatically.
-        super().__init__(cluster, executor=executor)
+        super().__init__(cluster)
         self.policy = policy if policy is not None else FaultPolicy()
         self.node_policy = node_policy if node_policy is not None else NodeFailurePolicy()
         self.straggler_policy = (

@@ -165,7 +165,6 @@ class JobFlow:
         executed = 0
         i = 0
         with tracer.span("jobflow.run", resume=resume) as flow_span:
-            flow_span.set("executor", self.engine.executor.describe())
             while i < len(self.steps):
                 if max_steps is not None and executed >= max_steps:
                     break

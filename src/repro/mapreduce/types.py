@@ -3,8 +3,8 @@
 A *mapper* is a callable ``(key, value, context) -> iterable[(k2, v2)]``; a
 *reducer* is ``(key, values, context) -> iterable[(k3, v3)]``. ``context``
 exposes Hadoop-style counters. A :class:`JobSpec` bundles the callables with
-shuffle policy (partitioner, comparator, combiner) — enough surface to
-express the paper's Algorithms 1 and 2 idiomatically.
+the shuffle's partitioner and the simulated clock's cost models — enough
+surface to express the paper's Algorithms 1 and 2 idiomatically.
 """
 
 from __future__ import annotations
@@ -37,14 +37,11 @@ class JobSpec:
     reducer:
         ``(key, values, context) -> iterable[(k, v)]``. ``None`` makes the
         job map-only (identity shuffle, records pass through).
-    combiner:
-        Optional map-side pre-reducer with the reducer signature.
     partitioner:
-        ``(key, n_partitions) -> int``; default hash partitioning.
+        ``(key, n_partitions) -> int``; default hash partitioning. Each
+        partition's keys are sorted before reducing (Hadoop semantics).
     n_reducers:
         Number of reduce partitions.
-    sort_keys:
-        Sort each partition's keys before reducing (Hadoop semantics).
     map_cost / reduce_cost:
         Optional cost models ``(key, value) -> float`` and
         ``(key, values) -> float`` feeding the simulated clock; default cost
@@ -54,10 +51,8 @@ class JobSpec:
     name: str
     mapper: Callable[[Any, Any, Any], Iterable[tuple]]
     reducer: Callable[[Any, Any, Any], Iterable[tuple]] | None = None
-    combiner: Callable[[Any, Any, Any], Iterable[tuple]] | None = None
     partitioner: Callable[[Any, int], int] | None = None
     n_reducers: int = 1
-    sort_keys: bool = True
     map_cost: Callable[[Any, Any], float] | None = None
     reduce_cost: Callable[[Any, Any], float] | None = None
     params: dict = field(default_factory=dict)

@@ -286,8 +286,7 @@ def _task_duration_quantiles(records: list[dict]) -> dict | None:
 
     Traced engines observe every task body's wall time into the
     ``mr.task_seconds`` histogram; when a trace predates it, fall back to
-    the exact span durations (``worker_time`` for re-emitted parallel
-    spans).
+    the exact span durations.
     """
     for r in reversed(records):
         if r.get("type") == "metrics":
@@ -311,7 +310,7 @@ def _task_duration_quantiles(records: list[dict]) -> dict | None:
                 }
             break
     durations = sorted(
-        float(r.get("attributes", {}).get("worker_time") or r["duration"])
+        float(r["duration"])
         for r in records
         if r.get("type") == "span"
         and r.get("name") in ("mr.map_task", "mr.reduce_task")

@@ -13,7 +13,7 @@ the pipeline rests on, into machine-checked assertions:
   :class:`~repro.verify.invariants.InvariantViolation` instead of letting
   a corrupted intermediate flow silently downstream;
 * :mod:`~repro.verify.differential` — the ``repro verify`` harness: the
-  same seeded workload through serial vs process-pool execution, the
+  same seeded workload through a serial vs process-pool ``DASC.fit``, the
   in-process :class:`~repro.core.dasc.DASC` vs the MapReduce
   :class:`~repro.dasc_mr.driver.DistributedDASC`, and crash-resumed vs
   uninterrupted job flows, asserting bit-identical labels and counters;

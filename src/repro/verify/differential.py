@@ -1,39 +1,36 @@
 """Differential verification: the same workload down every execution path.
 
-The pipeline makes three strong determinism promises and one quality
-promise, and this module checks all of them on a seeded, block-structured
-synthetic workload (the shape of the paper's Section-5.3 comparison):
+The pipeline makes strong determinism promises and one quality promise,
+and this module checks all of them on a seeded, block-structured synthetic
+workload (the shape of the paper's Section-5.3 comparison):
 
 1. **serial vs process-pool** — ``DASC.fit`` with ``n_jobs=1`` and with a
    :class:`~repro.mapreduce.executor.ParallelExecutor` must produce
    bit-identical labels, buckets, and allocations, and the model exported
    from the process-pool fit (its per-bucket artifacts came back from the
    workers) must assign the training points their serial fit labels;
-2. **serial vs process-pool, distributed** — the full
-   :class:`~repro.dasc_mr.driver.DistributedDASC` job flow on either
-   backend must produce bit-identical labels *and counters*;
-3. **crash-resumed vs uninterrupted** — a flow killed between steps and
+2. **crash-resumed vs uninterrupted** — a flow killed between steps and
    :meth:`~repro.dasc_mr.driver.DistributedDASC.resume`-d must match the
    uninterrupted run bit-for-bit (labels, counters, makespan);
-4. **local vs distributed** — ``DASC.fit`` and the MapReduce path must
+3. **local vs distributed** — ``DASC.fit`` and the MapReduce path must
    produce identical labels (both seed each bucket by
    :func:`~repro.spectral.bucket.bucket_seed`);
-5. **DASC vs exact SC** — the Section-5.3 quality claim: on
+4. **DASC vs exact SC** — the Section-5.3 quality claim: on
    block-structured data, DASC's ASE stays within a tolerance of exact
    spectral clustering's and NMI against ground truth stays high;
-6. **corrupt-checkpoint resume vs uninterrupted** — a flow crashed
+5. **corrupt-checkpoint resume vs uninterrupted** — a flow crashed
    mid-run whose last checkpoint is then bit-flipped at rest must, on
    resume, quarantine the damaged object (``<key>.corrupt``),
    re-execute that step, and still match the uninterrupted run
    bit-for-bit (labels and counters);
-7. **serving assign vs fit** — the exported :class:`~repro.serving.DASCModel`
+6. **serving assign vs fit** — the exported :class:`~repro.serving.DASCModel`
    must route every training point by exact signature and reproduce the
    fit labels bit-identically (the serving plane's self-consistency
    contract);
-8. **streaming vs batch** — :class:`~repro.core.streaming.StreamingDASC`,
+7. **streaming vs batch** — :class:`~repro.core.streaming.StreamingDASC`,
    calibrated on the workload and fed it in chunks, must return the serial
    ``DASC.fit`` labels, and its exported model must assign them too;
-9. **iterative vs dense eigensolver** — the workload fitted as one merged
+8. **iterative vs dense eigensolver** — the workload fitted as one merged
    bucket (``min_shared_bits=0``), which the default ``eig_backend="auto"``
    solves with ARPACK, must get the labels of ``eig_backend="dense"``,
    serially and with ``n_jobs=2``, and no solve may fall back.
@@ -129,7 +126,6 @@ def run_differential_suite(
     from repro.data.synthetic import make_blobs
     from repro.dasc_mr.driver import DistributedDASC
     from repro.mapreduce.emr import ElasticMapReduce
-    from repro.mapreduce.executor import ParallelExecutor, SerialExecutor
     from repro.metrics.accuracy import clustering_accuracy
     from repro.metrics.ase import average_squared_error
     from repro.metrics.nmi import normalized_mutual_info
@@ -187,30 +183,15 @@ def run_differential_suite(
 
     _run_check(report, "dasc.serial_vs_parallel", check_serial_vs_parallel)
 
-    # -- 2. serial vs process-pool DistributedDASC --------------------------
-    def distributed(executor, emr=None):
-        service = emr if emr is not None else ElasticMapReduce(executor=executor)
-        return DistributedDASC(n_nodes=n_nodes, config=config(), emr=service)
+    def distributed(emr=None):
+        return DistributedDASC(n_nodes=n_nodes, config=config(), emr=emr)
 
-    serial_dist = distributed(SerialExecutor()).run(X)
+    serial_dist = distributed().run(X)
 
-    def check_distributed_serial_vs_parallel():
-        parallel_dist = distributed(ParallelExecutor(max(2, n_jobs))).run(X)
-        same_labels = bool(np.array_equal(serial_dist.labels, parallel_dist.labels))
-        same_counters = _counters_equal(serial_dist.counters, parallel_dist.counters)
-        same_makespan = serial_dist.makespan == parallel_dist.makespan
-        return same_labels and same_counters and same_makespan, {
-            "labels_identical": same_labels,
-            "counters_identical": same_counters,
-            "makespan_identical": same_makespan,
-        }
-
-    _run_check(report, "distributed.serial_vs_parallel", check_distributed_serial_vs_parallel)
-
-    # -- 3. crash-resumed vs uninterrupted ----------------------------------
+    # -- 2. crash-resumed vs uninterrupted ----------------------------------
     def check_resumed_vs_uninterrupted():
-        emr = ElasticMapReduce(executor=SerialExecutor())
-        dasc = distributed(None, emr=emr)
+        emr = ElasticMapReduce()
+        dasc = distributed(emr)
         flow_id = dasc.submit(X)
         emr.run_job_flow(flow_id, max_steps=1)  # "driver crash" after stage 1
         resumed = dasc.resume(flow_id)
@@ -224,7 +205,7 @@ def run_differential_suite(
 
     _run_check(report, "distributed.resumed_vs_uninterrupted", check_resumed_vs_uninterrupted)
 
-    # -- 4. local DASC.fit vs MapReduce DistributedDASC ---------------------
+    # -- 3. local DASC.fit vs MapReduce DistributedDASC ---------------------
     def check_local_vs_distributed():
         identical = bool(np.array_equal(serial_labels, serial_dist.labels))
         return identical, {
@@ -234,7 +215,7 @@ def run_differential_suite(
 
     _run_check(report, "dasc.local_vs_distributed", check_local_vs_distributed)
 
-    # -- 5. DASC vs exact spectral clustering (Section 5.3) ------------------
+    # -- 4. DASC vs exact spectral clustering (Section 5.3) ------------------
     def check_vs_exact_sc():
         sigma = serial_model.sigma_ or 1.0
         exact = SpectralClustering(n_clusters, sigma=sigma, seed=seed).fit_predict(X)
@@ -255,10 +236,10 @@ def run_differential_suite(
 
     _run_check(report, "quality.dasc_vs_exact_sc", check_vs_exact_sc)
 
-    # -- 6. corrupt-checkpoint resume vs uninterrupted -----------------------
+    # -- 5. corrupt-checkpoint resume vs uninterrupted -----------------------
     def check_corrupt_checkpoint_resume():
-        emr = ElasticMapReduce(executor=SerialExecutor())
-        dasc = distributed(None, emr=emr)
+        emr = ElasticMapReduce()
+        dasc = distributed(emr)
         flow_id = dasc.submit(X)
         emr.run_job_flow(flow_id, max_steps=2)  # "driver crash" after stage 2
         # Bit-flip the last checkpoint at rest, bypassing the hardened client.
@@ -281,7 +262,7 @@ def run_differential_suite(
 
     _run_check(report, "storage.corrupt_checkpoint_resume", check_corrupt_checkpoint_resume)
 
-    # -- 7. serving assign vs fit --------------------------------------------
+    # -- 6. serving assign vs fit --------------------------------------------
     def check_serving_assign_vs_fit():
         model = serial_model.export_model(X)
         assigned, details = model.assign(X, return_details=True)
@@ -305,7 +286,7 @@ def run_differential_suite(
 
     _run_check(report, "serving.assign_vs_fit", check_serving_assign_vs_fit)
 
-    # -- 8. streaming vs batch -------------------------------------------------
+    # -- 7. streaming vs batch -------------------------------------------------
     def check_streaming_vs_batch():
         stream = StreamingDASC(config=config()).calibrate(X)
         for chunk in np.array_split(X, 5):
@@ -320,7 +301,7 @@ def run_differential_suite(
 
     _run_check(report, "dasc.streaming_vs_batch", check_streaming_vs_batch)
 
-    # -- 9. default (iterative) vs dense eigensolver ---------------------------
+    # -- 8. default (iterative) vs dense eigensolver ---------------------------
     def check_iterative_vs_dense():
         # One merged bucket holds the whole workload, which is large enough
         # for the default solver to pick ARPACK over dense ``eigh``.

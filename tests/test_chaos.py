@@ -12,30 +12,23 @@ import pytest
 
 from repro.core import DASCConfig
 from repro.dasc_mr import DistributedDASC
-from repro.mapreduce import ElasticMapReduce, FaultyEngine, ParallelExecutor
+from repro.mapreduce import ElasticMapReduce, FaultyEngine
 from repro.mapreduce.faults import FaultPolicy, NodeFailurePolicy, StragglerPolicy
 
 
 class ChaosEMR(ElasticMapReduce):
     """EMR whose provisioned flows run on a fault-injecting engine."""
 
-    def __init__(self, *, executor=None, **fault_kwargs):
-        super().__init__(executor=executor)
+    def __init__(self, **fault_kwargs):
+        super().__init__()
         self._fault_kwargs = fault_kwargs
 
     def create_job_flow(self, n_nodes, *, split_size=1024, checkpoint=True):
         flow_id, flow = super().create_job_flow(
             n_nodes, split_size=split_size, checkpoint=checkpoint
         )
-        flow.engine = FaultyEngine(
-            flow.engine.cluster, executor=flow.engine.executor, **self._fault_kwargs
-        )
+        flow.engine = FaultyEngine(flow.engine.cluster, **self._fault_kwargs)
         return flow_id, flow
-
-
-def parallel_emr():
-    """An EMR running real task compute on a strict (no-fallback) pool."""
-    return ElasticMapReduce(executor=ParallelExecutor(2, fallback=False))
 
 
 def run_dasc(X, emr=None):
@@ -98,61 +91,6 @@ class TestChaosEquivalence:
             for stage in result.counters.values()
         )
         assert total_kills >= 2  # stage-1 and stage-2 phases each lost a node
-
-
-class TestParallelEquivalence:
-    """The executor satellite of the chaos contract: the process-pool
-    backend must be bit-identical to serial — labels, reduce output order,
-    and the *full* counter set (no faults-group carve-out needed, since a
-    healthy parallel run injects nothing)."""
-
-    def test_clean_run_bit_identical(self, blobs_small):
-        X, _ = blobs_small
-        baseline = run_dasc(X)
-        parallel = run_dasc(X, emr=parallel_emr())
-        assert np.array_equal(parallel.labels, baseline.labels)
-        assert parallel.n_clusters == baseline.n_clusters
-        assert parallel.n_buckets == baseline.n_buckets
-        assert parallel.counters == baseline.counters
-        assert parallel.makespan == baseline.makespan
-        assert parallel.stage_makespans == baseline.stage_makespans
-
-    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
-    def test_chaos_schedules_identical_under_parallel_executor(self, blobs_small, schedule):
-        """The full chaos suite with the parallel executor plumbed through:
-        FaultyEngine keeps its task attempts in-process (retry semantics),
-        and every schedule still converges to the serial baseline."""
-        X, _ = blobs_small
-        baseline = run_dasc(X)
-        chaotic = run_dasc(
-            X,
-            emr=ChaosEMR(
-                executor=ParallelExecutor(2, fallback=False), **SCHEDULES[schedule]
-            ),
-        )
-        assert np.array_equal(chaotic.labels, baseline.labels)
-        assert chaotic.n_clusters == baseline.n_clusters
-        assert counters_without_faults(chaotic.counters) == counters_without_faults(
-            baseline.counters
-        )
-
-    def test_parallel_reduce_partitions_identical(self, blobs_small):
-        """Shuffle partitioning and per-partition reduce outputs match the
-        serial engine record-for-record."""
-        from repro.dasc_mr.stage1 import make_signature_job
-        from repro.lsh.axis import AxisParallelHasher
-        from repro.mapreduce import MapReduceEngine, SerialExecutor
-
-        X, _ = blobs_small
-        hasher = AxisParallelHasher(6, seed=0).fit(X)
-        job = make_signature_job(hasher.dimensions_, hasher.thresholds_)
-        splits = [[(i, X[i]) for i in range(s, min(s + 64, X.shape[0]))] for s in range(0, X.shape[0], 64)]
-        serial = MapReduceEngine(executor=SerialExecutor()).run(job, splits)
-        parallel = MapReduceEngine(executor=ParallelExecutor(2, fallback=False)).run(job, splits)
-        assert len(parallel.output) == len(serial.output)
-        assert parallel.output == serial.output  # (signature, index) records
-        assert parallel.partitions.keys() == serial.partitions.keys()
-        assert parallel.counters.as_dict() == serial.counters.as_dict()
 
 
 class TestDriverDegradation:

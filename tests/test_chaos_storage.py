@@ -110,7 +110,6 @@ class TestStorageChaosEquivalence:
                 )
                 flow.engine = FaultyEngine(
                     flow.engine.cluster,
-                    executor=flow.engine.executor,
                     policy=FaultPolicy(failure_rate=0.15, max_attempts=12, seed=21),
                 )
                 return flow_id, flow

@@ -174,9 +174,9 @@ class TestPerBucketTask:
 
     def test_one_block_alive_at_a_time(self):
         """Two solved 1000-point buckets: the fit's traced peak stays below
-        the float64 bytes of both blocks together. Serial and unvalidated:
-        workers would build the blocks outside this process, and the
-        symmetry check holds a temporary the size of a block."""
+        the float64 bytes of both blocks together. Serial: workers would
+        build the blocks outside this process. The validated fit's bound is
+        ``TestGramChecks::test_validated_fit_stays_within_one_block``."""
         from repro.data import make_blobs
         from repro.utils import traced_peak
 

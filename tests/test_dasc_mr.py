@@ -202,21 +202,6 @@ class TestDistributedDASC:
         assert any(k.endswith("/input") for k in keys)
         assert any(k.endswith("/output/labels") for k in keys)
 
-    def test_parallel_vs_serial_bit_identical(self, blobs_small):
-        from repro.mapreduce import ElasticMapReduce, ParallelExecutor, SerialExecutor
-
-        X, _ = blobs_small
-
-        def run(executor):
-            emr = ElasticMapReduce(executor=executor)
-            return DistributedDASC(6, n_nodes=4, split_size=64, emr=emr).run(X)
-
-        serial = run(SerialExecutor())
-        parallel = run(ParallelExecutor(2))
-        assert np.array_equal(serial.labels, parallel.labels)
-        assert serial.counters == parallel.counters
-        assert serial.makespan == parallel.makespan
-
     def test_exact_output_pinned(self):
         """Golden labels, buckets, makespans and task counts of one seeded run.
 

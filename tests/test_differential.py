@@ -11,7 +11,7 @@ from repro.verify import (
     run_differential_suite,
 )
 
-# One suite run covers all nine checks; share it across assertions.
+# One suite run covers all eight checks; share it across assertions.
 SUITE_KW = dict(n_samples=200, n_clusters=4, n_features=8, seed=0, n_jobs=2, n_nodes=4)
 
 
@@ -29,7 +29,6 @@ class TestSuite:
         names = {c.name for c in report.checks}
         assert names == {
             "dasc.serial_vs_parallel",
-            "distributed.serial_vs_parallel",
             "distributed.resumed_vs_uninterrupted",
             "dasc.local_vs_distributed",
             "quality.dasc_vs_exact_sc",
@@ -45,10 +44,6 @@ class TestSuite:
         assert check.details["buckets_identical"]
         assert check.details["allocation_identical"]
         assert check.details["served_labels_identical"]
-
-    def test_distributed_counters_identical(self, report):
-        check = {c.name: c for c in report.checks}["distributed.serial_vs_parallel"]
-        assert check.details["counters_identical"]
 
     def test_default_and_dense_eigensolver_labels_identical(self, report):
         check = {c.name: c for c in report.checks}["eigen.iterative_vs_dense"]

@@ -27,7 +27,6 @@ def load_example(name):
         pytest.param("quickstart", marks=pytest.mark.slow),
         "nongaussian_shapes",
         "kernel_pca_approx",
-        "distributed_substrate",
         pytest.param("streaming_dasc", marks=pytest.mark.slow),
         pytest.param("wikipedia_clustering", marks=pytest.mark.slow),
         "near_duplicates",

@@ -18,7 +18,6 @@ from repro.mapreduce import (
     ParallelExecutor,
     SerialExecutor,
     SharedArray,
-    default_executor,
     effective_n_jobs,
     resolve_executor,
 )
@@ -33,6 +32,25 @@ def _maybe_fail(x):
     if x == 3:
         raise ValueError("task 3 exploded")
     return x * x
+
+
+_PARENT_CALLS = []
+
+
+def _fifth_fails(x):
+    """Payload 4 raises; a call made in the test process is recorded."""
+    if mp.parent_process() is None:
+        _PARENT_CALLS.append(x)
+    if x == 4:
+        raise ValueError("payload 4 exploded")
+    return x
+
+
+def _worker_dies(x):
+    """Kills the worker process it runs in; returns ``x`` in the parent."""
+    if mp.parent_process() is not None:
+        os._exit(1)
+    return x
 
 
 # -- picklable job pieces (module-level on purpose) --------------------------
@@ -69,9 +87,9 @@ class TestWorkerResolution:
     def test_env_variable(self, monkeypatch):
         monkeypatch.setenv(N_JOBS_ENV, "3")
         assert effective_n_jobs(None) == 3
-        assert not isinstance(default_executor(), SerialExecutor)
+        assert not isinstance(resolve_executor(None), SerialExecutor)
         monkeypatch.setenv(N_JOBS_ENV, "1")
-        assert isinstance(default_executor(), SerialExecutor)
+        assert isinstance(resolve_executor(None), SerialExecutor)
         monkeypatch.delenv(N_JOBS_ENV)
         assert effective_n_jobs(None) == 1
 
@@ -114,6 +132,31 @@ class TestParallelExecutor:
         ex = ParallelExecutor(2, fallback=False)
         with pytest.raises(ExecutorError):
             ex.map_ordered(_maybe_fail, [1, 2, 3, 4])
+
+    def test_task_error_is_not_a_pool_failure(self):
+        """A task that raises surfaces its own exception: nothing re-runs in
+        the parent and no fallback is reported."""
+        from repro.observability import Tracer, use_tracer
+
+        _PARENT_CALLS.clear()
+        tracer = Tracer()
+        with use_tracer(tracer), pytest.raises(ValueError, match="payload 4 exploded"):
+            ParallelExecutor(2).map_ordered(_fifth_fails, list(range(6)))
+        assert _PARENT_CALLS == []
+        assert not [r for r in tracer.sink.records if r["name"] == "executor.fallback"]
+
+    def test_dead_worker_falls_back(self):
+        """A worker that dies breaks the pool: the batch re-runs in the
+        parent, the fallback is traced, and the next batch gets a new pool."""
+        from repro.observability import Tracer, use_tracer
+
+        tracer = Tracer()
+        with use_tracer(tracer):
+            assert ParallelExecutor(2).map_ordered(_worker_dies, [1, 2, 3]) == [1, 2, 3]
+        events = [r for r in tracer.sink.records if r["name"] == "executor.fallback"]
+        assert len(events) == 1
+        assert "BrokenProcessPool" in events[0]["attributes"]["reason"]
+        assert ParallelExecutor(2, fallback=False).map_ordered(_double, [1, 2]) == [2, 4]
 
     def test_unpicklable_payload_falls_back(self):
         ex = ParallelExecutor(2, fallback=True)
@@ -213,58 +256,30 @@ def _shared_row_sum(payload):
 
 
 class TestEngineParallelSemantics:
+    """The engine's state when a task fails, and its measured phase times."""
+
     def _splits(self, n_records=40, per_split=8):
         return [
             [(i, i) for i in range(s, min(s + per_split, n_records))]
             for s in range(0, n_records, per_split)
         ]
 
-    def test_bit_identical_to_serial(self):
-        job = picklable_job()
-        splits = self._splits()
-        serial = MapReduceEngine(executor=SerialExecutor()).run(job, splits)
-        parallel = MapReduceEngine(executor=ParallelExecutor(2, fallback=False)).run(job, splits)
-        assert parallel.output == serial.output
-        assert parallel.partitions == serial.partitions
-        assert parallel.counters.as_dict() == serial.counters.as_dict()
-        assert parallel.makespan == serial.makespan
-
-    def test_unpicklable_job_stays_serial(self):
-        job = picklable_job(map_cost=lambda k, v: 1.0)
-        engine = MapReduceEngine(executor=ParallelExecutor(2, fallback=False))
-        assert not engine._parallel_tasks_enabled(job)
-        result = engine.run(job, self._splits())
-        baseline = MapReduceEngine().run(job, self._splits())
-        assert result.output == baseline.output
-
     def test_map_error_carries_partial_counters(self):
         job = JobSpec(name="boom", mapper=_failing_mapper, reducer=_sum_reducer)
         splits = [[(0, 1), (1, 2)], [(2, 7)], [(3, 4)]]
-        engines = {
-            "serial": MapReduceEngine(executor=SerialExecutor()),
-            "parallel": MapReduceEngine(executor=ParallelExecutor(2, fallback=False)),
+        with pytest.raises(RuntimeError, match="cursed") as excinfo:
+            MapReduceEngine().run(job, splits)
+        # The finished task's counters plus the failing task's partial
+        # increments; nothing of the task that never ran.
+        assert excinfo.value.counters.as_dict() == {
+            "test": {"attempted": 3},
+            "map": {"input_records": 2, "output_records": 2},
         }
-        seen = {}
-        for name, engine in engines.items():
-            with pytest.raises(RuntimeError, match="cursed") as excinfo:
-                engine.run(job, splits)
-            seen[name] = excinfo.value.counters.as_dict()
-        # The failing task's partial increments are included either way.
-        assert seen["parallel"] == seen["serial"]
 
     def test_real_elapsed_recorded(self):
-        result = MapReduceEngine(executor=SerialExecutor()).run(picklable_job(), self._splits())
+        result = MapReduceEngine().run(picklable_job(), self._splits())
         assert result.map_stats.real_elapsed > 0.0
         assert result.reduce_stats.real_elapsed > 0.0
-
-    def test_faulty_engine_never_parallelizes(self):
-        from repro.mapreduce import FaultyEngine
-
-        engine = FaultyEngine(executor=ParallelExecutor(2, fallback=False))
-        assert not engine._parallel_tasks_enabled(picklable_job())
-        result = engine.run(picklable_job(), self._splits())
-        baseline = MapReduceEngine().run(picklable_job(), self._splits())
-        assert result.output == baseline.output
 
 
 def assert_same_clusterings(got, want):
@@ -310,3 +325,49 @@ class TestDASCParallel:
             parallel.cluster_allocation_, serial.cluster_allocation_
         )
         assert_same_clusterings(parallel.bucket_clusterings_, serial.bucket_clusterings_)
+
+
+class TestNJobsScope:
+    """``REPRO_N_JOBS`` means one thing: ``DASC.fit``'s per-bucket pool.
+    The MapReduce job flow runs its tasks in-process whatever it says."""
+
+    def test_distributed_flow_never_reaches_the_pool(self, blobs_small, monkeypatch):
+        from repro.core import DASCConfig
+        from repro.dasc_mr import DistributedDASC
+
+        X, _ = blobs_small
+
+        def run():
+            return DistributedDASC(
+                6, n_nodes=4, config=DASCConfig(seed=0), split_size=64
+            ).run(X)
+
+        monkeypatch.delenv(N_JOBS_ENV, raising=False)
+        unset = run()
+
+        def refuse(self, fn, payloads):
+            raise AssertionError("the job flow reached ParallelExecutor.map_ordered")
+
+        monkeypatch.setenv(N_JOBS_ENV, "2")
+        monkeypatch.setattr(ParallelExecutor, "map_ordered", refuse)
+        pooled = run()
+        assert np.array_equal(pooled.labels, unset.labels)
+        assert pooled.counters == unset.counters
+        assert pooled.makespan == unset.makespan
+        assert pooled.stage_makespans == unset.stage_makespans
+
+    def test_dasc_fit_still_uses_the_pool(self, blobs_small, monkeypatch):
+        from repro.core.dasc import DASC
+
+        X, _ = blobs_small
+        calls = []
+        real = ParallelExecutor.map_ordered
+
+        def spy(self, fn, payloads):
+            calls.append(len(payloads))
+            return real(self, fn, payloads)
+
+        monkeypatch.setenv(N_JOBS_ENV, "2")
+        monkeypatch.setattr(ParallelExecutor, "map_ordered", spy)
+        est = DASC(8, n_bits=6, seed=0).fit(X)
+        assert calls == [_solved(est)] == [4]

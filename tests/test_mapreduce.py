@@ -46,16 +46,6 @@ class TestEngine:
         assert sorted(result.output) == [(1, 20), (2, 40)]
         assert result.reduce_stats.n_tasks == 0
 
-    def test_combiner_reduces_shuffle_volume(self):
-        engine = MapReduceEngine()
-        splits = [[(0, "a a a a")], [(1, "a a")]]
-        plain = engine.run(make_wc_job(), splits)
-        combined = engine.run(make_wc_job(combiner=wc_reducer), splits)
-        assert dict(plain.output) == dict(combined.output) == {"a": 6}
-        assert combined.counters.value("shuffle", "records") < plain.counters.value(
-            "shuffle", "records"
-        )
-
     def test_partitioner_routes_keys(self):
         job = make_wc_job(n_reducers=2, partitioner=lambda key, n: 0 if key < "m" else 1)
         result = MapReduceEngine().run(job, [[(0, "apple zebra apple")]])
@@ -280,15 +270,6 @@ class TestEngineProperties:
         job = make_wc_job(n_reducers=n_reducers)
         result = MapReduceEngine().run(job, splits)
         assert dict(result.output) == dict(Counter(words))
-
-    @given(words, st.integers(1, 5))
-    @settings(max_examples=40, deadline=None)
-    def test_combiner_never_changes_output(self, words, split_size):
-        records = [(i, w) for i, w in enumerate(words)]
-        splits = [records[i : i + split_size] for i in range(0, len(records), split_size)] or [[]]
-        plain = MapReduceEngine().run(make_wc_job(), splits)
-        combined = MapReduceEngine().run(make_wc_job(combiner=wc_reducer), splits)
-        assert dict(plain.output) == dict(combined.output)
 
 
 class TestApproxBytesDict:

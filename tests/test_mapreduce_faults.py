@@ -99,7 +99,7 @@ class TestFaultyEngine:
             "faults", "reduce_failures"
         )
         assert failures > 0
-        for group in ("map", "combine", "shuffle", "reduce", "job"):
+        for group in ("map", "shuffle", "reduce", "job"):
             assert faulty.counters.group(group) == plain.counters.group(group)
 
     def test_dasc_pipeline_survives_faults(self, blobs_small):

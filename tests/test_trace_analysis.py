@@ -63,9 +63,7 @@ class ChaosEMR(ElasticMapReduce):
         flow_id, flow = super().create_job_flow(
             n_nodes, split_size=split_size, checkpoint=checkpoint
         )
-        flow.engine = FaultyEngine(
-            flow.engine.cluster, executor=flow.engine.executor, **self._fault_kwargs
-        )
+        flow.engine = FaultyEngine(flow.engine.cluster, **self._fault_kwargs)
         return flow_id, flow
 
 

@@ -121,6 +121,29 @@ class TestGramChecks:
         with pytest.raises(InvariantViolation, match="K - K"):
             check_gram_block(K)
 
+    def test_panelled_asymmetry_is_the_whole_block_value(self):
+        """One asymmetric entry, many row panels: the reported maximum is
+        the whole-block expression's, bit for bit."""
+        K = self._block(n=300).astype(np.float32)
+        K[3, 250] += np.float32(0.3)
+        expected = float(np.abs(K - K.T).max())
+        with pytest.raises(InvariantViolation) as excinfo:
+            check_gram_block(K)
+        assert excinfo.value.invariant == "gram.symmetric"
+        assert excinfo.value.details["max_asymmetry"] == expected
+
+    def test_validated_fit_stays_within_one_block(self):
+        """Two solved 1000-point buckets, validated: the fit's traced peak
+        stays below 1.5x one block's float64 bytes."""
+        from repro.data import make_blobs
+        from repro.utils import traced_peak
+
+        X, _ = make_blobs(2000, n_clusters=2, n_features=8, seed=0)
+        est, peak = traced_peak(lambda: DASC(8, seed=0, n_jobs=1, validate=True).fit(X))
+        assert est.buckets_.sizes.tolist() == [1000, 1000]
+        assert [c.mode for c in est.bucket_clusterings_] == ["nystrom", "nystrom"]
+        assert peak < 1.5 * 8 * 1000**2, peak
+
     def test_diagonal_convention(self):
         K = self._block()
         with pytest.raises(InvariantViolation, match="diagonal"):
