@@ -49,7 +49,7 @@ class NystromSpectralClustering:
     ------------------------------
     labels_ : (n,) cluster assignments
     landmark_indices_ : (m,) sampled landmark rows
-    stopwatch_, memory_ : cost accounting
+    stopwatch_, memory_ : cost accounting of the last fit
     """
 
     def __init__(
@@ -83,6 +83,7 @@ class NystromSpectralClustering:
         n = X.shape[0]
         if n < self.n_clusters:
             raise ValueError(f"n_samples={n} < n_clusters={self.n_clusters}")
+        self.stopwatch_, self.memory_ = Stopwatch(), MemoryLedger()
         rng = as_rng(self.seed)
         m = min(self.n_landmarks, n)
         m = max(m, self.n_clusters)  # need at least K landmark eigenvectors

@@ -47,7 +47,7 @@ class PSC:
     ------------------------------
     labels_ : (n,) cluster assignments
     affinity_matrix_ : the symmetrised sparse t-NN affinity (CSR)
-    stopwatch_, memory_ : cost accounting
+    stopwatch_, memory_ : cost accounting of the last fit
     """
 
     def __init__(
@@ -83,6 +83,7 @@ class PSC:
         n = X.shape[0]
         if n < self.n_clusters:
             raise ValueError(f"n_samples={n} < n_clusters={self.n_clusters}")
+        self.stopwatch_, self.memory_ = Stopwatch(), MemoryLedger()
         with self.stopwatch_.lap("knn_graph"):
             S = self._knn_affinity(X)
         self.affinity_matrix_ = S

@@ -13,11 +13,18 @@ Section 4.2 / Table 1 fit the cluster count of the Wikipedia corpus as
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 from repro.kernels.bandwidth import mean_knn_heuristic, median_heuristic
+from repro.observability import get_logger
 
-__all__ = ["default_n_bits", "default_n_clusters", "DASCConfig"]
+__all__ = ["N_JOBS_ENV", "default_n_bits", "default_n_clusters", "DASCConfig"]
+
+#: Environment variable giving the default worker count (unset: serial).
+N_JOBS_ENV = "REPRO_N_JOBS"
+
+logger = get_logger("core.config")
 
 
 def default_n_bits(n_samples: int) -> int:
@@ -102,13 +109,12 @@ class DASCConfig:
         ``DistributedDASC`` alike. ``None`` gives hashing and bandwidth
         sampling fresh OS entropy, while the per-bucket seeds count it as 0.
     n_jobs:
-        Worker processes for the per-bucket kernel + spectral stage.
-        ``None`` defers to the ``REPRO_N_JOBS`` environment variable
-        (unset: serial); ``-1`` uses all visible cores. Results are
-        bit-identical to serial for any value — buckets are independent
-        sub-problems and labels merge in bucket order. Only ``DASC.fit``
-        reads it: ``StreamingDASC`` clusters its buckets serially, and
-        ``DistributedDASC``'s are stage-2 reduce tasks, run in-process.
+        Worker processes for the per-bucket kernel + spectral stage of
+        ``DASC.fit`` and ``StreamingDASC.finalize`` (see
+        :meth:`resolve_n_jobs`). Results are bit-identical to serial for
+        any value — buckets are independent sub-problems and labels merge
+        in bucket order. ``DistributedDASC``'s buckets are stage-2 reduce
+        tasks, run in-process whatever it says.
     validate:
         Run the :mod:`repro.verify.invariants` checks at every stage
         boundary (bucket partition, Gram blocks, Laplacian spectrum,
@@ -162,6 +168,27 @@ class DASCConfig:
                 )
             return self.min_shared_bits
         return max(n_bits - 1, 0)
+
+    def resolve_n_jobs(self) -> int:
+        """Worker processes for this run: ``n_jobs`` > ``REPRO_N_JOBS`` > 1.
+
+        A negative count means every visible core and ``0`` means 1. An
+        unset ``REPRO_N_JOBS`` is serial, and so is a non-integer one,
+        which is ignored with a warning.
+        """
+        n_jobs = self.n_jobs
+        if n_jobs is None:
+            raw = os.environ.get(N_JOBS_ENV, "").strip()
+            if not raw:
+                return 1
+            try:
+                n_jobs = int(raw)
+            except ValueError:
+                logger.warning("ignoring non-integer %s=%r", N_JOBS_ENV, raw)
+                return 1
+        if n_jobs < 0:
+            return max(1, os.cpu_count() or 1)
+        return max(1, int(n_jobs))
 
     def resolve_sigma(self, X) -> float:
         """σ for data ``X`` (explicit value or a bandwidth heuristic on ``X``).

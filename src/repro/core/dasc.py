@@ -7,7 +7,10 @@
 3. + 4. one task per bucket (:func:`~repro.spectral.bucket.solve_bucket`):
    the bucket's Gaussian Gram block (Eq. 1, Algorithm 2), then NJW spectral
    clustering on it (Eq. 2 Laplacian, top-K_i eigenvectors, row-normalized
-   embedding, K-means); the block is dropped when the task returns,
+   embedding, K-means); the block is dropped when the task returns. Under
+   ``n_jobs`` / ``REPRO_N_JOBS`` the tasks that need an eigensolve fan out
+   over a fork pool started for the fit, whose workers inherit X and the
+   kernel (:func:`_solve_buckets`); the labels are serial's bit for bit,
 
 and exposes the combined labels plus per-stage time and exact Gram-memory
 accounting (the quantities of Figures 5 and 6 and Table 3).
@@ -31,7 +34,7 @@ from repro.core.refine import merge_clusters_to_k
 from repro.core.signatures import compute_signatures
 from repro.kernels.functions import GaussianKernel, Kernel
 from repro.kernels.matrix import gram_matrix_auto
-from repro.observability import get_tracer
+from repro.observability import get_logger, get_tracer, set_tracer
 from repro.spectral.bucket import BucketClustering, bucket_seed, needs_eigensolve, solve_bucket
 from repro.utils.memory import MemoryLedger
 from repro.utils.timing import Stopwatch
@@ -45,26 +48,134 @@ from repro.verify.invariants import (
 
 __all__ = ["DASC"]
 
+logger = get_logger("core.dasc")
 
-def _solve_bucket_task(payload) -> tuple[BucketClustering, Stopwatch]:
-    """Process-pool entry point: one bucket's
-    :func:`~repro.spectral.bucket.solve_bucket`.
 
-    The dataset arrives as a :class:`~repro.mapreduce.executor.SharedArray`
-    handle (a few bytes per task); only the bucket's rows are copied out of
-    it, and only the clustering and the task's stage times travel back.
-    The task is the call the serial loop makes, with explicit seeds and the
-    ``validate`` flag carried across the process boundary — the basis of
-    the parallel backend's bit-identity guarantee.
+def _solve_buckets(
+    X, members, kernel, allocation, config: DASCConfig, stopwatch: Stopwatch | None = None
+) -> list[BucketClustering]:
+    """Every bucket's :func:`~repro.spectral.bucket.solve_bucket`, in bucket order.
+
+    Bucket ``b`` holds the rows ``members[b]`` of ``X`` and is split into
+    ``allocation[b]`` clusters. Serially the buckets run one after another,
+    so one Gram block is alive at a time. When ``config.resolve_n_jobs()``
+    exceeds 1 and at least two buckets need an eigensolve, those fan out
+    once over a fork pool started for them (:func:`_solve_on_pool`), the
+    largest bucket first; the rest need no block and run in place, as do
+    the buckets of a failed pool. ``stopwatch`` sums every task's stage
+    times. ``DASC.fit`` and ``StreamingDASC.finalize`` both run this stage.
     """
-    from repro.mapreduce.executor import _null_child_tracer
+    options = {
+        "zero_diagonal": config.zero_diagonal,
+        "eig_backend": config.eig_backend,
+        "kmeans_n_init": config.kmeans_n_init,
+        "validate": validation_enabled(config.validate),
+    }
+    tasks = [
+        (b, idx, int(allocation[b]), bucket_seed(config.seed, b))
+        for b, idx in enumerate(members)
+    ]
+    clusterings: list = [None] * len(tasks)
+    solved = [t for t in tasks if needs_eigensolve(t[1].shape[0], t[2])]
+    n_jobs = config.resolve_n_jobs()
+    if n_jobs > 1 and len(solved) > 1:
+        solved.sort(key=lambda task: -task[1].shape[0])
+        pooled = _solve_on_pool(X, kernel, options, solved, min(n_jobs, len(solved)))
+        for b, (clustering, watch) in pooled.items():
+            clusterings[b] = clustering
+            if stopwatch is not None:
+                stopwatch.merge(watch)
+    for b, idx, k_i, seed in tasks:
+        if clusterings[b] is None:
+            clusterings[b] = solve_bucket(
+                X[idx], kernel, k_i, seed, bucket_id=b, stopwatch=stopwatch, **options
+            )
+    return clusterings
 
-    _null_child_tracer()
-    shared, idx, kernel, k_i, seed, options = payload
-    rows = shared.asarray()[idx]
-    shared.close()
+
+# Set in each pool worker by _init_worker, never in the parent:
+# (X, kernel, solve_bucket options).
+_WORKER_INPUTS = None
+
+
+def _init_worker(X, kernel, options) -> None:
+    """Pool initializer: keep the fit's inputs and switch tracing off.
+
+    Under fork, the initializer's arguments are inherited, not pickled, so
+    X is never copied and any kernel works. A forked worker also inherits
+    the parent's tracer and its open trace file; two processes appending
+    to one stream would interleave, so workers run silent.
+    """
+    global _WORKER_INPUTS
+    set_tracer(None)
+    _WORKER_INPUTS = (X, kernel, options)
+
+
+def _solve_in_worker(task) -> tuple[BucketClustering, Stopwatch]:
+    """One bucket's :func:`~repro.spectral.bucket.solve_bucket` in a pool worker.
+
+    ``task`` is ``(b, idx, k_i, seed)``, the call the serial loop makes;
+    only the bucket's rows are copied out of X, and only the clustering and
+    the task's stage times travel back.
+    """
+    X, kernel, options = _WORKER_INPUTS
+    b, idx, k_i, seed = task
     watch = Stopwatch()
-    return solve_bucket(rows, kernel, k_i, seed, stopwatch=watch, **options), watch
+    return solve_bucket(X[idx], kernel, k_i, seed, bucket_id=b, stopwatch=watch, **options), watch
+
+
+def _solve_on_pool(X, kernel, options, tasks, n_workers: int) -> dict:
+    """Run bucket ``tasks`` on a fork pool of ``n_workers`` started for them.
+
+    Returns ``{b: (clustering, stopwatch)}`` for the tasks that came back.
+    A worker that dies, a pool that cannot start, or a platform without the
+    fork start method leaves the rest to the caller, which runs them in the
+    parent, and emits one ``executor.fallback`` event with the reason. A
+    task's own exception surfaces unchanged: the tasks not yet started are
+    cancelled and nothing runs again. The pool is shut down before return.
+    """
+    import multiprocessing as mp
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    done: dict = {}
+    if "fork" not in mp.get_all_start_methods():
+        _fall_back(n_workers, len(tasks), "no fork start method")
+        return done
+    pool = None
+    try:
+        pool = ProcessPoolExecutor(
+            n_workers,
+            mp_context=mp.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(X, kernel, options),
+        )
+        futures = [pool.submit(_solve_in_worker, task) for task in tasks]
+    except Exception as exc:
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+        _fall_back(n_workers, len(tasks), f"{type(exc).__name__}: {exc}")
+        return done
+    broken = None
+    try:
+        for (b, *_), future in zip(tasks, futures):
+            try:
+                done[b] = future.result()
+            except BrokenProcessPool as exc:
+                broken = exc
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+    if broken is not None:
+        _fall_back(n_workers, len(tasks) - len(done), f"{type(broken).__name__}: {broken}")
+    return done
+
+
+def _fall_back(n_workers: int, n_tasks: int, reason: str) -> None:
+    """Log and trace that ``n_tasks`` bucket tasks run in the parent instead."""
+    logger.warning("no per-bucket pool (%s); %d buckets run in-process", reason, n_tasks)
+    get_tracer().event(
+        "executor.fallback", n_workers=n_workers, n_tasks=n_tasks, reason=reason
+    )
 
 
 class DASC:
@@ -94,9 +205,10 @@ class DASC:
     signatures_ : (n,) packed uint64 signatures
     n_bits_ : resolved signature length M
     sigma_ : resolved Gaussian bandwidth
-    stopwatch_ : per-stage time (hash/bucket/kernel/spectral); kernel and
-        spectral sum the per-bucket tasks, across workers under a pool
-    memory_ : Gram-storage ledger (the Figure-6(b) quantity)
+    stopwatch_ : per-stage time (hash/bucket/kernel/spectral) of the last
+        :meth:`fit` or :meth:`transform`; kernel and spectral sum the
+        per-bucket tasks, across workers under a pool
+    memory_ : the same call's Gram-storage ledger (the Figure-6(b) quantity)
     """
 
     def __init__(
@@ -136,12 +248,6 @@ class DASC:
         """Whether the invariant layer is on (config override or REPRO_VALIDATE)."""
         return validation_enabled(self.config.validate)
 
-    def _resolve_executor(self):
-        """The execution backend ``config.n_jobs`` asks for."""
-        from repro.mapreduce.executor import resolve_executor
-
-        return resolve_executor(self.config.n_jobs)
-
     def _resolve_kernel(self, X: np.ndarray) -> Kernel:
         """Set ``sigma_`` and ``kernel_`` for ``X`` and return the kernel."""
         if self._kernel_override is not None:
@@ -180,6 +286,7 @@ class DASC:
     def transform(self, X) -> ApproximateKernel:
         """Stages 1-3: the approximate kernel matrix (algorithm-independent API)."""
         X = check_2d(X)
+        self.stopwatch_, self.memory_ = Stopwatch(), MemoryLedger()
         tracer = get_tracer()
         buckets = self.partition(X)
         kernel = self._resolve_kernel(X)
@@ -212,6 +319,7 @@ class DASC:
     def fit(self, X) -> "DASC":
         """Run the full DASC pipeline and populate ``labels_``."""
         X = check_2d(X)
+        self.stopwatch_, self.memory_ = Stopwatch(), MemoryLedger()
         tracer = get_tracer()
         with tracer.span("dasc.fit", n_points=X.shape[0]) as fit_span:
             self._fit_traced(X, tracer, fit_span)
@@ -247,16 +355,16 @@ class DASC:
         self.cluster_allocation_ = allocation
 
         labels = np.full(n, -1, dtype=np.int64)
-        executor = self._resolve_executor()
         offset = 0
         with tracer.span("dasc.spectral") as span:
-            clusterings = self._solve_buckets(X, members, kernel, allocation, executor)
+            clusterings = _solve_buckets(
+                X, members, kernel, allocation, self.config, stopwatch=self.stopwatch_
+            )
             for b, (idx, clustering) in enumerate(zip(members, clusterings)):
                 labels[idx] = offset + clustering.labels
                 offset += int(allocation[b])
             span.set("n_blocks", approx.n_blocks)
             span.set("n_local_clusters", offset)
-            span.set("executor", executor.describe())
         if tracer.enabled:
             tracer.metrics.gauge("dasc.sigma").set(self.sigma_)
             tracer.metrics.gauge("dasc.gram_bytes").set(approx.nbytes)
@@ -283,51 +391,6 @@ class DASC:
         self.labels_ = labels
         self.n_clusters_ = offset
         self.bucket_clusterings_ = clusterings
-
-    def _solve_buckets(self, X, members, kernel, allocation, executor) -> list[BucketClustering]:
-        """Every bucket's :func:`~repro.spectral.bucket.solve_bucket`, in bucket order.
-
-        Serially the buckets run one after another, so one Gram block is
-        alive at a time. Under a process pool, the buckets that need an
-        eigensolve fan out once: X is shared once, the largest bucket goes
-        first, and only the clusterings come back. The rest need no block
-        and run in place, as every bucket does when the kernel does not
-        pickle.
-        """
-        options = {
-            "zero_diagonal": self.config.zero_diagonal,
-            "eig_backend": self.config.eig_backend,
-            "kmeans_n_init": self.config.kmeans_n_init,
-            "validate": self._validate_active(),
-        }
-        tasks = [
-            (b, idx, int(allocation[b]), bucket_seed(self.config.seed, b))
-            for b, idx in enumerate(members)
-        ]
-        clusterings: list = [None] * len(tasks)
-        solved = [t for t in tasks if needs_eigensolve(t[1].shape[0], t[2])]
-        from repro.mapreduce.executor import SharedArray, is_picklable
-
-        if executor.parallel and len(solved) > 1 and is_picklable(kernel):
-
-            solved.sort(key=lambda task: -task[1].shape[0])
-            with SharedArray.create(X) as shared:
-                results = executor.map_ordered(
-                    _solve_bucket_task,
-                    [
-                        (shared, idx, kernel, k_i, seed, {**options, "bucket_id": b})
-                        for b, idx, k_i, seed in solved
-                    ],
-                )
-            for (b, *_), (clustering, watch) in zip(solved, results):
-                clusterings[b] = clustering
-                self.stopwatch_.merge(watch)
-        for b, idx, k_i, seed in tasks:
-            if clusterings[b] is None:
-                clusterings[b] = solve_bucket(
-                    X[idx], kernel, k_i, seed, bucket_id=b, stopwatch=self.stopwatch_, **options
-                )
-        return clusterings
 
     def fit_predict(self, X) -> np.ndarray:
         """Fit and return the global labels."""

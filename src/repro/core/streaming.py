@@ -11,8 +11,9 @@ datapoints between different nodes."
 the kernel bandwidth are fitted once on a sample, then arbitrarily many
 chunks are absorbed one at a time, each hashed on arrival. The final
 clustering runs over the buckets ``DASC`` builds
-(:func:`~repro.core.buckets.make_buckets`), one Gram block at a time, so
-beyond the absorbed points peak memory is O(max bucket^2), not O(N^2).
+(:func:`~repro.core.buckets.make_buckets`), one Gram block at a time (one
+per worker under ``n_jobs``), so beyond the absorbed points peak memory is
+O(max bucket^2), not O(N^2).
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ import numpy as np
 from repro.core.allocation import allocate_clusters, choose_k_eigengap
 from repro.core.buckets import Buckets, make_buckets
 from repro.core.config import DASCConfig
+from repro.core.dasc import _solve_buckets
 from repro.core.refine import merge_clusters_to_k
 from repro.core.signatures import make_hasher
 from repro.kernels.functions import GaussianKernel
 from repro.kernels.matrix import gram_matrix_auto
 from repro.observability import get_tracer
-from repro.spectral.bucket import BucketClustering, bucket_seed, solve_bucket
+from repro.spectral.bucket import BucketClustering
 from repro.utils.validation import check_2d
 from repro.verify.invariants import check_buckets, check_labels_range, validation_enabled
 
@@ -143,11 +145,13 @@ class StreamingDASC:
     def finalize(self) -> np.ndarray:
         """Cluster every bucket and return labels in absorption order.
 
-        Buckets are clustered serially in bucket order, each by its own
-        :func:`~repro.spectral.bucket.solve_bucket` task, so at most one
-        Gram block is alive at a time. Under ``allocation="eigengap"`` each
-        block is built twice, because the allocation needs every bucket's
-        estimate before any is clustered.
+        Buckets are clustered by the per-bucket stage ``DASC.fit`` runs,
+        each by its own :func:`~repro.spectral.bucket.solve_bucket` task:
+        serially in bucket order, so at most one Gram block is alive at a
+        time, or fanned out over a fork pool under ``n_jobs`` /
+        ``REPRO_N_JOBS``. Under ``allocation="eigengap"`` each block is
+        built twice, because the allocation needs every bucket's estimate
+        before any is clustered.
         """
         if not self._chunks:
             raise RuntimeError("no data absorbed; call partial_fit() first")
@@ -181,16 +185,10 @@ class StreamingDASC:
             ks = allocate_clusters(
                 buckets.sizes, k_total, policy=self.config.allocation, eigengap_k=eigengap_k
             )
+            clusterings = _solve_buckets(X, members, kernel, ks, self.config)
             labels = np.full(X.shape[0], -1, dtype=np.int64)
-            clusterings = []
             offset = 0
-            for b, idx in enumerate(members):
-                clustering = solve_bucket(
-                    X[idx], kernel, int(ks[b]), bucket_seed(self.config.seed, b),
-                    zero_diagonal=zero_diagonal, eig_backend=self.config.eig_backend,
-                    kmeans_n_init=self.config.kmeans_n_init, validate=validate, bucket_id=b,
-                )
-                clusterings.append(clustering)
+            for b, (idx, clustering) in enumerate(zip(members, clusterings)):
                 labels[idx] = offset + clustering.labels
                 offset += int(ks[b])
             if (labels < 0).any():

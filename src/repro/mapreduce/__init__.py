@@ -22,23 +22,16 @@ deployment story needs:
   the :class:`ChaosStore` fault injector, and the hardened
   :class:`ResilientStore` client (checksummed envelopes, atomic writes,
   seeded retries, quarantine),
-* :mod:`repro.mapreduce.counters` — Hadoop-style counters,
-* :mod:`repro.mapreduce.executor` — serial / process-pool execution
-  backends for real-core parallelism, used by ``DASC.fit``'s per-bucket
-  fan-out (``REPRO_N_JOBS``).
+* :mod:`repro.mapreduce.counters` — Hadoop-style counters.
+
+Every task runs in the calling process; the simulated cluster alone
+decides a job's makespan. The package spends no real cores:
+``DASC.fit``'s per-bucket process pool lives in :mod:`repro.core.dasc`.
 """
 
 from repro.mapreduce.types import MapTaskResult, JobSpec
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.engine import MapReduceEngine, stable_hash
-from repro.mapreduce.executor import (
-    ExecutorError,
-    ParallelExecutor,
-    SerialExecutor,
-    SharedArray,
-    effective_n_jobs,
-    resolve_executor,
-)
 from repro.mapreduce.hdfs import SimulatedHDFS, FileSplit, ReplicaUnavailableError
 from repro.mapreduce.storage import (
     StorageError,
@@ -89,12 +82,6 @@ __all__ = [
     "Counters",
     "MapReduceEngine",
     "stable_hash",
-    "ExecutorError",
-    "SerialExecutor",
-    "ParallelExecutor",
-    "SharedArray",
-    "effective_n_jobs",
-    "resolve_executor",
     "SimulatedHDFS",
     "FileSplit",
     "ReplicaUnavailableError",

@@ -1,7 +1,7 @@
 """One bucket's spectral clustering — DASC's unit of work.
 
 Every path that clusters a bucket runs :func:`solve_bucket`: ``DASC.fit``
-(serially or in process-pool workers), ``StreamingDASC.finalize`` and the
+and ``StreamingDASC.finalize`` (serially or in fork-pool workers) and the
 stage-2 reducer (one per bucket, Section 5.1). Given the bucket's rows it
 builds the bucket's Gram block (Algorithm 2) — only when the eigensolve
 needs it — and hands it to :func:`cluster_bucket`, which applies the NJW

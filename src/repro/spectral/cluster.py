@@ -43,8 +43,8 @@ class SpectralClustering:
     ------------------------------
     labels_ : (n,) cluster assignments
     affinity_matrix_ : the dense Gram matrix used
-    stopwatch_ : per-stage wall time
-    memory_ : Gram-matrix footprint ledger (Figure 6(b) accounting)
+    stopwatch_ : per-stage wall time of the last fit
+    memory_ : its Gram-matrix footprint ledger (Figure 6(b) accounting)
     """
 
     def __init__(
@@ -78,6 +78,7 @@ class SpectralClustering:
         n = X.shape[0]
         if n < self.n_clusters:
             raise ValueError(f"n_samples={n} < n_clusters={self.n_clusters}")
+        self.stopwatch_, self.memory_ = Stopwatch(), MemoryLedger()
         with self.stopwatch_.lap("gram"):
             S = gram_matrix(X, self.kernel, zero_diagonal=self.zero_diagonal)
         self.memory_.charge("gram", dense_matrix_bytes(n))

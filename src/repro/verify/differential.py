@@ -4,11 +4,12 @@ The pipeline makes strong determinism promises and one quality promise,
 and this module checks all of them on a seeded, block-structured synthetic
 workload (the shape of the paper's Section-5.3 comparison):
 
-1. **serial vs process-pool** — ``DASC.fit`` with ``n_jobs=1`` and with a
-   :class:`~repro.mapreduce.executor.ParallelExecutor` must produce
-   bit-identical labels, buckets, and allocations, and the model exported
-   from the process-pool fit (its per-bucket artifacts came back from the
-   workers) must assign the training points their serial fit labels;
+1. **serial vs process-pool** — ``DASC.fit`` with ``n_jobs=1`` and with
+   ``n_jobs=2`` (its buckets solved on a fork pool started for the fit)
+   must produce bit-identical labels, buckets, and allocations, and the
+   model exported from the pooled fit (its per-bucket artifacts came back
+   from the workers) must assign the training points their serial fit
+   labels;
 2. **crash-resumed vs uninterrupted** — a flow killed between steps and
    :meth:`~repro.dasc_mr.driver.DistributedDASC.resume`-d must match the
    uninterrupted run bit-for-bit (labels, counters, makespan);

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.baselines import PSC, NystromSpectralClustering
 from repro.core import DASC, DASCConfig
-from repro.data import make_moons, make_rings
+from repro.data import make_blobs, make_moons, make_rings
 from repro.kernels import GaussianKernel, gram_matrix
 from repro.metrics import clustering_accuracy, fnorm_ratio
 from repro.observability import Tracer, use_tracer
@@ -199,6 +200,36 @@ class TestPerBucketTask:
         for method in (fitted.frobenius_norm, fitted.to_dense):
             with pytest.raises(RuntimeError, match=r"transform\(X\)"):
                 method()
+
+
+class TestLedgers:
+    """Each fit accounts for itself alone: fitting again does not add to the
+    last fit's time and memory ledgers."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DASC(4, seed=0),
+            lambda: SpectralClustering(4, sigma=0.5, seed=0),
+            lambda: PSC(4, sigma=0.5, seed=0),
+            lambda: NystromSpectralClustering(4, sigma=0.5, seed=0),
+        ],
+        ids=["DASC", "SC", "PSC", "NYST"],
+    )
+    def test_refit_accounts_for_one_fit(self, make):
+        X, _ = make_blobs(600, n_clusters=4, n_features=8, seed=0)
+        once = make().fit(X)
+        twice = make().fit(X).fit(X)
+        assert once.memory_.total > 0
+        assert twice.memory_.entries == once.memory_.entries
+        assert list(twice.stopwatch_.laps) == list(once.stopwatch_.laps)
+
+    def test_transform_after_fit_accounts_for_itself(self):
+        X, _ = make_blobs(600, n_clusters=4, n_features=8, seed=0)
+        est = DASC(4, seed=0).fit(X)
+        approx = est.transform(X)
+        assert est.memory_.total == approx.nbytes
+        assert list(est.stopwatch_.laps) == ["hash", "bucket", "kernel"]
 
 
 def _blobs_2d(n, centres, std, seed=0):

@@ -284,3 +284,54 @@ class TestApproxBytesDict:
         d = {1: 2.0, 3: 4.0}
         items = list(d.items())
         assert approx_bytes(d) == approx_bytes(items) - 8 * len(items)
+
+
+# -- an engine task that fails, and its phase times --------------------------
+
+
+def _square_mapper(key, value, ctx):
+    ctx.increment("test", "mapped")
+    yield (int(value) % 3, int(value) ** 2)
+
+
+def _sum_reducer(key, values, ctx):
+    ctx.increment("test", "reduced")
+    yield (key, sum(values))
+
+
+def _failing_mapper(key, value, ctx):
+    ctx.increment("test", "attempted")
+    if int(value) == 7:
+        raise RuntimeError("record 7 is cursed")
+    yield (0, int(value))
+
+
+def picklable_job(**kw):
+    return JobSpec(name="sq", mapper=_square_mapper, reducer=_sum_reducer, n_reducers=3, **kw)
+
+
+class TestEngineParallelSemantics:
+    """The engine's state when a task fails, and its measured phase times."""
+
+    def _splits(self, n_records=40, per_split=8):
+        return [
+            [(i, i) for i in range(s, min(s + per_split, n_records))]
+            for s in range(0, n_records, per_split)
+        ]
+
+    def test_map_error_carries_partial_counters(self):
+        job = JobSpec(name="boom", mapper=_failing_mapper, reducer=_sum_reducer)
+        splits = [[(0, 1), (1, 2)], [(2, 7)], [(3, 4)]]
+        with pytest.raises(RuntimeError, match="cursed") as excinfo:
+            MapReduceEngine().run(job, splits)
+        # The finished task's counters plus the failing task's partial
+        # increments; nothing of the task that never ran.
+        assert excinfo.value.counters.as_dict() == {
+            "test": {"attempted": 3},
+            "map": {"input_records": 2, "output_records": 2},
+        }
+
+    def test_real_elapsed_recorded(self):
+        result = MapReduceEngine().run(picklable_job(), self._splits())
+        assert result.map_stats.real_elapsed > 0.0
+        assert result.reduce_stats.real_elapsed > 0.0
