@@ -9,9 +9,10 @@ deployment story needs:
 * :mod:`repro.mapreduce.hdfs` — a simulated distributed filesystem
   (splits, replication, block placement),
 * :mod:`repro.mapreduce.cluster` — a simulated cluster: nodes with map and
-  reduce slots (Table 2's configuration), an LPT slot scheduler, and a
-  discrete cost model that yields simulated makespans (the elasticity
-  quantity of Table 3),
+  reduce slots (Table 2's configuration), one LPT slot scheduler
+  (``SimulatedCluster.simulate_phase``) that places every phase, clean or
+  fault-injected, and a discrete cost model that yields simulated
+  makespans (the elasticity quantity of Table 3),
 * :mod:`repro.mapreduce.emr` — an Elastic-MapReduce-like service: an
   S3-like object store plus job flows of steps,
 * :mod:`repro.mapreduce.autoscale` — the closed loop over the cluster:

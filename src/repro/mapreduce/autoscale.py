@@ -7,8 +7,10 @@ is reduce-bound and skew-prone, so the resource mix that is right for one
 phase is wrong for the next. This module closes the loop: an
 :class:`Autoscaler` reads the same per-phase signals the observability
 plane derives from ``cluster.phase`` events — slot utilization, critical-
-path slack, straggler ratio, pending-task queue depth — and issues
-:meth:`SimulatedCluster.resize` decisions at two kinds of decision points:
+path slack, straggler ratio, pending-task queue depth — and resizes the
+cluster (:meth:`SimulatedCluster.add_nodes` /
+:meth:`SimulatedCluster.decommission_nodes`) at two kinds of decision
+points:
 
 * **between phases** of a job step (after the map phase is scheduled and
   the reduce queue is known, before the reduce phase is scheduled), and

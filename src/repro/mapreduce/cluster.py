@@ -4,14 +4,16 @@ The paper's elasticity result (Table 3) is a *scheduling* property: DASC's
 buckets are independent work items, so doubling the node count roughly
 halves the wall clock while memory per node and accuracy stay flat. This
 module reproduces that mechanism: tasks carry abstract costs, nodes expose
-map/reduce slots (Table 2: 4 map + 2 reduce per tasktracker), and a
-longest-processing-time (LPT) list scheduler assigns tasks to slots. The
-simulated makespan is the maximum finishing time over slots.
+map/reduce slots (Table 2: 4 map + 2 reduce per tasktracker), and one
+longest-processing-time (LPT) list scheduler,
+:meth:`SimulatedCluster.simulate_phase`, assigns every phase's tasks to
+slots — data-locally for map tasks on HDFS splits, and under node kills,
+stragglers and speculation for the fault-injecting engine. The simulated
+makespan is the maximum finishing time over slots.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from repro.observability import get_tracer
@@ -20,6 +22,7 @@ __all__ = [
     "NodeConfig",
     "EMR_NODE_CONFIG",
     "TABLE2_DEFAULTS",
+    "REMOTE_PENALTY",
     "TaskStats",
     "PhaseTask",
     "ScaleReport",
@@ -52,6 +55,10 @@ TABLE2_DEFAULTS = NodeConfig()
 #: Alias used by the EMR service layer.
 EMR_NODE_CONFIG = TABLE2_DEFAULTS
 
+#: Extra cost, as a fraction of the task's, that a task pays to run off the
+#: nodes holding its split (the network read of a remote replica).
+REMOTE_PENALTY = 0.25
+
 
 @dataclass
 class TaskStats:
@@ -61,7 +68,9 @@ class TaskStats:
     total_cost: float
     makespan: float
     per_slot_cost: list[float] = field(default_factory=list)
-    n_local_tasks: int = 0  # tasks that ran on a node holding their data
+    # Tasks whose surviving attempt paid no remote-read penalty (ran on a
+    # node holding their split, or had no placement to honour).
+    n_local_tasks: int = 0
     # -- fault/speculation accounting (zero when the phase ran clean) --------
     n_node_failures: int = 0  # nodes preempted during the phase
     n_tasks_lost: int = 0  # in-flight attempts killed with their node
@@ -97,6 +106,8 @@ class PhaseTask:
     ``cost`` is the nominal work a healthy attempt charges; ``slowdown``
     inflates the attempt's *runtime* (a straggling container / sick node)
     without changing the work a re-execution or backup would need.
+    ``preferred_nodes`` are the nodes holding the task's split (empty: run
+    anywhere at nominal cost).
     """
 
     cost: float
@@ -151,7 +162,7 @@ class ScaleReport:
         return self.cold_start + self.drain_cost
 
 
-@dataclass
+@dataclass(slots=True)
 class _Attempt:
     """One execution attempt of a task on a slot (internal bookkeeping)."""
 
@@ -161,6 +172,7 @@ class _Attempt:
     end: float
     charge: float
     completes: bool  # whether this attempt currently produces the task's output
+    local: bool  # whether it ran without the remote-read penalty
 
 
 class SimulatedCluster:
@@ -246,25 +258,6 @@ class SimulatedCluster:
             blocks_moved=blocks_moved,
         )
 
-    def resize(
-        self,
-        n_nodes: int,
-        *,
-        fs=None,
-        cold_start: float = 0.0,
-        drain_cost_per_block: float = 0.0,
-    ) -> ScaleReport:
-        """Scale the cluster to ``n_nodes``, growing or draining as needed."""
-        if n_nodes < 1:
-            raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-        if n_nodes > self.n_nodes:
-            return self.add_nodes(n_nodes - self.n_nodes, cold_start=cold_start)
-        if n_nodes < self.n_nodes:
-            return self.decommission_nodes(
-                self.n_nodes - n_nodes, fs=fs, drain_cost_per_block=drain_cost_per_block
-            )
-        return ScaleReport()
-
     def _emit_phase_event(self, phase: str, stats: "TaskStats") -> None:
         """Attribute the phase's simulated makespan per node in the trace.
 
@@ -307,115 +300,7 @@ class SimulatedCluster:
             wasted_cost=stats.wasted_cost,
         )
 
-    def schedule(self, costs, *, phase: str = "map") -> TaskStats:
-        """LPT-schedule tasks of the given ``costs`` onto the phase's slots.
-
-        Returns the simulated makespan: tasks sorted by decreasing cost are
-        greedily placed on the currently least-loaded slot (a 4/3-optimal
-        makespan heuristic, and a good model of Hadoop's greedy task
-        assignment with speculative balancing).
-        """
-        if phase not in ("map", "reduce"):
-            raise ValueError(f"phase must be 'map' or 'reduce', got {phase!r}")
-        costs = [float(c) for c in costs]
-        if any(c < 0 for c in costs):
-            raise ValueError("task costs must be non-negative")
-        per_node = self.node.map_slots if phase == "map" else self.node.reduce_slots
-        n_slots = self.n_nodes * per_node
-        loads = [0.0] * n_slots
-        assigned = [0] * len(costs)
-        if costs:
-            heap = [(0.0, s) for s in range(n_slots)]
-            heapq.heapify(heap)
-            for i in sorted(range(len(costs)), key=lambda j: (-costs[j], j)):
-                load, slot = heapq.heappop(heap)
-                load += costs[i]
-                loads[slot] = load
-                assigned[i] = slot // per_node
-                heapq.heappush(heap, (load, slot))
-        stats = TaskStats(
-            n_tasks=len(costs),
-            total_cost=sum(costs),
-            makespan=max(loads) if loads else 0.0,
-            per_slot_cost=loads,
-            n_local_tasks=len(costs),  # no placement info: all count as local
-            assigned_nodes=assigned,
-        )
-        self._emit_phase_event(phase, stats)
-        return stats
-
-    def schedule_with_locality(
-        self,
-        tasks,
-        *,
-        phase: str = "map",
-        remote_penalty: float = 0.25,
-    ) -> TaskStats:
-        """LPT scheduling that prefers nodes holding the task's data.
-
-        ``tasks`` is a list of ``(cost, preferred_nodes)`` where
-        ``preferred_nodes`` is an iterable of node ids (empty = any node).
-        A task placed off its replicas pays ``remote_penalty`` extra cost
-        (the network read), exactly the tradeoff Hadoop's scheduler makes.
-        A data-local slot is chosen whenever it is no later than the best
-        remote slot *including* that penalty.
-        """
-        if phase not in ("map", "reduce"):
-            raise ValueError(f"phase must be 'map' or 'reduce', got {phase!r}")
-        if remote_penalty < 0:
-            raise ValueError(f"remote_penalty must be >= 0, got {remote_penalty}")
-        per_node = self.node.map_slots if phase == "map" else self.node.reduce_slots
-        n_slots = self.n_nodes * per_node
-        loads = [0.0] * n_slots
-        n_local = 0
-        total_cost = 0.0
-        parsed = []
-        for cost, preferred in tasks:
-            cost = float(cost)
-            if cost < 0:
-                raise ValueError("task costs must be non-negative")
-            preferred = frozenset(int(p) % self.n_nodes for p in (preferred or ()))
-            parsed.append((cost, preferred))
-        assigned = [0] * len(parsed)
-        for i in sorted(range(len(parsed)), key=lambda j: (-parsed[j][0], j)):
-            cost, preferred = parsed[i]
-            best_local = None
-            best_remote = None
-            for slot in range(n_slots):
-                node = slot // per_node
-                if preferred and node in preferred:
-                    if best_local is None or loads[slot] < loads[best_local]:
-                        best_local = slot
-                else:
-                    if best_remote is None or loads[slot] < loads[best_remote]:
-                        best_remote = slot
-            remote_cost = cost * (1.0 + remote_penalty) if preferred else cost
-            use_local = best_local is not None and (
-                best_remote is None or loads[best_local] + cost <= loads[best_remote] + remote_cost
-            )
-            if use_local:
-                loads[best_local] += cost
-                total_cost += cost
-                n_local += 1
-                assigned[i] = best_local // per_node
-            else:
-                loads[best_remote] += remote_cost
-                total_cost += remote_cost
-                assigned[i] = best_remote // per_node
-                if not preferred:
-                    n_local += 1  # no placement constraint: counts as local
-        stats = TaskStats(
-            n_tasks=len(parsed),
-            total_cost=total_cost,
-            makespan=max(loads) if loads else 0.0,
-            per_slot_cost=loads,
-            n_local_tasks=n_local,
-            assigned_nodes=assigned,
-        )
-        self._emit_phase_event(phase, stats)
-        return stats
-
-    # -- fault-aware phase simulation ---------------------------------------
+    # -- the scheduler -------------------------------------------------------
 
     def simulate_phase(
         self,
@@ -424,19 +309,27 @@ class SimulatedCluster:
         phase: str = "map",
         node_failures=(),
         speculation: SpeculationConfig | None = None,
-        remote_penalty: float = 0.25,
     ) -> TaskStats:
-        """Run one phase under node preemption, stragglers, and speculation.
+        """Schedule one phase's tasks on the cluster: its only scheduler.
 
-        ``tasks`` is a list of :class:`PhaseTask` (or ``(cost, slowdown,
-        preferred_nodes)`` tuples). ``node_failures`` is a list of
-        ``(node_id, time_fraction)`` kills: the node is preempted at
-        ``time_fraction`` of the phase's fault-free makespan, taking down
-        its in-flight attempts and — Hadoop map-output semantics — any map
-        outputs it was holding; reduce outputs are already on the DFS and
-        survive. Lost work is re-placed on the surviving nodes and
-        re-charged to the clock. ``speculation`` races stragglers with a
-        backup attempt at nominal speed; first finisher wins.
+        ``tasks`` is a list of :class:`PhaseTask`. Tasks are placed longest
+        runtime first (LPT, a 4/3-optimal makespan heuristic and a good model
+        of Hadoop's greedy task assignment), each on the least-loaded slot,
+        ties going to the lowest slot. A task with ``preferred_nodes`` (its
+        split's replicas) takes a data-local slot whenever that finishes no
+        later than the best remote slot *including* the
+        :data:`REMOTE_PENALTY` a remote read charges — the tradeoff Hadoop's
+        scheduler makes.
+
+        Faults layer on that placement; without them this is the plain LPT
+        schedule. ``node_failures`` is a list of ``(node_id, time_fraction)``
+        kills: the node is preempted at ``time_fraction`` of the phase's
+        fault-free makespan, taking down its in-flight attempts and — Hadoop
+        map-output semantics — any map outputs it was holding; reduce outputs
+        are already on the DFS and survive. Lost work is re-placed on the
+        surviving nodes and re-charged to the clock. ``speculation`` races
+        stragglers (tasks with ``slowdown > 1``) with a backup attempt at
+        nominal speed; first finisher wins.
 
         Because task *results* are computed deterministically by the engine,
         everything here is pure cost/latency accounting — the invariant the
@@ -445,22 +338,12 @@ class SimulatedCluster:
         """
         if phase not in ("map", "reduce"):
             raise ValueError(f"phase must be 'map' or 'reduce', got {phase!r}")
-        if remote_penalty < 0:
-            raise ValueError(f"remote_penalty must be >= 0, got {remote_penalty}")
         per_node = self.node.map_slots if phase == "map" else self.node.reduce_slots
         n_slots = self.n_nodes * per_node
-        parsed: list[PhaseTask] = []
-        for t in tasks:
-            if not isinstance(t, PhaseTask):
-                t = PhaseTask(*t)
-            parsed.append(
-                PhaseTask(
-                    cost=float(t.cost),
-                    slowdown=float(t.slowdown),
-                    preferred_nodes=tuple(int(p) % self.n_nodes for p in (t.preferred_nodes or ())),
-                )
-            )
-        n_tasks = len(parsed)
+        n_tasks = len(tasks)
+        costs = [float(t.cost) for t in tasks]
+        slowdowns = [float(t.slowdown) for t in tasks]
+        preferred = [frozenset(int(p) % self.n_nodes for p in t.preferred_nodes) for t in tasks]
         tracer = get_tracer()
         stats = TaskStats(n_tasks=n_tasks, total_cost=0.0, makespan=0.0)
         free = [0.0] * n_slots
@@ -468,44 +351,33 @@ class SimulatedCluster:
         attempts: list[_Attempt] = []
         completion = [0.0] * n_tasks
 
-        def node_of(slot: int) -> int:
-            return slot // per_node
-
-        def charge(a: _Attempt, amount: float) -> None:
-            a.charge = amount
-            slot_charge[a.slot] += amount
-
-        durations = [t.cost * t.slowdown for t in parsed]
+        durations = [c * s for c, s in zip(costs, slowdowns)]
         median = sorted(durations)[n_tasks // 2] if n_tasks else 0.0
 
         # -- pass 1: LPT placement (locality-aware) + speculative backups ----
-        n_local = 0
-        order = sorted(range(n_tasks), key=lambda i: (-durations[i], i))
-        for i in order:
-            task = parsed[i]
-            preferred = frozenset(task.preferred_nodes)
+        # A stable reverse sort keeps equal runtimes in submission order.
+        for i in sorted(range(n_tasks), key=durations.__getitem__, reverse=True):
+            cost, slowdown, local_nodes = costs[i], slowdowns[i], preferred[i]
             best_local = best_remote = None
             for slot in range(n_slots):
-                if preferred and node_of(slot) in preferred:
+                if local_nodes and slot // per_node in local_nodes:
                     if best_local is None or free[slot] < free[best_local]:
                         best_local = slot
-                else:
-                    if best_remote is None or free[slot] < free[best_remote]:
-                        best_remote = slot
-            run_cost = task.cost * (1.0 + remote_penalty) if preferred else task.cost
+                elif best_remote is None or free[slot] < free[best_remote]:
+                    best_remote = slot
+            remote_cost = cost * (1.0 + REMOTE_PENALTY) if local_nodes else cost
             use_local = best_local is not None and (
                 best_remote is None
-                or free[best_local] + task.cost * task.slowdown
-                <= free[best_remote] + run_cost * task.slowdown
+                or free[best_local] + cost * slowdown <= free[best_remote] + remote_cost * slowdown
             )
-            if use_local or not preferred:
-                n_local += 1
             slot = best_local if use_local else best_remote
-            eff_cost = task.cost if use_local else run_cost
-            dur = eff_cost * task.slowdown
-            a = _Attempt(task=i, slot=slot, start=free[slot], end=free[slot] + dur,
-                         charge=0.0, completes=True)
-            charge(a, eff_cost)
+            run_cost = cost if use_local else remote_cost
+            dur = run_cost * slowdown
+            # Positional arguments: this runs once per task, keyword ones cost
+            # twice as much.
+            a = _Attempt(i, slot, free[slot], free[slot] + dur, run_cost, True,
+                         use_local or not local_nodes)
+            slot_charge[slot] += run_cost
             free[slot] = a.end
             attempts.append(a)
             completion[i] = a.end
@@ -514,7 +386,7 @@ class SimulatedCluster:
                 speculation is not None
                 and median > 0
                 and dur > speculation.lag_threshold * median
-                and task.slowdown > 1.0
+                and slowdown > 1.0
             ):
                 # The task is visibly lagging once the median runtime has
                 # elapsed: launch a backup on the least-loaded slot of
@@ -522,54 +394,45 @@ class SimulatedCluster:
                 detect = a.start + median
                 backup_slot = None
                 for slot2 in range(n_slots):
-                    if node_of(slot2) == node_of(a.slot):
+                    if slot2 // per_node == slot // per_node:
                         continue
                     if backup_slot is None or free[slot2] < free[backup_slot]:
                         backup_slot = slot2
                 if backup_slot is None:
                     continue  # single-node cluster: nowhere to speculate
                 b_start = max(free[backup_slot], detect)
-                b_end = b_start + task.cost
+                b_end = b_start + cost
                 if b_start >= a.end:
                     continue  # original finishes before the backup could start
                 stats.speculative_launched += 1
-                if b_end < a.end:
+                won = b_end < a.end
+                if won:
                     # Backup wins; the original is killed at the backup's finish.
                     stats.speculative_won += 1
-                    b = _Attempt(task=i, slot=backup_slot, start=b_start, end=b_end,
-                                 charge=0.0, completes=True)
-                    charge(b, task.cost)
+                    attempts.append(_Attempt(task=i, slot=backup_slot, start=b_start, end=b_end,
+                                             charge=cost, completes=True, local=True))
+                    slot_charge[backup_slot] += cost
                     free[backup_slot] = b_end
-                    attempts.append(b)
                     a.completes = False
                     burned = max(0.0, b_end - a.start)
-                    slot_charge[a.slot] += burned - a.charge
-                    stats.wasted_cost += burned
+                    slot_charge[slot] += burned - a.charge
                     a.charge = burned
                     a.end = b_end
-                    free[a.slot] = b_end
+                    free[slot] = b_end
                     completion[i] = b_end
-                    if tracer.enabled:
-                        tracer.event(
-                            "fault.speculation",
-                            phase=phase, task=i, won=True,
-                            slowdown=task.slowdown, wasted_cost=burned,
-                        )
                 else:
                     # Backup loses; it is killed when the original finishes.
                     burned = a.end - b_start
-                    b = _Attempt(task=i, slot=backup_slot, start=b_start, end=a.end,
-                                 charge=0.0, completes=False)
-                    charge(b, burned)
-                    stats.wasted_cost += burned
+                    attempts.append(_Attempt(task=i, slot=backup_slot, start=b_start, end=a.end,
+                                             charge=burned, completes=False, local=True))
+                    slot_charge[backup_slot] += burned
                     free[backup_slot] = a.end
-                    attempts.append(b)
-                    if tracer.enabled:
-                        tracer.event(
-                            "fault.speculation",
-                            phase=phase, task=i, won=False,
-                            slowdown=task.slowdown, wasted_cost=burned,
-                        )
+                stats.wasted_cost += burned
+                if tracer.enabled:
+                    tracer.event(
+                        "fault.speculation",
+                        phase=phase, task=i, won=won, slowdown=slowdown, wasted_cost=burned,
+                    )
 
         # -- pass 2: node preemption, time-ordered --------------------------
         dead: set[int] = set()
@@ -593,7 +456,7 @@ class SimulatedCluster:
             outputs_lost_before = stats.n_map_outputs_lost
             lost: list[int] = []
             for a in attempts:
-                if node_of(a.slot) != node:
+                if a.slot // per_node != node:
                     continue
                 if a.end > t_kill:
                     # In-flight (or queued) when the node went away.
@@ -612,20 +475,16 @@ class SimulatedCluster:
                     lost.append(a.task)
                     stats.n_map_outputs_lost += 1
                     stats.wasted_cost += a.charge
-            alive_slots = [s for s in range(n_slots) if node_of(s) not in dead]
-            for i in sorted(set(lost), key=lambda j: (-parsed[j].cost, j)):
-                task = parsed[i]
-                preferred = frozenset(task.preferred_nodes) - dead
+            alive_slots = [s for s in range(n_slots) if s // per_node not in dead]
+            for i in sorted(set(lost), key=lambda j: (-costs[j], j)):
+                local_nodes = preferred[i] - dead
                 slot = min(alive_slots, key=lambda s: (max(free[s], t_kill), s))
-                re_cost = (
-                    task.cost
-                    if not preferred or node_of(slot) in preferred
-                    else task.cost * (1.0 + remote_penalty)
-                )
+                local = not local_nodes or slot // per_node in local_nodes
+                re_cost = costs[i] if local else costs[i] * (1.0 + REMOTE_PENALTY)
                 start = max(free[slot], t_kill)
                 a = _Attempt(task=i, slot=slot, start=start, end=start + re_cost,
-                             charge=0.0, completes=True)
-                charge(a, re_cost)
+                             charge=re_cost, completes=True, local=local)
+                slot_charge[slot] += re_cost
                 free[slot] = a.end
                 attempts.append(a)
                 completion[i] = a.end
@@ -640,17 +499,18 @@ class SimulatedCluster:
                     wasted_cost=stats.wasted_cost - wasted_before,
                 )
 
-        stats.total_cost = sum(slot_charge)
-        stats.makespan = max(completion) if n_tasks else 0.0
-        stats.per_slot_cost = slot_charge
-        stats.n_local_tasks = n_local
         # The surviving (completing) attempt determines which node each
-        # task's output came from — speculation wins and post-kill
-        # re-placements override the original placement.
+        # task's output came from and whether it paid the remote read —
+        # speculation wins and post-kill re-placements override the
+        # original placement.
         assigned = [0] * n_tasks
         for a in attempts:
             if a.completes:
-                assigned[a.task] = node_of(a.slot)
+                assigned[a.task] = a.slot // per_node
+                stats.n_local_tasks += a.local
         stats.assigned_nodes = assigned
+        stats.per_slot_cost = slot_charge
+        stats.total_cost = sum(slot_charge)
+        stats.makespan = max(completion) if n_tasks else 0.0
         self._emit_phase_event(phase, stats)
         return stats

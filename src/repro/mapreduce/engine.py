@@ -10,7 +10,11 @@ its makespan depends on it.
 
 Task bodies are pure module-level functions (:func:`execute_map_task`,
 :func:`execute_reduce_task`) so the plain engine and the fault-injecting
-engine's retries run literally the same code.
+engine's retries run literally the same code. Both engines place each
+phase through one hook, ``_schedule_phase``, on the cluster's one
+scheduler, :meth:`~repro.mapreduce.cluster.SimulatedCluster.simulate_phase`;
+the fault-injecting engine overrides the hook only to add its slowdown,
+kill and speculation draws.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.mapreduce.cluster import SimulatedCluster, TaskStats
+from repro.mapreduce.cluster import PhaseTask, SimulatedCluster, TaskStats
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.hdfs import FileSplit
 from repro.mapreduce.types import JobSpec, MapTaskResult
@@ -216,7 +220,9 @@ class MapReduceEngine:
         map_results = self._map_phase(job, split_records, counters, tracer)
         map_wall = time.perf_counter() - phase_start
         with tracer.span("mr.schedule", phase="map"):
-            map_stats = self._schedule_map_phase(map_results, placements, counters)
+            map_stats = self._schedule_phase(
+                "map", [r.cost for r in map_results], placements, counters
+            )
         map_stats.real_elapsed = map_wall
         counters.increment("job", "map_tasks", len(map_results))
         if validate:
@@ -267,7 +273,9 @@ class MapReduceEngine:
         if self.autoscaler is not None:
             self.autoscaler.between_phases(job.name, map_stats, reduce_costs)
         with tracer.span("mr.schedule", phase="reduce"):
-            reduce_stats = self._schedule_reduce_phase(reduce_costs, counters)
+            reduce_stats = self._schedule_phase(
+                "reduce", reduce_costs, [()] * len(reduce_costs), counters
+            )
         reduce_stats.real_elapsed = reduce_wall
         counters.increment("job", "reduce_tasks", len(reduce_costs))
         if validate:
@@ -346,20 +354,17 @@ class MapReduceEngine:
             raise
         return output, partition_outputs, reduce_costs
 
-    # -- scheduling hooks (overridden by the fault-injecting engine) ---------
+    # -- scheduling hook (overridden by the fault-injecting engine) ----------
 
-    def _schedule_map_phase(self, map_results, placements, counters: Counters) -> TaskStats:
-        """Place the executed map tasks' costs on the simulated cluster."""
-        if any(placements):
-            # HDFS splits carry replica locations: schedule data-locally.
-            return self.cluster.schedule_with_locality(
-                [(r.cost, p) for r, p in zip(map_results, placements)], phase="map"
-            )
-        return self.cluster.schedule([r.cost for r in map_results], phase="map")
+    def _schedule_phase(self, phase: str, costs, placements, counters: Counters) -> TaskStats:
+        """Place one executed phase's task costs on the simulated cluster.
 
-    def _schedule_reduce_phase(self, reduce_costs, counters: Counters) -> TaskStats:
-        """Place the executed reduce tasks' costs on the simulated cluster."""
-        return self.cluster.schedule(reduce_costs, phase="reduce")
+        ``placements[i]`` holds the nodes with task ``i``'s split (HDFS
+        replicas; empty for reduce tasks and plain-list splits). The
+        fault-injecting engine tallies its faults into ``counters``.
+        """
+        tasks = [PhaseTask(c, preferred_nodes=p) for c, p in zip(costs, placements)]
+        return self.cluster.simulate_phase(tasks, phase=phase)
 
     # -- task hooks (overridden by the fault-injecting engine) ---------------
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.mapreduce.cluster import PhaseTask, SimulatedCluster, SpeculationConfig
+from repro.mapreduce.cluster import PhaseTask, SimulatedCluster, SpeculationConfig, TaskStats
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.engine import MapReduceEngine, MapTaskResult, TaskContext
 from repro.mapreduce.storage import ChaosStore, StorageFaultPolicy
@@ -298,10 +298,14 @@ class FaultyEngine(MapReduceEngine):
 
     # -- phase scheduling ----------------------------------------------------
 
-    def _simulate(self, tasks: list[PhaseTask], phase: str, counters: Counters):
-        phase_index = self._phase_index
+    def _schedule_phase(self, phase: str, costs, placements, counters: Counters) -> TaskStats:
+        """Schedule the phase under this run's slowdown, kill and speculation draws."""
+        tasks = [
+            PhaseTask(c, slowdown=self._draw_slowdown(), preferred_nodes=p)
+            for c, p in zip(costs, placements)
+        ]
+        kills = self._draw_kills(self._phase_index, self.cluster.n_nodes)
         self._phase_index += 1
-        kills = self._draw_kills(phase_index, self.cluster.n_nodes)
         stats = self.cluster.simulate_phase(
             tasks,
             phase=phase,
@@ -319,14 +323,3 @@ class FaultyEngine(MapReduceEngine):
         if stats.speculative_won:
             counters.increment("faults", "speculative_won", stats.speculative_won)
         return stats
-
-    def _schedule_map_phase(self, map_results, placements, counters: Counters):
-        tasks = [
-            PhaseTask(cost=r.cost, slowdown=self._draw_slowdown(), preferred_nodes=tuple(p))
-            for r, p in zip(map_results, placements)
-        ]
-        return self._simulate(tasks, "map", counters)
-
-    def _schedule_reduce_phase(self, reduce_costs, counters: Counters):
-        tasks = [PhaseTask(cost=float(c), slowdown=self._draw_slowdown()) for c in reduce_costs]
-        return self._simulate(tasks, "reduce", counters)

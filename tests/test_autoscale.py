@@ -72,15 +72,6 @@ class TestClusterPrimitives:
         with pytest.raises(ValueError, match="at least one node must survive"):
             cluster.decommission_nodes(3)
 
-    def test_resize_dispatches(self):
-        cluster = SimulatedCluster(4)
-        assert cluster.resize(6, cold_start=2.0).cold_start == 2.0
-        assert cluster.n_nodes == 6
-        assert cluster.resize(6).overhead == 0.0
-        report = cluster.resize(4)
-        assert report.removed == (4, 5)
-        assert cluster.n_nodes == 4
-
     def test_drain_cost_charged_per_block(self):
         fs = SimulatedHDFS(4, replication=2, default_split_size=8)
         fs.write("data", list(range(64)))

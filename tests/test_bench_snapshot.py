@@ -199,12 +199,13 @@ class TestPerfSmokeDriver:
         current = read_snapshot(out)
         baseline = read_snapshot(os.path.join(REPO_ROOT, "benchmarks", "BENCH_baseline.json"))
         assert set(current["benchmarks"]) == set(baseline["benchmarks"])
-        # The simulated schedule is seeded and deterministic: it must diff
-        # exactly against the committed baseline, whatever the wall clock
-        # does.
+        # The simulated schedule is seeded, deterministic and integer-costed:
+        # it must equal the committed baseline exactly, whatever the wall
+        # clock does.
         for name, bench in current["benchmarks"].items():
-            assert bench["makespan"] == pytest.approx(baseline["benchmarks"][name]["makespan"])
-            assert bench["critical_path"] <= bench["makespan"] + 1e-9
+            base = baseline["benchmarks"][name]
+            for key in ("makespan", "critical_path", "parallel_efficiency"):
+                assert bench[key] == base[key], (name, key)
         # And the whole pipeline gates clean against itself.
         comparison = compare_snapshots(current, current, [parse_fail_on("*>1%")])
         assert comparison["violations"] == []

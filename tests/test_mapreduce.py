@@ -10,6 +10,7 @@ from repro.mapreduce import (
     JobSpec,
     MapReduceEngine,
     NodeConfig,
+    PhaseTask,
     S3Store,
     SimulatedCluster,
     SimulatedHDFS,
@@ -166,34 +167,34 @@ class TestSimulatedCluster:
     def test_makespan_lower_bounds(self):
         cluster = SimulatedCluster(2)  # 4 reduce slots
         costs = [5.0, 3.0, 3.0, 3.0, 2.0, 2.0]
-        stats = cluster.schedule(costs, phase="reduce")
+        stats = cluster.simulate_phase([PhaseTask(c) for c in costs], phase="reduce")
         assert stats.makespan >= max(costs)
         assert stats.makespan >= sum(costs) / cluster.reduce_slots
         # LPT is within 4/3 of the optimum, which is itself >= both bounds.
         assert stats.makespan <= (4 / 3) * max(max(costs), sum(costs) / 4) + max(costs)
 
     def test_makespan_halves_with_doubled_nodes(self):
-        costs = [1.0] * 512
-        small = SimulatedCluster(8).schedule(costs, phase="reduce").makespan
-        big = SimulatedCluster(16).schedule(costs, phase="reduce").makespan
+        tasks = [PhaseTask(1.0)] * 512
+        small = SimulatedCluster(8).simulate_phase(tasks, phase="reduce").makespan
+        big = SimulatedCluster(16).simulate_phase(tasks, phase="reduce").makespan
         assert big == pytest.approx(small / 2)
 
     def test_single_huge_task_does_not_scale(self):
-        costs = [100.0]
-        a = SimulatedCluster(1).schedule(costs).makespan
-        b = SimulatedCluster(64).schedule(costs).makespan
+        tasks = [PhaseTask(100.0)]
+        a = SimulatedCluster(1).simulate_phase(tasks).makespan
+        b = SimulatedCluster(64).simulate_phase(tasks).makespan
         assert a == b == 100.0
 
     def test_empty_schedule(self):
-        stats = SimulatedCluster(2).schedule([])
+        stats = SimulatedCluster(2).simulate_phase([])
         assert stats.makespan == 0.0 and stats.n_tasks == 0
 
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
-            SimulatedCluster(1).schedule([-1.0])
+            SimulatedCluster(1).simulate_phase([PhaseTask(-1.0)])
 
     def test_utilization_bounds(self):
-        stats = SimulatedCluster(2).schedule([1.0] * 100)
+        stats = SimulatedCluster(2).simulate_phase([PhaseTask(1.0)] * 100)
         assert 0.0 < stats.utilization <= 1.0
 
 

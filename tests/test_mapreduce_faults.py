@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mapreduce import JobSpec, MapReduceEngine, SimulatedCluster
+from repro.mapreduce import JobSpec, MapReduceEngine, NodeConfig, SimulatedCluster, SimulatedHDFS
 from repro.mapreduce.cluster import PhaseTask, SpeculationConfig
 from repro.mapreduce.faults import (
     FaultPolicy,
@@ -84,10 +84,29 @@ class TestFaultyEngine:
             FaultyEngine(policy=policy).run(wc_job(), SPLITS * 20)
 
     def test_zero_rate_behaves_exactly_like_plain(self):
-        plain = MapReduceEngine().run(wc_job(), SPLITS)
-        faulty = FaultyEngine(policy=FaultPolicy(failure_rate=0.0)).run(wc_job(), SPLITS)
+        # HDFS splits give the map phase replica placements to honour, and
+        # one map slot per node makes tasks queue and weigh remote runs.
+        fs = SimulatedHDFS(4, replication=2, default_split_size=1)
+        fs.write("in", [(i, " ".join("abcde"[: 1 + i % 5])) for i in range(12)])
+        job = JobSpec(name="wc", mapper=wc_mapper, reducer=wc_reducer, n_reducers=6,
+                      map_cost=lambda k, v: float(len(v.split())))
+        node = NodeConfig(map_slots=1, reduce_slots=1)
+        plain = MapReduceEngine(SimulatedCluster(4, node=node)).run(job, fs.splits("in"))
+        faulty = FaultyEngine(
+            SimulatedCluster(4, node=node), policy=FaultPolicy(failure_rate=0.0)
+        ).run(job, fs.splits("in"))
         assert dict(plain.output) == dict(faulty.output)
-        assert faulty.counters.value("faults", "map_failures") == 0
+        assert plain.map_stats.n_local_tasks < plain.map_stats.n_tasks  # some ran remotely
+        for phase in ("map_stats", "reduce_stats"):
+            a, b = getattr(plain, phase), getattr(faulty, phase)
+            assert a.makespan == b.makespan
+            assert a.per_slot_cost == b.per_slot_cost
+            assert a.assigned_nodes == b.assigned_nodes
+            assert a.n_local_tasks == b.n_local_tasks
+            assert a.total_cost == b.total_cost
+        counters = faulty.counters.as_dict()
+        assert not any(counters.pop("faults", {}).values())
+        assert counters == plain.counters.as_dict()
 
     def test_retries_do_not_inflate_record_counters(self):
         """Only the faults group may grow on re-executed attempts."""
@@ -127,14 +146,36 @@ class TestFaultyEngine:
 
 class TestSimulatePhase:
     def test_clean_phase_matches_plain_schedule(self):
-        cluster = SimulatedCluster(3)
-        costs = [5.0, 3.0, 8.0, 1.0, 2.0, 9.0, 4.0]
-        plain = cluster.schedule(costs, phase="map")
+        # LPT by hand on 2 nodes x 2 map slots (slots 0-1 on node 0, 2-3 on
+        # node 1): 9->s0, 8->s1, 5->s2, 4->s3, 3 (task 1)->s3, 3 (task 7)->s2,
+        # 2->s3, and 1 ties s1 with s2 at 8 and takes the lower slot, s1.
+        cluster = SimulatedCluster(2, node=NodeConfig(map_slots=2, reduce_slots=1))
+        costs = [5.0, 3.0, 8.0, 1.0, 2.0, 9.0, 4.0, 3.0]
         sim = cluster.simulate_phase([PhaseTask(c) for c in costs], phase="map")
-        assert sim.makespan == pytest.approx(plain.makespan)
-        assert sim.total_cost == pytest.approx(plain.total_cost)
+        assert sim.per_slot_cost == [9.0, 9.0, 8.0, 9.0]
+        assert sim.assigned_nodes == [1, 1, 0, 0, 1, 0, 1, 1]
+        assert sim.makespan == 9.0
+        assert sim.total_cost == 35.0
+        assert sim.n_local_tasks == 8
         assert sim.n_node_failures == 0
         assert sim.wasted_cost == 0.0
+
+    def test_rerun_off_replicas_counts_as_remote(self):
+        # Task 0 loses node 0 at t=2 and reruns on node 2, which holds no
+        # replica of its split: it pays the remote penalty (4.0 -> 5.0), so
+        # only the other two tasks count as data-local.
+        cluster = SimulatedCluster(3, node=NodeConfig(map_slots=1, reduce_slots=1))
+        tasks = [
+            PhaseTask(4.0, preferred_nodes=(0, 1)),
+            PhaseTask(4.0, preferred_nodes=(1,)),
+            PhaseTask(1.0, preferred_nodes=(2,)),
+        ]
+        clean = cluster.simulate_phase(tasks, phase="map")
+        killed = cluster.simulate_phase(tasks, phase="map", node_failures=[(0, 0.5)])
+        assert clean.n_local_tasks == 3
+        assert killed.per_slot_cost == [2.0, 4.0, 6.0]
+        assert killed.assigned_nodes == [2, 1, 2]
+        assert killed.n_local_tasks == 2
 
     def test_map_node_kill_loses_outputs_and_recharges(self):
         cluster = SimulatedCluster(2)

@@ -7,6 +7,7 @@ from repro.mapreduce import (
     JobSpec,
     MapReduceEngine,
     NodeConfig,
+    PhaseTask,
     SimulatedCluster,
     SimulatedHDFS,
 )
@@ -15,26 +16,24 @@ from repro.mapreduce import (
 class TestScheduleWithLocality:
     def test_all_local_when_capacity_allows(self):
         cluster = SimulatedCluster(4, node=NodeConfig(map_slots=2, reduce_slots=1))
-        tasks = [(1.0, (n,)) for n in range(4)] * 2  # 2 tasks per node, 2 slots each
-        stats = cluster.schedule_with_locality(tasks)
+        # 2 tasks per node, 2 slots each.
+        tasks = [PhaseTask(1.0, preferred_nodes=(n,)) for n in range(4)] * 2
+        stats = cluster.simulate_phase(tasks)
         assert stats.locality_rate == 1.0
         assert stats.makespan == pytest.approx(1.0)
 
     def test_remote_penalty_charged(self):
-        # One node, every task prefers a different (non-existent mod-mapped)
-        # node id: the modulo maps them back, so make preference impossible
-        # by loading the preferred node's slots first.
         cluster = SimulatedCluster(2, node=NodeConfig(map_slots=1, reduce_slots=1))
         # 3 tasks all prefer node 0, which has a single slot: at least one
         # must run remotely and pay the penalty.
-        tasks = [(1.0, (0,))] * 3
-        stats = cluster.schedule_with_locality(tasks, remote_penalty=0.5)
+        tasks = [PhaseTask(1.0, preferred_nodes=(0,))] * 3
+        stats = cluster.simulate_phase(tasks)
         assert stats.locality_rate < 1.0
-        assert stats.total_cost > 3.0  # includes at least one 1.5 remote run
+        assert stats.total_cost > 3.0  # includes at least one 1.25 remote run
 
     def test_unconstrained_tasks_count_local(self):
         cluster = SimulatedCluster(2)
-        stats = cluster.schedule_with_locality([(1.0, ()), (2.0, None)])
+        stats = cluster.simulate_phase([PhaseTask(1.0), PhaseTask(2.0)])
         assert stats.locality_rate == 1.0
 
     def test_remote_chosen_when_queueing_is_worse(self):
@@ -43,39 +42,44 @@ class TestScheduleWithLocality:
         # 0 but queueing there finishes at 2.0 while running remotely
         # finishes at 1.25 — the scheduler must pick remote and pay the
         # penalty.
-        stats = cluster.schedule_with_locality(
-            [(1.0, (0,)), (1.0, (0,))], remote_penalty=0.25
-        )
+        stats = cluster.simulate_phase([PhaseTask(1.0, preferred_nodes=(0,))] * 2)
         assert stats.n_local_tasks == 1
         assert stats.total_cost == pytest.approx(2.25)
         assert stats.makespan == pytest.approx(1.25)
 
     def test_local_chosen_when_queueing_is_cheaper(self):
         cluster = SimulatedCluster(2, node=NodeConfig(map_slots=1, reduce_slots=1))
-        # With a punitive remote penalty (2.0: local queue finishes at 2.0,
-        # remote at 3.0) both tasks stay on their preferred node.
-        stats = cluster.schedule_with_locality(
-            [(1.0, (0,)), (1.0, (0,))], remote_penalty=2.0
+        # Node 0 ends up 0.2 behind node 1 (1.2 against 1.0), less than the
+        # 0.25 a remote run of the last task adds: it queues locally and
+        # finishes at 2.2 rather than at 2.25 on node 1.
+        stats = cluster.simulate_phase(
+            [
+                PhaseTask(1.2, preferred_nodes=(0,)),
+                PhaseTask(1.0, preferred_nodes=(1,)),
+                PhaseTask(1.0, preferred_nodes=(0,)),
+            ]
         )
-        assert stats.n_local_tasks == 2
-        assert stats.makespan == pytest.approx(2.0)
+        assert stats.n_local_tasks == 3
+        assert stats.assigned_nodes == [0, 1, 0]
+        assert stats.makespan == pytest.approx(2.2)
 
     def test_makespan_lower_bound_holds(self):
         cluster = SimulatedCluster(2)
         rng = np.random.default_rng(0)
-        tasks = [(float(c), (int(rng.integers(2)),)) for c in rng.uniform(0.5, 3.0, 40)]
-        stats = cluster.schedule_with_locality(tasks)
-        assert stats.makespan >= max(c for c, _ in tasks)
-        assert stats.makespan >= sum(c for c, _ in tasks) / cluster.map_slots
+        tasks = [
+            PhaseTask(float(c), preferred_nodes=(int(rng.integers(2)),))
+            for c in rng.uniform(0.5, 3.0, 40)
+        ]
+        stats = cluster.simulate_phase(tasks)
+        assert stats.makespan >= max(t.cost for t in tasks)
+        assert stats.makespan >= sum(t.cost for t in tasks) / cluster.map_slots
 
     def test_validation(self):
         cluster = SimulatedCluster(1)
         with pytest.raises(ValueError):
-            cluster.schedule_with_locality([(1.0, ())], phase="wash")
+            cluster.simulate_phase([PhaseTask(1.0)], phase="wash")
         with pytest.raises(ValueError):
-            cluster.schedule_with_locality([(-1.0, ())])
-        with pytest.raises(ValueError):
-            cluster.schedule_with_locality([(1.0, ())], remote_penalty=-0.1)
+            cluster.simulate_phase([PhaseTask(-1.0)])
 
 
 class TestEngineIntegration:
