@@ -1,8 +1,8 @@
 """Ablation: per-bucket cluster allocation policies and the refine step.
 
 The paper's analysis assumes K_i = K/B per bucket but never pins the rule
-down. This bench compares the implemented policies — proportional, sqrt,
-fixed, and the eigengap extension — with and without the refine-to-K merge,
+down. This bench compares the implemented policies — proportional, fixed,
+and the eigengap extension — with and without the refine-to-K merge,
 on a workload whose buckets deliberately straddle cluster boundaries (the
 failure mode proportional allocation mishandles).
 """
@@ -25,7 +25,7 @@ def test_ablation_allocation_policy(benchmark):
     def compute():
         X, y = _workload()
         out = {}
-        for policy in ("proportional", "sqrt", "fixed", "eigengap"):
+        for policy in ("proportional", "fixed", "eigengap"):
             for refine in (True, False):
                 dasc = DASC(
                     32, sigma=0.7, min_bucket_size=16, allocation=policy,
@@ -53,7 +53,7 @@ def test_ablation_allocation_policy(benchmark):
     best_acc = max(acc for acc, _, _ in rows.values())
     assert rows[("eigengap", True)][0] >= best_acc - 0.02
     # Refinement always returns exactly K clusters.
-    for policy in ("proportional", "sqrt", "fixed", "eigengap"):
+    for policy in ("proportional", "fixed", "eigengap"):
         assert rows[(policy, True)][2] == 32
     # 'fixed' without refinement over-produces clusters.
     assert rows[("fixed", False)][2] >= 32

@@ -2,11 +2,11 @@
 
 DASC clusters each bucket independently into K_i clusters with
 ``sum K_i = K`` (the global cluster count). The paper does not pin the
-allocation rule down, so three natural policies are provided and ablated:
+allocation rule down, so three policies are provided and ablated
+(``benchmarks/bench_ablation_allocation.py``):
 
 * ``"proportional"`` — K_i ∝ N_i (largest-remainder rounding). Matches the
   uniform-bucket analysis of Section 4.1 where K_i = K / B.
-* ``"sqrt"`` — K_i ∝ sqrt(N_i); gives small buckets more resolution.
 * ``"fixed"`` — every bucket gets ``min(K, N_i)`` clusters (no global
   budget; yields >= K total clusters).
 * ``"eigengap"`` (an extension beyond the paper) — K_i is read off the
@@ -56,7 +56,7 @@ def allocate_clusters(
     n_clusters:
         Global K.
     policy:
-        ``"proportional"``, ``"sqrt"``, ``"fixed"`` or ``"eigengap"``.
+        ``"proportional"``, ``"fixed"`` or ``"eigengap"``.
     eigengap_k:
         (B,) per-bucket :func:`choose_k_eigengap` estimates, read only by
         ``"eigengap"``. They are the allocation when they sum to at least K;
@@ -87,17 +87,13 @@ def allocate_clusters(
         return np.maximum(estimates, allocate_clusters(sizes, n_clusters, policy="proportional"))
     if policy == "fixed":
         return np.minimum(n_clusters, sizes)
-    if policy == "proportional":
-        weights = sizes.astype(np.float64)
-    elif policy == "sqrt":
-        weights = np.sqrt(sizes.astype(np.float64))
-    else:
+    if policy != "proportional":
         raise ValueError(f"unknown policy {policy!r}")
 
     b = sizes.shape[0]
     budget = min(max(n_clusters, b), int(sizes.sum()))
     # Start from the floor of the fractional share, clamped to [1, N_i].
-    shares = weights / weights.sum() * budget
+    shares = sizes / sizes.sum() * budget
     alloc = np.clip(np.floor(shares).astype(np.int64), 1, sizes)
     # Largest-remainder distribution of the leftover budget.
     remainder = budget - int(alloc.sum())

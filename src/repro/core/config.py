@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.kernels.bandwidth import mean_knn_heuristic, median_heuristic
 from repro.observability import get_logger
@@ -63,11 +63,9 @@ class DASCConfig:
         ``"transitive"`` (union-find closure; the literal Section-3.3
         reading, which can collapse dense signature sets into one bucket).
         See :func:`repro.core.buckets.merge_buckets`.
-    hasher:
-        LSH family: ``"axis"`` (the paper's), ``"signed_rp"``, ``"pca"``,
-        ``"stable"``, ``"minhash"``.
     dimension_policy / threshold_policy:
-        Passed to :class:`repro.lsh.axis.AxisParallelHasher`.
+        Passed to :class:`repro.lsh.axis.AxisParallelHasher`, the paper's
+        axis-parallel LSH family (Eqs. 4-5) and the only one.
     sigma:
         Gaussian bandwidth of Eq. (1), ``> 0``. ``None`` resolves to the
         median pairwise-distance heuristic, except under the ``"eigengap"``
@@ -75,10 +73,9 @@ class DASCConfig:
         :meth:`resolve_sigma`).
     allocation:
         Per-bucket cluster allocation: ``"proportional"`` (K_i ∝ N_i),
-        ``"sqrt"`` (K_i ∝ sqrt(N_i); favours small buckets), ``"fixed"``
-        (every bucket gets ``min(K, N_i)`` clusters), or ``"eigengap"``
-        (data-driven K_i from each bucket's Laplacian spectrum; an
-        extension beyond the paper).
+        ``"fixed"`` (every bucket gets ``min(K, N_i)`` clusters), or
+        ``"eigengap"`` (data-driven K_i from each bucket's Laplacian
+        spectrum; an extension beyond the paper).
     min_bucket_size:
         Buckets smaller than this are folded into their nearest (by
         signature Hamming distance) large bucket before clustering, so
@@ -128,7 +125,6 @@ class DASCConfig:
     n_bits: int | None = None
     min_shared_bits: int | None = None
     merge_strategy: str = "star"
-    hasher: str = "axis"
     dimension_policy: str = "span_weighted"
     threshold_policy: str = "histogram_valley"
     sigma: float | None = None
@@ -141,7 +137,6 @@ class DASCConfig:
     seed: int | None = 0
     n_jobs: int | None = None
     validate: bool | None = None
-    extra: dict = field(default_factory=dict)
 
     def resolve_n_bits(self, n_samples: int) -> int:
         """M for this run (explicit value or the paper's default)."""

@@ -1,7 +1,8 @@
 """Signature generation — step 1 of DASC.
 
-A thin dispatch layer over :mod:`repro.lsh`: builds the configured hash
-family and produces one packed ``uint64`` signature per point.
+Fits the paper's axis-parallel hasher (:class:`repro.lsh.axis.AxisParallelHasher`,
+Eqs. 4-5) with the configured dimension and threshold policies and produces
+one packed ``uint64`` signature per point.
 """
 
 from __future__ import annotations
@@ -10,38 +11,23 @@ import numpy as np
 
 from repro.core.config import DASCConfig
 from repro.lsh.axis import AxisParallelHasher
-from repro.lsh.minhash import MinHasher
-from repro.lsh.random_projection import PCARotationHasher, SignedRandomProjectionHasher
-from repro.lsh.stable import StableDistributionHasher
 from repro.utils.validation import check_2d
 
 __all__ = ["make_hasher", "compute_signatures"]
 
 
-def make_hasher(config: DASCConfig, n_bits: int):
-    """Instantiate the LSH family named by ``config.hasher``."""
-    seed = config.seed
-    name = config.hasher.lower()
-    if name == "axis":
-        return AxisParallelHasher(
-            n_bits,
-            dimension_policy=config.dimension_policy,
-            threshold_policy=config.threshold_policy,
-            seed=seed,
-        )
-    if name == "signed_rp":
-        return SignedRandomProjectionHasher(n_bits, seed=seed)
-    if name == "pca":
-        return PCARotationHasher(n_bits, seed=seed)
-    if name == "stable":
-        return StableDistributionHasher(n_bits, seed=seed, **config.extra.get("stable", {}))
-    if name == "minhash":
-        return MinHasher(n_bits, seed=seed, **config.extra.get("minhash", {}))
-    raise ValueError(f"unknown hasher {config.hasher!r}")
+def make_hasher(config: DASCConfig, n_bits: int) -> AxisParallelHasher:
+    """An unfitted M-bit :class:`AxisParallelHasher` configured by ``config``."""
+    return AxisParallelHasher(
+        n_bits,
+        dimension_policy=config.dimension_policy,
+        threshold_policy=config.threshold_policy,
+        seed=config.seed,
+    )
 
 
-def compute_signatures(X, config: DASCConfig) -> tuple[np.ndarray, int, object]:
-    """Fit the configured hasher on ``X`` and return packed signatures.
+def compute_signatures(X, config: DASCConfig) -> tuple[np.ndarray, int, AxisParallelHasher]:
+    """Fit the hasher on ``X`` and return packed signatures.
 
     Returns
     -------

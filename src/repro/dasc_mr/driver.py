@@ -115,9 +115,7 @@ class DistributedDASC:
     n_nodes:
         Cluster size to provision (the paper sweeps 16/32/64).
     config:
-        Full :class:`DASCConfig`; only the axis-parallel hasher is supported
-        here because Algorithm 1's mapper is defined in terms of
-        hyperplane/threshold lookups. ``allocation="eigengap"`` is rejected:
+        Full :class:`DASCConfig`. ``allocation="eigengap"`` is rejected:
         K_i is fixed from bucket sizes before stage 2. The flow does not run
         ``refine_to_k``, so ``allocation="fixed"`` keeps more than K
         clusters where ``DASC`` merges down to K; whenever ``DASC`` does not
@@ -149,8 +147,6 @@ class DistributedDASC:
         self.config = replace(config) if config is not None else DASCConfig()
         if n_clusters is not None:
             self.config.n_clusters = n_clusters
-        if self.config.hasher != "axis":
-            raise ValueError("DistributedDASC implements Algorithm 1 (axis-parallel hashing only)")
         if self.config.allocation == "eigengap":
             raise ValueError(
                 "DistributedDASC does not support allocation='eigengap': K_i is "

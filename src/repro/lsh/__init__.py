@@ -3,9 +3,10 @@
 The paper (Section 3.2) "studied various LSH families, including random
 projection, stable distributions, and Min-Wise Independent Permutations" and
 settled on an axis-parallel random-projection family whose hyperplanes and
-thresholds follow a k-d-tree splitting rule. All of those families are
-implemented here, plus the packed-bit signature machinery (Hamming distance,
-the Eq.-6 one-bit-difference trick) that the bucketing stage builds on.
+thresholds follow a k-d-tree splitting rule. That family is the one
+implemented here (:class:`AxisParallelHasher`), with the packed-bit signature
+machinery (Hamming distance, the Eq.-6 one-bit-difference trick) that the
+bucketing stage builds on.
 """
 
 from repro.lsh.hamming import (
@@ -17,10 +18,6 @@ from repro.lsh.hamming import (
     signature_strings,
 )
 from repro.lsh.axis import AxisParallelHasher, dimension_spans, histogram_valley_threshold
-from repro.lsh.random_projection import SignedRandomProjectionHasher, PCARotationHasher
-from repro.lsh.stable import StableDistributionHasher
-from repro.lsh.minhash import MinHasher
-from repro.lsh.index import LSHIndex, banding_collision_probability
 
 __all__ = [
     "pack_bits",
@@ -32,10 +29,4 @@ __all__ = [
     "AxisParallelHasher",
     "dimension_spans",
     "histogram_valley_threshold",
-    "SignedRandomProjectionHasher",
-    "PCARotationHasher",
-    "StableDistributionHasher",
-    "MinHasher",
-    "LSHIndex",
-    "banding_collision_probability",
 ]

@@ -329,7 +329,9 @@ class SimulatedCluster:
         are already on the DFS and survive. Lost work is re-placed on the
         surviving nodes and re-charged to the clock. ``speculation`` races
         stragglers (tasks with ``slowdown > 1``) with a backup attempt at
-        nominal speed; first finisher wins.
+        nominal speed; first finisher wins. A backup or re-run is data-local
+        only on a live node among ``preferred_nodes``; anywhere else it pays
+        the remote penalty and counts as remote.
 
         Because task *results* are computed deterministically by the engine,
         everything here is pure cost/latency accounting — the invariant the
@@ -390,7 +392,8 @@ class SimulatedCluster:
             ):
                 # The task is visibly lagging once the median runtime has
                 # elapsed: launch a backup on the least-loaded slot of
-                # another node, running at nominal speed.
+                # another node, running at nominal speed. A backup off the
+                # split's replicas reads it remotely and pays the penalty.
                 detect = a.start + median
                 backup_slot = None
                 for slot2 in range(n_slots):
@@ -400,8 +403,10 @@ class SimulatedCluster:
                         backup_slot = slot2
                 if backup_slot is None:
                     continue  # single-node cluster: nowhere to speculate
+                b_local = not local_nodes or backup_slot // per_node in local_nodes
+                b_cost = cost if b_local else remote_cost
                 b_start = max(free[backup_slot], detect)
-                b_end = b_start + cost
+                b_end = b_start + b_cost
                 if b_start >= a.end:
                     continue  # original finishes before the backup could start
                 stats.speculative_launched += 1
@@ -410,8 +415,8 @@ class SimulatedCluster:
                     # Backup wins; the original is killed at the backup's finish.
                     stats.speculative_won += 1
                     attempts.append(_Attempt(task=i, slot=backup_slot, start=b_start, end=b_end,
-                                             charge=cost, completes=True, local=True))
-                    slot_charge[backup_slot] += cost
+                                             charge=b_cost, completes=True, local=b_local))
+                    slot_charge[backup_slot] += b_cost
                     free[backup_slot] = b_end
                     a.completes = False
                     burned = max(0.0, b_end - a.start)
@@ -424,7 +429,7 @@ class SimulatedCluster:
                     # Backup loses; it is killed when the original finishes.
                     burned = a.end - b_start
                     attempts.append(_Attempt(task=i, slot=backup_slot, start=b_start, end=a.end,
-                                             charge=burned, completes=False, local=True))
+                                             charge=burned, completes=False, local=b_local))
                     slot_charge[backup_slot] += burned
                     free[backup_slot] = a.end
                 stats.wasted_cost += burned
@@ -477,9 +482,10 @@ class SimulatedCluster:
                     stats.wasted_cost += a.charge
             alive_slots = [s for s in range(n_slots) if s // per_node not in dead]
             for i in sorted(set(lost), key=lambda j: (-costs[j], j)):
-                local_nodes = preferred[i] - dead
                 slot = min(alive_slots, key=lambda s: (max(free[s], t_kill), s))
-                local = not local_nodes or slot // per_node in local_nodes
+                # Only a live replica holder reads the split locally; once
+                # every preferred node is dead the re-run reads it remotely.
+                local = not preferred[i] or slot // per_node in preferred[i]
                 re_cost = costs[i] if local else costs[i] * (1.0 + REMOTE_PENALTY)
                 start = max(free[slot], t_kill)
                 a = _Attempt(task=i, slot=slot, start=start, end=start + re_cost,

@@ -4,7 +4,8 @@ The training pipeline ends at ``fit_predict``; serving answers the question
 "which cluster does a *new* point belong to?" without re-running the
 MapReduce job. A :class:`DASCModel` freezes everything assignment needs:
 
-* the fitted hasher (so new points land in the same signature space),
+* the fitted :class:`~repro.lsh.axis.AxisParallelHasher` (so new points
+  land in the same signature space),
 * a signature table mapping every training signature to its final bucket,
 * per bucket: the landmark points, the Nyström artifacts (degrees,
   eigenvector basis, eigenvalues, K-means centroids) and the local→global
@@ -212,6 +213,15 @@ class DASCModel:
     def n_buckets(self) -> int:
         return len(self.buckets)
 
+    def check_query(self, X) -> np.ndarray:
+        """``X`` as a 2-D float array; a width other than the fit's raises ``ValueError``."""
+        X = check_2d(X)
+        if X.shape[1] != self.n_features:
+            raise ValueError(
+                f"X has {X.shape[1]} features, the model was fitted on {self.n_features}"
+            )
+        return X
+
     # -- routing -------------------------------------------------------------
 
     def route(self, signatures, *, max_route_distance=None):
@@ -266,11 +276,7 @@ class DASCModel:
         ``signatures``, ``bucket_ids`` and routing ``methods`` (codes into
         :data:`ROUTE_NAMES`).
         """
-        X = check_2d(X)
-        if X.shape[1] != self.n_features:
-            raise ValueError(
-                f"X has {X.shape[1]} features, the model was fitted on {self.n_features}"
-            )
+        X = self.check_query(X)
         signatures = self.hasher.hash(X)
         bucket_ids, methods = self.route(signatures, max_route_distance=max_route_distance)
         labels, methods = self.assign_routed(X, bucket_ids, methods)

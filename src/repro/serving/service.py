@@ -36,7 +36,6 @@ import numpy as np
 from repro.observability import MetricsRegistry, get_tracer
 from repro.observability.metrics import time_buckets
 from repro.serving.model import ROUTE_NAMES, DASCModel
-from repro.utils.validation import check_2d
 
 __all__ = ["AssignmentService", "OverloadError"]
 
@@ -177,9 +176,11 @@ class AssignmentService:
         With ``queue_watermark`` set, the request is first admitted
         against the replica pool (see :meth:`replica_status`); a request
         too deep for even ``max_replicas`` raises :exc:`OverloadError`
-        without touching the model.
+        without touching the model. A query whose width differs from the
+        fit's raises ``ValueError`` before admission, so it is neither
+        admitted nor counted.
         """
-        X = check_2d(X)
+        X = self.model.check_query(X)
         self._admit(X.shape[0])
         out = np.empty(X.shape[0], dtype=np.int64)
         for start in range(0, X.shape[0], self.batch_size):

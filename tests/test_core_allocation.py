@@ -53,20 +53,6 @@ class TestProportional:
         assert alloc.sum() == expected_budget
 
 
-class TestSqrtPolicy:
-    def test_small_buckets_get_relatively_more(self):
-        prop = allocate_clusters([90, 10], 10, policy="proportional")
-        sqrt = allocate_clusters([90, 10], 10, policy="sqrt")
-        assert sqrt[1] >= prop[1]
-
-    @given(st.lists(st.integers(1, 50), min_size=1, max_size=15), st.integers(1, 40))
-    @settings(max_examples=50, deadline=None)
-    def test_invariants(self, sizes, k):
-        alloc = allocate_clusters(sizes, k, policy="sqrt")
-        sizes = np.array(sizes)
-        assert (alloc >= 1).all() and (alloc <= sizes).all()
-
-
 class TestFixedPolicy:
     def test_every_bucket_gets_min_k_ni(self):
         alloc = allocate_clusters([10, 3, 1], 5, policy="fixed")
@@ -101,5 +87,6 @@ class TestValidation:
             allocate_clusters([3], 0)
 
     def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            allocate_clusters([3], 1, policy="magic")
+        for policy in ("magic", "sqrt"):
+            with pytest.raises(ValueError, match="unknown policy"):
+                allocate_clusters([3], 1, policy=policy)

@@ -109,7 +109,7 @@ class TestBatchIdentity:
     @pytest.mark.parametrize("size", [1200, 97])
     @pytest.mark.parametrize(
         "allocation, refine",
-        [("proportional", True), ("sqrt", True), ("fixed", False), ("eigengap", True)],
+        [("proportional", True), ("fixed", False), ("eigengap", True)],
     )
     def test_labels_identical_to_batch_dasc(self, blobs_medium, allocation, refine, size):
         X, _ = blobs_medium

@@ -113,7 +113,7 @@ class TestDistributedDASC:
         [
             pytest.param(a, r, zd, id=f"{a}-{r}" + ("" if zd else "-keep_diagonal"))
             for zd in (True, False)
-            for a, r in [("proportional", True), ("sqrt", True), ("fixed", False)]
+            for a, r in [("proportional", True), ("fixed", False)]
         ],
     )
     def test_labels_identical_to_local_dasc(
@@ -169,10 +169,6 @@ class TestDistributedDASC:
         res = DistributedDASC(4, n_nodes=2).run(X)
         assert res.counters["stage1"]["dasc"]["signatures_emitted"] == X.shape[0]
         assert res.counters["stage2"]["dasc"]["buckets_reduced"] == res.n_buckets
-
-    def test_non_axis_hasher_rejected(self):
-        with pytest.raises(ValueError):
-            DistributedDASC(4, config=DASCConfig(hasher="pca"))
 
     def test_eigengap_allocation_rejected(self):
         with pytest.raises(ValueError, match="eigengap"):

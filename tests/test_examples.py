@@ -29,7 +29,6 @@ def load_example(name):
         "kernel_pca_approx",
         pytest.param("streaming_dasc", marks=pytest.mark.slow),
         pytest.param("wikipedia_clustering", marks=pytest.mark.slow),
-        "near_duplicates",
     ],
 )
 def test_example_runs(name, capsys):

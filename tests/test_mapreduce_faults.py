@@ -177,6 +177,36 @@ class TestSimulatePhase:
         assert killed.assigned_nodes == [2, 1, 2]
         assert killed.n_local_tasks == 2
 
+    def test_backup_off_replicas_pays_remote_penalty(self):
+        # Every split lives on node 0. The straggler (1.0 x 10) runs there
+        # from 0; its backup starts on node 1 at the median runtime, 1.0,
+        # reads the split remotely (1.0 -> 1.25) and wins at 2.25. Task 0
+        # then runs locally 2.25-3.25 and task 2 remotely 2.25-3.5, so only
+        # task 0 counts as data-local.
+        cluster = SimulatedCluster(2, node=NodeConfig(map_slots=1, reduce_slots=1))
+        tasks = [
+            PhaseTask(1.0, preferred_nodes=(0,)),
+            PhaseTask(1.0, slowdown=10.0, preferred_nodes=(0,)),
+            PhaseTask(1.0, preferred_nodes=(0,)),
+        ]
+        sim = cluster.simulate_phase(tasks, phase="map", speculation=SpeculationConfig())
+        assert sim.speculative_won == 1
+        assert sim.per_slot_cost == [3.25, 2.5]
+        assert sim.makespan == 3.5
+        assert sim.assigned_nodes == [0, 1, 1]
+        assert sim.n_local_tasks == 1
+
+    def test_rerun_after_every_replica_died_counts_as_remote(self):
+        # Task 0's only replica holder, node 0, dies at t=2. Its re-run on
+        # node 1 reads the split remotely (4.0 -> 5.0) and ends at 7.0.
+        cluster = SimulatedCluster(3, node=NodeConfig(map_slots=1, reduce_slots=1))
+        tasks = [PhaseTask(4.0, preferred_nodes=(0,)), PhaseTask(1.0, preferred_nodes=(1,))]
+        killed = cluster.simulate_phase(tasks, phase="map", node_failures=[(0, 0.5)])
+        assert killed.per_slot_cost == [2.0, 6.0, 0.0]
+        assert killed.makespan == 7.0
+        assert killed.assigned_nodes == [1, 1]
+        assert killed.n_local_tasks == 1
+
     def test_map_node_kill_loses_outputs_and_recharges(self):
         cluster = SimulatedCluster(2)
         tasks = [PhaseTask(4.0) for _ in range(16)]

@@ -21,7 +21,7 @@ configs = st.fixed_dictionaries(
         "n_bits": st.integers(1, 8),
         "min_bucket_size": st.integers(1, 12),
         "merge_strategy": st.sampled_from(["star", "transitive"]),
-        "allocation": st.sampled_from(["proportional", "sqrt", "eigengap"]),
+        "allocation": st.sampled_from(["proportional", "fixed", "eigengap"]),
         "threshold_policy": st.sampled_from(["histogram_valley", "median"]),
     }
 )

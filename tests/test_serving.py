@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import DASC, DASCConfig
 from repro.core.streaming import StreamingDASC
+from repro.data import make_blobs
 from repro.mapreduce.storage import (
     ChaosStore,
     CorruptObjectError,
@@ -240,8 +241,29 @@ class TestRoutingLadder:
 
     def test_feature_mismatch_rejected(self, fitted):
         _, _, model = fitted
-        with pytest.raises(ValueError, match="features"):
-            model.assign(np.ones((3, model.n_features + 1)))
+        service = AssignmentService(model)
+        for assign in (model.assign, service.assign):
+            for width in (model.n_features - 1, model.n_features + 1):
+                with pytest.raises(ValueError, match="features"):
+                    assign(np.ones((3, width)))
+        assert service.metrics.counter("serving.requests").value == 0
+
+    def test_wrong_width_into_const_bucket_not_served(self):
+        # A "const" bucket answers without reading the query, so the hasher
+        # routing a 9-column query there must not be all that checks it.
+        X, _ = make_blobs(400, n_clusters=4, n_features=8, seed=3)
+        est = DASC(4, seed=0)
+        est.fit(X)
+        model = est.export_model(X)
+        _, details = model.assign(X, return_details=True)
+        rows = X[details["bucket_ids"] == 1]
+        assert model.buckets[1].mode == "const" and rows.shape[0] == 102
+        wide = np.hstack([rows, np.ones((rows.shape[0], 1))])
+        service = AssignmentService(model, queue_watermark=4)
+        with pytest.raises(ValueError, match="9 features"):
+            service.assign(wide)
+        assert service.metrics.counter("serving.requests").value == 0
+        assert service.replica_status()["depth_ewma"] == 0.0
 
 
 class TestPersistence:
