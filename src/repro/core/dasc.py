@@ -22,7 +22,7 @@ exposes the approximate kernel itself, so any kernel method can consume it
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from repro.core.refine import merge_clusters_to_k
 from repro.core.signatures import compute_signatures
 from repro.kernels.functions import GaussianKernel, Kernel
 from repro.kernels.matrix import gram_matrix_auto
+from repro.lsh.axis import AxisParallelHasher
 from repro.observability import get_logger, get_tracer, set_tracer
 from repro.spectral.bucket import BucketClustering, bucket_seed, needs_eigensolve, solve_bucket
 from repro.utils.memory import MemoryLedger
@@ -222,8 +223,9 @@ class DASC:
         cfg = replace(config) if config is not None else DASCConfig()
         if n_clusters is not None:
             cfg.n_clusters = n_clusters
+        options = {f.name for f in fields(DASCConfig)}
         for key, value in overrides.items():
-            if not hasattr(cfg, key):
+            if key not in options:
                 raise TypeError(f"unknown DASC option {key!r}")
             setattr(cfg, key, value)
         self.config = cfg
@@ -261,16 +263,24 @@ class DASC:
     def partition(self, X) -> Buckets:
         """Stages 1-2: hash, group, merge, fold. Returns the final buckets."""
         X = check_2d(X)
-        tracer = get_tracer()
-        with self.stopwatch_.lap("hash"), tracer.span("dasc.hash") as span:
+        return self._bucket(X, *self._hash(X))
+
+    def _hash(self, X) -> tuple[np.ndarray, AxisParallelHasher]:
+        """Stage 1: fit the hasher on ``X``; returns the signatures and the hasher."""
+        with self.stopwatch_.lap("hash"), get_tracer().span("dasc.hash") as span:
             signatures, n_bits, hasher = compute_signatures(X, self.config)
             span.set("n_points", X.shape[0])
             span.set("n_bits", n_bits)
+        return signatures, hasher
+
+    def _bucket(self, X, signatures, hasher) -> Buckets:
+        """Stage 2 on the points' signatures under the fitted ``hasher``."""
         self.signatures_ = signatures
-        self.n_bits_ = n_bits
+        self.n_bits_ = hasher.n_bits
         self.hasher_ = hasher
+        tracer = get_tracer()
         with self.stopwatch_.lap("bucket"), tracer.span("dasc.bucket") as span:
-            buckets = make_buckets(signatures, n_bits, self.config)
+            buckets = make_buckets(signatures, hasher.n_bits, self.config)
             span.set("n_buckets", buckets.n_buckets)
         if self._validate_active():
             check_buckets(
@@ -320,15 +330,23 @@ class DASC:
         """Run the full DASC pipeline and populate ``labels_``."""
         X = check_2d(X)
         self.stopwatch_, self.memory_ = Stopwatch(), MemoryLedger()
-        tracer = get_tracer()
-        with tracer.span("dasc.fit", n_points=X.shape[0]) as fit_span:
-            self._fit_traced(X, tracer, fit_span)
+        with get_tracer().span("dasc.fit", n_points=X.shape[0]) as fit_span:
+            self._fit_hashed(X, *self._hash(X), fit_span)
         return self
 
-    def _fit_traced(self, X, tracer, fit_span) -> None:
+    def _fit_hashed(self, X, signatures, hasher, run_span) -> None:
+        """Every stage of :meth:`fit` after hashing, on ``X``'s signatures.
+
+        ``hasher`` is the fitted hasher that produced them. Buckets the
+        points, allocates, solves each bucket, assembles and refines the
+        labels, and sets ``n_clusters`` and ``n_buckets`` on ``run_span``.
+        ``StreamingDASC.finalize`` runs this on the absorbed points with its
+        calibrated hasher and kernel.
+        """
+        tracer = get_tracer()
         n = X.shape[0]
         k_total = self.config.resolve_n_clusters(n)
-        buckets = self.partition(X)
+        buckets = self._bucket(X, signatures, hasher)
         kernel = self._resolve_kernel(X)
         members = [idx for _, idx in buckets.iter_members()]
         approx = ApproximateKernel(bucket_indices=members, n_samples=n)
@@ -386,8 +404,8 @@ class DASC:
             offset = k_total
         if self._validate_active():
             check_labels_range(labels, offset, stage="dasc.labels")
-        fit_span.set("n_clusters", offset)
-        fit_span.set("n_buckets", buckets.n_buckets)
+        run_span.set("n_clusters", offset)
+        run_span.set("n_buckets", buckets.n_buckets)
         self.labels_ = labels
         self.n_clusters_ = offset
         self.bucket_clusterings_ = clusterings

@@ -9,11 +9,12 @@ datapoints between different nodes."
 
 :class:`StreamingDASC` realises that mode of operation: hash parameters and
 the kernel bandwidth are fitted once on a sample, then arbitrarily many
-chunks are absorbed one at a time, each hashed on arrival. The final
-clustering runs over the buckets ``DASC`` builds
-(:func:`~repro.core.buckets.make_buckets`), one Gram block at a time (one
-per worker under ``n_jobs``), so beyond the absorbed points peak memory is
-O(max bucket^2), not O(N^2).
+chunks are absorbed one at a time, each hashed on arrival. Hashing is how
+the stream reaches the bucket partition, not a second clustering algorithm:
+:meth:`StreamingDASC.finalize` hands the absorbed points, their signatures
+and the calibrated hasher to ``DASC``'s own stages after hashing, which
+build one Gram block at a time (one per worker under ``n_jobs``), so beyond
+the absorbed points peak memory is O(max bucket^2), not O(N^2).
 """
 
 from __future__ import annotations
@@ -22,18 +23,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core.allocation import allocate_clusters, choose_k_eigengap
 from repro.core.buckets import Buckets, make_buckets
 from repro.core.config import DASCConfig
-from repro.core.dasc import _solve_buckets
-from repro.core.refine import merge_clusters_to_k
+from repro.core.dasc import DASC
 from repro.core.signatures import make_hasher
 from repro.kernels.functions import GaussianKernel
-from repro.kernels.matrix import gram_matrix_auto
 from repro.observability import get_tracer
-from repro.spectral.bucket import BucketClustering
 from repro.utils.validation import check_2d
-from repro.verify.invariants import check_buckets, check_labels_range, validation_enabled
 
 __all__ = ["StreamingDASC"]
 
@@ -75,7 +71,8 @@ class StreamingDASC:
         self._chunks: list[np.ndarray] = []
         self._signatures: list[np.ndarray] = []
         self._buckets: Buckets | None = None
-        self._clusterings: list[BucketClustering] = []
+        # The DASC whose stages the last finalize() ran.
+        self._dasc: DASC | None = None
         self.labels_: np.ndarray | None = None
         self.n_clusters_: int | None = None
 
@@ -90,10 +87,10 @@ class StreamingDASC:
         """
         sample = check_2d(sample)
         with get_tracer().span("streaming.calibrate", n_sample=sample.shape[0]) as span:
-            self._n_bits = self.config.resolve_n_bits(sample.shape[0])
+            n_bits = self.config.resolve_n_bits(sample.shape[0])
             self._sigma = self.config.resolve_sigma(sample)
-            self._hasher = make_hasher(self.config, self._n_bits).fit(sample)
-            span.set("n_bits", self._n_bits)
+            self._hasher = make_hasher(self.config, n_bits).fit(sample)
+            span.set("n_bits", n_bits)
             span.set("sigma", self._sigma)
         return self
 
@@ -114,15 +111,15 @@ class StreamingDASC:
         """Points absorbed so far."""
         return sum(c.shape[0] for c in self._chunks)
 
-    def _partition(self) -> tuple[np.ndarray, np.ndarray, Buckets]:
-        """``(X, signatures, buckets)``: the absorbed points in absorption
-        order, their signatures, and the partition :meth:`finalize` clusters.
-        The joined arrays replace the chunk lists, so the points are held once."""
-        if self._buckets is None:
+    def _joined(self) -> tuple[np.ndarray, np.ndarray]:
+        """The absorbed points in absorption order and their signatures.
+
+        The joined arrays replace the chunk lists, so the points are held once.
+        """
+        if len(self._chunks) > 1:
             self._chunks = [np.concatenate(self._chunks)]
             self._signatures = [np.concatenate(self._signatures)]
-            self._buckets = make_buckets(self._signatures[0], self._n_bits, self.config)
-        return self._chunks[0], self._signatures[0], self._buckets
+        return self._chunks[0], self._signatures[0]
 
     @property
     def n_buckets(self) -> int:
@@ -133,7 +130,9 @@ class StreamingDASC:
         """Sizes of the buckets :meth:`finalize` would cluster now (descending)."""
         if not self._chunks:
             return np.zeros(0, dtype=np.int64)
-        return np.sort(self._partition()[2].sizes)[::-1]
+        if self._buckets is None:
+            self._buckets = make_buckets(self._joined()[1], self._hasher.n_bits, self.config)
+        return np.sort(self._buckets.sizes)[::-1]
 
     def peak_block_bytes(self) -> int:
         """Largest Gram block :meth:`finalize` will build, at 4 bytes an entry (Eq. 12)."""
@@ -145,100 +144,38 @@ class StreamingDASC:
     def finalize(self) -> np.ndarray:
         """Cluster every bucket and return labels in absorption order.
 
-        Buckets are clustered by the per-bucket stage ``DASC.fit`` runs,
-        each by its own :func:`~repro.spectral.bucket.solve_bucket` task:
-        serially in bucket order, so at most one Gram block is alive at a
-        time, or fanned out over a fork pool under ``n_jobs`` /
-        ``REPRO_N_JOBS``. Under ``allocation="eigengap"`` each block is
-        built twice, because the allocation needs every bucket's estimate
-        before any is clustered.
+        Runs every stage of ``DASC.fit`` after hashing (bucketing,
+        allocation, the per-bucket tasks, on a fork pool under ``n_jobs``,
+        refine and the invariant checks) on a ``DASC`` over this config with
+        the calibrated Gaussian kernel, given the absorbed points, their
+        signatures and the calibrated hasher.
         """
         if not self._chunks:
             raise RuntimeError("no data absorbed; call partial_fit() first")
-        X, signatures, buckets = self._partition()
-        validate = validation_enabled(self.config.validate)
-        if validate:
-            check_buckets(
-                buckets, X.shape[0], point_signatures=signatures, stage="streaming.bucket"
-            )
-        tracer = get_tracer()
-        with tracer.span(
-            "streaming.finalize", n_absorbed=X.shape[0], n_buckets=buckets.n_buckets
-        ) as span:
-            if tracer.enabled:
-                hist = tracer.metrics.histogram("streaming.bucket_size")
-                for size in buckets.sizes:
-                    hist.observe(int(size))
-                tracer.metrics.gauge("streaming.peak_block_bytes").set(self.peak_block_bytes())
-            k_total = self.config.resolve_n_clusters(X.shape[0])
-            kernel = GaussianKernel(self._sigma)
-            zero_diagonal = self.config.zero_diagonal
-            members = [idx for _, idx in buckets.iter_members()]
-            eigengap_k = None
-            if self.config.allocation == "eigengap":
-                eigengap_k = [
-                    choose_k_eigengap(
-                        gram_matrix_auto(X[idx], kernel, zero_diagonal=zero_diagonal), k_total
-                    )
-                    for idx in members
-                ]
-            ks = allocate_clusters(
-                buckets.sizes, k_total, policy=self.config.allocation, eigengap_k=eigengap_k
-            )
-            clusterings = _solve_buckets(X, members, kernel, ks, self.config)
-            labels = np.full(X.shape[0], -1, dtype=np.int64)
-            offset = 0
-            for b, (idx, clustering) in enumerate(zip(members, clusterings)):
-                labels[idx] = offset + clustering.labels
-                offset += int(ks[b])
-            if (labels < 0).any():
-                raise RuntimeError(
-                    f"{int((labels < 0).sum())} points were never assigned a bucket cluster"
-                )
-            if self.config.refine_to_k and offset > k_total:
-                labels = merge_clusters_to_k(X, labels, k_total)
-                offset = k_total
-            if validate:
-                check_labels_range(labels, offset, stage="streaming.labels")
-            span.set("n_clusters", offset)
-        self.labels_ = labels
-        self.n_clusters_ = offset
-        self._clusterings = clusterings
-        return labels
+        X, signatures = self._joined()
+        dasc = DASC(config=self.config, kernel=GaussianKernel(self._sigma))
+        with get_tracer().span("streaming.finalize", n_absorbed=X.shape[0]) as span:
+            dasc._fit_hashed(X, signatures, self._hasher, span)
+        self._dasc = dasc
+        self._buckets = dasc.buckets_
+        self.labels_ = dasc.labels_
+        self.n_clusters_ = dasc.n_clusters_
+        return self.labels_
 
     # -- serving export ---------------------------------------------------------
 
     def export_model(self):
         """Freeze the finalized clustering into a servable ``DASCModel``.
 
-        Reads the per-bucket Nyström artifacts :meth:`finalize` kept (no
-        Gram, eigensolver or K-means work) and assembles them as
-        ``DASC.export_model`` does, so a training point re-presented to the
-        exported model routes by exact signature to its bucket and
-        reproduces its finalize label.
+        The model ``DASC.export_model`` builds from the estimator
+        :meth:`finalize` ran, with ``meta["source"] == "streaming"``: a
+        training point re-presented to it routes by exact signature to its
+        bucket and reproduces its finalize label.
         """
-        from repro.serving.model import assemble_model
-
         if self.labels_ is None:
             raise RuntimeError("call finalize() before export_model()")
         if self.n_absorbed != self.labels_.shape[0]:
             raise RuntimeError("chunks were absorbed after finalize(); call finalize() again")
-        X, signatures, buckets = self._partition()
-        return assemble_model(
-            X,
-            signatures,
-            buckets,
-            self._clusterings,
-            self.labels_,
-            hasher=self._hasher,
-            kernel=GaussianKernel(self._sigma),
-            zero_diagonal=self.config.zero_diagonal,
-            n_clusters=self.n_clusters_,
-            meta={
-                "source": "streaming",
-                "n_train": int(X.shape[0]),
-                "seed": self.config.seed,
-                "sigma": self._sigma,
-                "n_bits": self._n_bits,
-            },
-        )
+        model = self._dasc.export_model(self._joined()[0])
+        model.meta["source"] = "streaming"
+        return model

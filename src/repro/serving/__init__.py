@@ -19,7 +19,7 @@ from repro.serving.model import (
     assemble_model,
     bucket_model,
 )
-from repro.serving.service import AssignmentService, OverloadError
+from repro.serving.service import AssignmentService
 
 __all__ = [
     "MODEL_FORMAT_VERSION",
@@ -31,7 +31,6 @@ __all__ = [
     "BucketModel",
     "DASCModel",
     "AssignmentService",
-    "OverloadError",
     "assemble_model",
     "bucket_model",
 ]

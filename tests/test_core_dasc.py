@@ -102,7 +102,7 @@ class TestFit:
         assert b.config.n_clusters is None and b.config.n_bits == 3
 
     def test_unknown_override_rejected(self):
-        for option in ("bogus_option", "hasher", "extra"):
+        for option in ("bogus_option", "hasher", "extra", "resolve_sigma", "resolve_n_jobs"):
             with pytest.raises(TypeError, match="unknown DASC option"):
                 DASC(4, **{option: 1})
 

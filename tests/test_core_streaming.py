@@ -1,10 +1,13 @@
 """Tests for the incremental (streaming) DASC."""
 
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.core import DASC, DASCConfig
 from repro.core.streaming import StreamingDASC
+from repro.data import make_blobs
 from repro.metrics import clustering_accuracy
 
 
@@ -144,6 +147,30 @@ class TestBatchIdentity:
         assert np.array_equal(ours.assign(queries), theirs.assign(queries))
 
 
+class TestSampleCalibrated:
+    """Calibrated on a sample, the stream has no batch fit to equal, so its
+    results are pinned: ``examples/streaming_dasc.py``'s data, config and
+    chunks, calibrated on the first chunk."""
+
+    def test_example_stream_pinned(self):
+        X, _ = make_blobs(4000, n_clusters=8, n_features=32, cluster_std=0.04, seed=17)
+        cfg = DASCConfig(n_bits=6, min_bucket_size=8, allocation="eigengap", sigma=0.5, seed=17)
+        sd = StreamingDASC(8, config=cfg).calibrate(X[:250])
+        for chunk in chunks_of(X, 250):
+            sd.partial_fit(chunk)
+        assert zlib.crc32(sd.finalize().tobytes()) == 527026544
+        assert sd.n_clusters_ == 8
+        model = sd.export_model()
+        assert model.meta["source"] == "streaming"
+        # 233 of these route exactly, 59 to a near bucket and 8 to the nearest.
+        rng = np.random.default_rng(0)
+        queries = np.vstack([
+            X[::20] + rng.normal(scale=0.02, size=(200, 32)),
+            rng.uniform(X.min(), X.max(), size=(100, 32)),
+        ])
+        assert zlib.crc32(model.assign(queries).tobytes()) == 1943616356
+
+
 class TestValidation:
     def test_finalize_runs_invariant_checks(self, blobs_small, monkeypatch):
         from repro.verify import InvariantViolation
@@ -167,7 +194,7 @@ class TestValidation:
         def reject(*args, **kwargs):
             raise InvariantViolation(check, "rejected", stage="test")
 
-        monkeypatch.setattr(f"repro.core.streaming.{check}", reject)
+        monkeypatch.setattr(f"repro.core.dasc.{check}", reject)
         X, _ = blobs_small
         sd = StreamingDASC(4, config=DASCConfig(seed=0, validate=True)).calibrate(X)
         sd.partial_fit(X)

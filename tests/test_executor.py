@@ -168,7 +168,9 @@ class TestForkPool:
         pooled_labels, pooled = finalize(2)
         assert calls == [4]
         assert np.array_equal(pooled_labels, serial_labels)
-        assert_same_clusterings(pooled._clusterings, serial._clusterings)
+        assert_same_clusterings(
+            pooled._dasc.bucket_clusterings_, serial._dasc.bucket_clusterings_
+        )
 
     def test_task_error_is_not_a_pool_failure(self, blobs_small, monkeypatch):
         """A bucket task that raises surfaces its own exception: nothing

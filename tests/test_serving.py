@@ -21,7 +21,6 @@ from repro.serving import (
     ROUTE_NEAREST,
     AssignmentService,
     DASCModel,
-    OverloadError,
 )
 from repro.serving.model import MODEL_FORMAT_VERSION
 
@@ -259,11 +258,10 @@ class TestRoutingLadder:
         rows = X[details["bucket_ids"] == 1]
         assert model.buckets[1].mode == "const" and rows.shape[0] == 102
         wide = np.hstack([rows, np.ones((rows.shape[0], 1))])
-        service = AssignmentService(model, queue_watermark=4)
+        service = AssignmentService(model)
         with pytest.raises(ValueError, match="9 features"):
             service.assign(wide)
         assert service.metrics.counter("serving.requests").value == 0
-        assert service.replica_status()["depth_ewma"] == 0.0
 
 
 class TestPersistence:
@@ -388,82 +386,3 @@ class TestAssignmentService:
         model.save(store, "models/m")
         service = AssignmentService.from_store(store, "models/m", batch_size=128)
         assert np.array_equal(service.assign(X), labels)
-
-
-class TestAdmissionControl:
-    def _service(self, model, **kwargs):
-        kwargs.setdefault("batch_size", 50)
-        kwargs.setdefault("queue_watermark", 2)
-        kwargs.setdefault("max_replicas", 3)
-        return AssignmentService(model, **kwargs)
-
-    def test_disabled_by_default(self, fitted):
-        X, labels, model = fitted
-        service = AssignmentService(model, batch_size=16)
-        assert not service.replica_status()["enabled"]
-        assert np.array_equal(service.assign(X), labels)  # nothing ever shed
-
-    def test_parameter_validation(self, fitted):
-        _, _, model = fitted
-        with pytest.raises(ValueError, match="queue_watermark"):
-            AssignmentService(model, queue_watermark=0)
-        with pytest.raises(ValueError, match="min_replicas"):
-            AssignmentService(model, min_replicas=0)
-        with pytest.raises(ValueError, match="max_replicas"):
-            AssignmentService(model, min_replicas=4, max_replicas=2)
-
-    def test_burst_scales_up_to_need(self, fitted):
-        X, labels, model = fitted
-        service = self._service(model)
-        # 250 points = 5 batches, watermark 2 -> 3 replicas needed
-        assert np.array_equal(service.assign(X[:250]), labels[:250])
-        status = service.replica_status()
-        assert status["n_replicas"] == 3
-        assert status["scale_ups"] == 2
-        assert status["shed_requests"] == 0
-
-    def test_overload_sheds_with_structured_error(self, fitted):
-        X, _, model = fitted
-        service = self._service(model)
-        with pytest.raises(OverloadError) as excinfo:
-            service.assign(X)  # 400 points = 8 batches > 3 replicas x 2
-        err = excinfo.value
-        assert err.queue_depth == 8
-        assert err.watermark == 2
-        assert err.max_replicas == 3
-        assert "shed" in str(err)
-        status = service.replica_status()
-        assert status["shed_requests"] == X.shape[0]
-        assert status["shed_batches"] == 8
-        # shed before any work: no batch was served, nothing recorded
-        assert service.metrics.counter("serving.requests").value == 0
-
-    def test_faded_traffic_scales_back_down(self, fitted):
-        X, labels, model = fitted
-        service = self._service(model)
-        service.assign(X[:250])  # grow to 3
-        assert service.replica_status()["n_replicas"] == 3
-        for _ in range(20):  # sustained light traffic decays the pool
-            assert np.array_equal(service.assign(X[:50]), labels[:50])
-        status = service.replica_status()
-        assert status["n_replicas"] == service.min_replicas
-        assert status["scale_downs"] == 2
-
-    def test_one_quiet_request_does_not_tear_down(self, fitted):
-        X, _, model = fitted
-        service = self._service(model)
-        service.assign(X[:250])
-        service.assign(X[:50])  # a single small request
-        assert service.replica_status()["n_replicas"] == 3  # EWMA still high
-
-    def test_admission_never_changes_labels(self, fitted):
-        X, labels, model = fitted
-        service = self._service(model, max_replicas=8)
-        got = np.concatenate([service.assign(X[i : i + 100]) for i in range(0, 400, 100)])
-        assert np.array_equal(got, labels)
-
-    def test_replica_gauge_exported(self, fitted):
-        X, _, model = fitted
-        service = self._service(model)
-        service.assign(X[:250])
-        assert service.metrics.gauge("serving.replicas").value == 3
