@@ -4,9 +4,9 @@ The ROADMAP's north star serves assignments under heavy traffic; this
 bench measures the request path end to end: export a fitted ``DASCModel``,
 stand an :class:`AssignmentService` over it, and push jittered
 out-of-sample queries through micro-batches. Reported numbers come from
-the service's own :class:`MetricsRegistry` histograms — the same p50/p95/
-p99 surface ``repro serve-bench`` prints — so the benchmark also guards
-the measurement plumbing itself.
+the service's own :class:`MetricsRegistry` histograms — the p50/p95/p99
+surface of :meth:`AssignmentService.latency_summary` — so the benchmark
+also guards the measurement plumbing itself.
 
 Gates: training points must reproduce their fit labels bit-identically
 (the self-consistency contract), throughput must clear a deliberately

@@ -59,12 +59,9 @@ from repro.mapreduce.cluster import (
 )
 from repro.mapreduce.autoscale import (
     Autoscaler,
-    AutoscalePolicy,
     AutoscalerState,
-    BudgetCap,
     PhaseSignals,
     ScaleDecision,
-    Static,
     TargetMakespan,
 )
 from repro.mapreduce.job import Job, JobFlow, JobFlowStep, JobFlowError
@@ -106,12 +103,9 @@ __all__ = [
     "ScaleReport",
     "SpeculationConfig",
     "Autoscaler",
-    "AutoscalePolicy",
     "AutoscalerState",
-    "BudgetCap",
     "PhaseSignals",
     "ScaleDecision",
-    "Static",
     "TargetMakespan",
     "Job",
     "JobFlow",

@@ -26,16 +26,11 @@ the recorded scaling schedule bit-identically instead of re-deciding;
 signals of restored steps never recompute, so replay is the only way the
 resumed trajectory can match the original.
 
-Policies:
-
-* :class:`TargetMakespan` — scale to hit a simulated-makespan SLO: grow
-  when the pending phase would overshoot the remaining budget, shrink when
-  utilization is low and the projection fits comfortably at fewer nodes.
-* :class:`BudgetCap` — a node-seconds ceiling: shed idle capacity when the
-  projected spend would breach the cap or when slot slack says the nodes
-  are not earning their keep.
-* :class:`Static` — the do-nothing reference the benchmarks compare
-  against.
+The policy, :class:`TargetMakespan`, scales to hit a simulated-makespan
+SLO: it grows when the pending phase would overshoot the remaining
+budget and shrinks when utilization is low and the projection fits
+comfortably at fewer nodes. A run without an autoscaler is the static
+reference.
 
 The bit-identity contract extends unchanged: scaling alters *when* work
 runs (makespans, the ``autoscale.*`` ledger), never *what* it computes —
@@ -46,7 +41,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.mapreduce.cluster import ScaleReport, SimulatedCluster
 from repro.observability import get_tracer
@@ -55,10 +50,7 @@ __all__ = [
     "PhaseSignals",
     "ScaleDecision",
     "AutoscalerState",
-    "AutoscalePolicy",
-    "Static",
     "TargetMakespan",
-    "BudgetCap",
     "Autoscaler",
 ]
 
@@ -154,27 +146,6 @@ class AutoscalerState:
         return self.reduce_slots_per_node if phase == "reduce" else self.map_slots_per_node
 
 
-class AutoscalePolicy:
-    """Base class: map ``(signals, state)`` to a :class:`ScaleDecision`."""
-
-    name = "policy"
-
-    def decide(self, signals: PhaseSignals, state: AutoscalerState) -> ScaleDecision:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        return self.name
-
-
-class Static(AutoscalePolicy):
-    """The reference policy: never resize."""
-
-    name = "static"
-
-    def decide(self, signals: PhaseSignals, state: AutoscalerState) -> ScaleDecision:
-        return ScaleDecision("hold", reason="static policy")
-
-
 def _projected_makespan(pending_cost: float, max_cost: float, n_slots: int) -> float:
     """LPT lower bound for the pending queue on ``n_slots`` slots."""
     if n_slots < 1:
@@ -183,7 +154,7 @@ def _projected_makespan(pending_cost: float, max_cost: float, n_slots: int) -> f
 
 
 @dataclass
-class TargetMakespan(AutoscalePolicy):
+class TargetMakespan:
     """Scale to finish within ``target`` simulated seconds (the SLO).
 
     At a decision point with a known pending queue, the policy projects the
@@ -204,7 +175,7 @@ class TargetMakespan(AutoscalePolicy):
     max_nodes: int = 64
     scale_down_utilization: float = 0.5
     headroom: float = 1.1
-    name: str = field(default="target-makespan", repr=False)
+    name = "target-makespan"  # recorded as each decision's "policy"
 
     def __post_init__(self):
         if self.target <= 0:
@@ -254,68 +225,6 @@ class TargetMakespan(AutoscalePolicy):
         return ScaleDecision("hold", reason="projection fits the remaining budget")
 
 
-@dataclass
-class BudgetCap(AutoscalePolicy):
-    """A node-seconds ceiling: scale down when there is slack.
-
-    The spend of a phase at size ``n`` is roughly ``n * makespan(n)``;
-    because total work is conserved, idle slots are pure cost. The policy
-    sheds nodes when the projected spend of the pending queue would breach
-    the remaining budget, and trims toward ``ceil(n * utilization)`` when
-    the last phase left slots idle below ``low_utilization``. It never
-    scales up — the cap is a ceiling, not an SLO.
-    """
-
-    node_seconds: float
-    min_nodes: int = 1
-    low_utilization: float = 0.6
-    name: str = field(default="budget-cap", repr=False)
-
-    def __post_init__(self):
-        if self.node_seconds <= 0:
-            raise ValueError(f"node_seconds must be > 0, got {self.node_seconds}")
-        if self.min_nodes < 1:
-            raise ValueError(f"min_nodes must be >= 1, got {self.min_nodes}")
-
-    def decide(self, signals: PhaseSignals, state: AutoscalerState) -> ScaleDecision:
-        if state.n_nodes <= self.min_nodes:
-            return ScaleDecision("hold", reason="already at min_nodes")
-        remaining = self.node_seconds - state.node_seconds
-        spn = state.slots_per_node(signals.pending_phase)
-        if signals.pending_tasks:
-
-            def spend(n: int) -> float:
-                return n * _projected_makespan(
-                    signals.pending_cost, signals.max_pending_cost, n * spn
-                )
-
-            if spend(state.n_nodes) > remaining:
-                n = state.n_nodes
-                while n > self.min_nodes and spend(n - 1) <= spend(n):
-                    n -= 1
-                if n < state.n_nodes:
-                    return ScaleDecision(
-                        "down",
-                        delta=state.n_nodes - n,
-                        reason=(
-                            f"projected spend {spend(state.n_nodes):.3g} node-s exceeds "
-                            f"remaining budget {remaining:.3g}"
-                        ),
-                    )
-        if signals.utilization < self.low_utilization:
-            needed = max(self.min_nodes, math.ceil(state.n_nodes * signals.utilization))
-            if needed < state.n_nodes:
-                return ScaleDecision(
-                    "down",
-                    delta=state.n_nodes - needed,
-                    reason=(
-                        f"utilization {signals.utilization:.2f} below {self.low_utilization}: "
-                        f"trimming idle capacity"
-                    ),
-                )
-        return ScaleDecision("hold", reason="spend within budget")
-
-
 class Autoscaler:
     """Drives policy decisions into one :class:`~repro.mapreduce.job.JobFlow`.
 
@@ -332,7 +241,7 @@ class Autoscaler:
     Parameters
     ----------
     policy:
-        The :class:`AutoscalePolicy` consulted at live decision points.
+        The :class:`TargetMakespan` consulted at live decision points.
     cold_start:
         Simulated latency one scale-up charges to the flow makespan (flat
         per event — nodes boot in parallel).
@@ -343,7 +252,7 @@ class Autoscaler:
 
     def __init__(
         self,
-        policy: AutoscalePolicy,
+        policy: TargetMakespan,
         *,
         cold_start: float = 0.0,
         drain_cost_per_block: float = 0.0,
@@ -567,7 +476,7 @@ class Autoscaler:
             "drain_cost": float(report.drain_cost),
             "blocks_moved": int(report.blocks_moved),
             "reason": reason,
-            "policy": self.policy.describe(),
+            "policy": self.policy.name,
         }
 
     def _emit(self, entry: dict, signals: PhaseSignals | None, *, replay: bool) -> None:
@@ -624,7 +533,7 @@ class Autoscaler:
         for d in self.decisions:
             actions[d["action"]] = actions.get(d["action"], 0) + 1
         return {
-            "policy": self.policy.describe(),
+            "policy": self.policy.name,
             "decisions": len(self.decisions),
             "actions": actions,
             "initial_nodes": self._initial_nodes,

@@ -227,10 +227,6 @@ class SimulatedHDFS:
         """Whether ``path`` is stored."""
         return path in self._files
 
-    def list_files(self) -> list[str]:
-        """All stored paths, sorted."""
-        return sorted(self._files)
-
     def read(self, path: str) -> list:
         """All records of a file, in write order.
 

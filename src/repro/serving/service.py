@@ -14,7 +14,7 @@ request path needs beyond the raw model:
   span, and a :class:`MetricsRegistry` accumulates request counts, route-
   method mix, cache hits and latency histograms that
   :meth:`AssignmentService.latency_summary` distils into p50/p95/p99 (the
-  numbers ``repro serve-bench`` reports and CI smoke-checks).
+  numbers ``benchmarks/bench_serving.py`` gates).
 """
 
 from __future__ import annotations

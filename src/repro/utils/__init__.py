@@ -1,6 +1,6 @@
 """Shared utilities: RNG plumbing, validation, timing, and memory accounting."""
 
-from repro.utils.rng import as_rng, spawn_rngs
+from repro.utils.rng import as_rng
 from repro.utils.timing import Stopwatch, timed
 from repro.utils.memory import (
     dense_matrix_bytes,
@@ -13,13 +13,11 @@ from repro.utils.validation import (
     check_2d,
     check_labels,
     check_positive,
-    check_probability,
     check_square,
 )
 
 __all__ = [
     "as_rng",
-    "spawn_rngs",
     "Stopwatch",
     "timed",
     "dense_matrix_bytes",
@@ -30,6 +28,5 @@ __all__ = [
     "check_2d",
     "check_labels",
     "check_positive",
-    "check_probability",
     "check_square",
 ]

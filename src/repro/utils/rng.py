@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["as_rng", "spawn_rngs"]
+__all__ = ["as_rng"]
 
 
 def as_rng(seed: int | None | np.random.Generator) -> np.random.Generator:
@@ -25,16 +25,3 @@ def as_rng(seed: int | None | np.random.Generator) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: int | None | np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` independent child generators from one seed.
-
-    Uses :meth:`numpy.random.Generator.spawn` so that the children's streams
-    are statistically independent regardless of how many draws each consumes.
-    This is how simulated cluster nodes obtain per-task randomness without
-    coupling the outcome to scheduling order.
-    """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    return as_rng(seed).spawn(n)

@@ -8,7 +8,6 @@ __all__ = [
     "check_2d",
     "check_labels",
     "check_positive",
-    "check_probability",
     "check_square",
 ]
 
@@ -71,11 +70,3 @@ def check_positive(value, *, name: str = "value", strict: bool = True):
     if not strict and not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
     return value
-
-
-def check_probability(value, *, name: str = "value") -> float:
-    """Validate a scalar in [0, 1]."""
-    p = float(value)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
-    return p

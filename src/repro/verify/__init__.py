@@ -16,7 +16,8 @@ the pipeline rests on, into machine-checked assertions:
   same seeded workload through a serial vs process-pool ``DASC.fit``, the
   in-process :class:`~repro.core.dasc.DASC` vs the MapReduce
   :class:`~repro.dasc_mr.driver.DistributedDASC`, and crash-resumed vs
-  uninterrupted job flows, asserting bit-identical labels and counters;
+  uninterrupted job flows, asserting bit-identical labels, counters and
+  makespans;
   plus DASC vs exact spectral clustering under ASE/NMI tolerance gates
   (the Section-5.3 quality claim on block-structured synthetic data).
 """

@@ -88,6 +88,10 @@ class VerificationReport:
         }
 
 
+# Worker processes of every process-pool leg.
+_POOL_JOBS = 2
+
+
 def _counters_equal(a: dict, b: dict) -> bool:
     return a == b
 
@@ -108,7 +112,6 @@ def run_differential_suite(
     n_features: int = 16,
     cluster_std: float = 0.03,
     seed: int = 0,
-    n_jobs: int = 2,
     n_nodes: int = 4,
     nmi_min: float = 0.95,
     acc_min: float = 0.95,
@@ -147,7 +150,6 @@ def run_differential_suite(
             "n_features": int(n_features),
             "cluster_std": float(cluster_std),
             "seed": int(seed),
-            "n_jobs": int(n_jobs),
             "n_nodes": int(n_nodes),
             "validate": bool(validate),
         },
@@ -161,7 +163,7 @@ def run_differential_suite(
     serial_labels = serial_model.fit_predict(X)
 
     def check_serial_vs_parallel():
-        parallel_model = DASC(config=config(n_jobs=max(2, n_jobs)))
+        parallel_model = DASC(config=config(n_jobs=_POOL_JOBS))
         parallel_labels = parallel_model.fit_predict(X)
         same_labels = bool(np.array_equal(serial_labels, parallel_labels))
         same_buckets = bool(
@@ -179,7 +181,7 @@ def run_differential_suite(
             "buckets_identical": same_buckets,
             "allocation_identical": same_allocation,
             "served_labels_identical": same_served,
-            "n_jobs": max(2, n_jobs),
+            "n_jobs": _POOL_JOBS,
         }
 
     _run_check(report, "dasc.serial_vs_parallel", check_serial_vs_parallel)
@@ -198,9 +200,16 @@ def run_differential_suite(
         resumed = dasc.resume(flow_id)
         same_labels = bool(np.array_equal(serial_dist.labels, resumed.labels))
         same_counters = _counters_equal(serial_dist.counters, resumed.counters)
-        return same_labels and same_counters and bool(resumed.resumed_steps), {
+        same_makespan = (
+            resumed.makespan == serial_dist.makespan
+            and resumed.stage_makespans == serial_dist.stage_makespans
+        )
+        resumed_any = bool(resumed.resumed_steps)
+        return same_labels and same_counters and same_makespan and resumed_any, {
             "labels_identical": same_labels,
             "counters_identical": same_counters,
+            "makespan_identical": same_makespan,
+            "makespan": resumed.makespan,
             "resumed_steps": list(resumed.resumed_steps),
         }
 
@@ -310,7 +319,7 @@ def run_differential_suite(
         labels = {}
         with use_tracer(tracer):
             for backend in ("auto", "dense"):
-                for jobs in (1, max(2, n_jobs)):
+                for jobs in (1, _POOL_JOBS):
                     cfg = config(min_shared_bits=0, eig_backend=backend, n_jobs=jobs)
                     labels[backend, jobs] = DASC(config=cfg).fit_predict(X)
         reference = labels["dense", 1]
@@ -322,7 +331,7 @@ def run_differential_suite(
             "labels_identical": identical,
             "fallbacks": fallbacks,
             "solvers": ",".join(solvers),
-            "n_jobs": max(2, n_jobs),
+            "n_jobs": _POOL_JOBS,
         }
 
     _run_check(report, "eigen.iterative_vs_dense", check_iterative_vs_dense)

@@ -2,13 +2,13 @@
 
 Four layers of the DESIGN.md §15 contract:
 
-* **cluster/HDFS primitives** — ``add_nodes`` / ``decommission_nodes`` /
-  ``resize`` report their overheads and run the drain protocol (retiring
-  nodes' blocks re-replicate onto live survivors before removal);
-* **signals + policies** — :class:`PhaseSignals` derives the scheduling
-  signals the way the observability plane does, and the policies map them
-  to decisions (TargetMakespan grows toward the SLO but never past an
-  indivisible dominant task; BudgetCap only sheds; Static holds);
+* **cluster/HDFS primitives** — ``add_nodes`` / ``decommission_nodes``
+  report their overheads and run the drain protocol (retiring nodes'
+  blocks re-replicate onto live survivors before removal);
+* **signals + policy** — :class:`PhaseSignals` derives the scheduling
+  signals the way the observability plane does, and
+  :class:`TargetMakespan` maps them to decisions (it grows toward the SLO
+  but never past an indivisible dominant task, and sheds idle nodes);
 * **flow integration** — an autoscaled DASC flow reproduces the static
   run's labels/counters bit-identically, charges its overhead to the
   makespan, folds ``autoscale.*`` events into the fault ledger, and a
@@ -30,7 +30,6 @@ from repro.dasc_mr.driver import DistributedDASC
 from repro.data import make_blobs
 from repro.mapreduce import (
     Autoscaler,
-    BudgetCap,
     ElasticMapReduce,
     FaultyEngine,
     PhaseSignals,
@@ -38,7 +37,6 @@ from repro.mapreduce import (
     ScaleDecision,
     SimulatedCluster,
     SimulatedHDFS,
-    Static,
     TargetMakespan,
 )
 from repro.mapreduce.autoscale import AutoscalerState
@@ -210,10 +208,6 @@ class TestPolicies:
         with pytest.raises(ValueError, match="delta"):
             ScaleDecision("up", delta=0)
 
-    def test_static_always_holds(self):
-        signals = PhaseSignals.from_stats("t", "map", _stats([9.0]), pending_costs=[99.0])
-        assert Static().decide(signals, _state(2)).action == "hold"
-
     def test_target_makespan_scales_up_for_balanced_queue(self):
         # 64 unit tasks on 2 nodes x 2 reduce slots project 16s against a
         # 4s budget; the policy grows to the smallest sufficient size.
@@ -262,36 +256,6 @@ class TestPolicies:
     def test_target_makespan_holds_without_queue(self):
         signals = PhaseSignals(trigger="t", phase="step")
         assert TargetMakespan(target=5.0).decide(signals, _state(4)).action == "hold"
-
-    def test_budget_cap_never_scales_up(self):
-        signals = PhaseSignals.from_stats(
-            "t", "map", _stats([1.0]), pending_costs=[10.0] * 50, pending_phase="reduce"
-        )
-        decision = BudgetCap(node_seconds=1e9).decide(signals, _state(2))
-        assert decision.action in ("hold", "down")
-
-    def test_budget_cap_sheds_on_projected_overspend(self):
-        # 16 unit tasks: at 8 nodes x 2 slots the queue spends ~8 node-s
-        # against a nearly-exhausted budget; fewer nodes spend less.
-        signals = PhaseSignals.from_stats(
-            "t", "map", _stats([1.0]), pending_costs=[1.0] * 16, pending_phase="reduce"
-        )
-        policy = BudgetCap(node_seconds=10.0)
-        decision = policy.decide(signals, _state(8, node_seconds=6.0))
-        assert decision.action == "down"
-
-    def test_budget_cap_trims_idle_capacity(self):
-        signals = PhaseSignals.from_stats(
-            "t", "map", _stats([4.0, 0.0, 0.0, 0.0], utilization=0.25)
-        )
-        decision = BudgetCap(node_seconds=1e9).decide(signals, _state(8))
-        assert decision.action == "down"
-        assert decision.delta == 8 - math.ceil(8 * 0.25)
-
-    def test_budget_cap_respects_min_nodes(self):
-        signals = PhaseSignals.from_stats("t", "map", _stats([1.0], utilization=0.1))
-        policy = BudgetCap(node_seconds=1.0, min_nodes=3)
-        assert policy.decide(signals, _state(3)).action == "hold"
 
 
 # -- flow integration --------------------------------------------------------
@@ -356,11 +320,17 @@ class TestFlowIntegration:
         assert triggers == sorted(triggers)  # stable ids order the trajectory
 
     def test_static_policy_matches_no_autoscaler(self, balanced_blobs, static_run):
-        scaler = Autoscaler(Static(), cold_start=123.0)
+        # A target 10x the static makespan never needs growth, and a zero
+        # utilization floor never sheds: the attached scaler only holds.
+        policy = TargetMakespan(
+            target=10 * static_run.makespan, scale_down_utilization=0.0
+        )
+        scaler = Autoscaler(policy, cold_start=123.0)
         run = DistributedDASC(
             config=balanced_config(), n_nodes=2, autoscaler=scaler
         ).run(balanced_blobs)
         assert np.array_equal(static_run.labels, run.labels)
+        assert run.counters == static_run.counters
         assert run.makespan == static_run.makespan  # holds charge nothing
         assert scaler.overhead == 0.0
         assert all(action == "hold" for _, action, _, _ in scaler.schedule())
@@ -451,18 +421,19 @@ class _FaultyAutoscaledEMR(ElasticMapReduce):
 
 class TestChaosInteraction:
     def test_node_kill_with_scale_down_keeps_labels_identical(self, blobs_small):
-        """Satellite 3, flow level: preemptions + drains never change results.
+        """A node kill racing a scale-down drain never changes results.
 
-        A BudgetCap autoscaler trims idle nodes between steps (running the
-        HDFS drain protocol) while a NodeFailurePolicy kills nodes inside
-        phases — the racing interaction. Labels and counters must match
-        the clean static run bit-for-bit.
+        A TargetMakespan autoscaler with a target it cannot miss and
+        a 0.95 utilization floor sheds idle nodes before stage 2's reduce
+        phase (running the HDFS drain protocol) while a NodeFailurePolicy
+        kills nodes inside phases. Labels must match the clean static run
+        bit-for-bit.
         """
         X, _ = blobs_small
         clean = DistributedDASC(4, n_nodes=6, config=DASCConfig(seed=0)).run(X)
 
         scaler = Autoscaler(
-            BudgetCap(node_seconds=1e12, low_utilization=0.95, min_nodes=2),
+            TargetMakespan(target=1e12, min_nodes=2, scale_down_utilization=0.95),
             drain_cost_per_block=1.0,
         )
         emr = _FaultyAutoscaledEMR(NodeFailurePolicy(kills=((0, 5, 0.5), (2, 4, 0.4))))
@@ -472,7 +443,9 @@ class TestChaosInteraction:
 
         assert np.array_equal(clean.labels, faulty.labels)
         downs = [entry for entry in scaler.decisions if entry["action"] == "down"]
-        assert downs, "BudgetCap never drained an idle node"
+        assert [d["trigger"] for d in downs] == [
+            "step-002:dasc-stage2-spectral#1:between-phases"
+        ]
         assert sum(d["blocks_moved"] for d in downs) > 0
         assert scaler.overhead == pytest.approx(
             sum(d["drain_cost"] for d in downs)

@@ -12,7 +12,7 @@ from repro.verify import (
 )
 
 # One suite run covers all eight checks; share it across assertions.
-SUITE_KW = dict(n_samples=200, n_clusters=4, n_features=8, seed=0, n_jobs=2, n_nodes=4)
+SUITE_KW = dict(n_samples=200, n_clusters=4, n_features=8, seed=0, n_nodes=4)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +58,26 @@ class TestSuite:
         check = {c.name: c for c in report.checks}["distributed.resumed_vs_uninterrupted"]
         assert check.details["labels_identical"]
         assert check.details["counters_identical"]
+        assert check.details["makespan_identical"]
         assert check.details["resumed_steps"], "crash point must leave steps to resume"
+
+    def test_resumed_makespan_drift_fails_the_check(self, monkeypatch):
+        import dataclasses
+
+        from repro.dasc_mr.driver import DistributedDASC
+
+        resume = DistributedDASC.resume
+
+        def drifting_resume(self, flow_id):
+            result = resume(self, flow_id)
+            return dataclasses.replace(result, makespan=result.makespan + 1.0)
+
+        monkeypatch.setattr(DistributedDASC, "resume", drifting_resume)
+        drifted = run_differential_suite(**SUITE_KW)
+        check = {c.name: c for c in drifted.checks}["distributed.resumed_vs_uninterrupted"]
+        assert not check.passed
+        assert check.details["labels_identical"] and check.details["counters_identical"]
+        assert not check.details["makespan_identical"]
 
     def test_corrupt_checkpoint_resume_recovers(self, report):
         check = {c.name: c for c in report.checks}["storage.corrupt_checkpoint_resume"]
@@ -107,8 +126,7 @@ class TestCLI:
 
         out = tmp_path / "report.json"
         code = main([
-            "verify", "-n", "200", "-k", "4", "-d", "8",
-            "--n-jobs", "2", "--json", str(out),
+            "verify", "-n", "200", "-k", "4", "-d", "8", "--json", str(out),
         ])
         assert code == 0
         printed = capsys.readouterr().out

@@ -14,6 +14,7 @@ from repro.mapreduce.storage import (
     StorageFaultPolicy,
 )
 from repro.lsh.hamming import hamming_distance
+from repro.observability import Tracer, use_tracer
 from repro.serving import (
     ROUTE_EXACT,
     ROUTE_FALLBACK,
@@ -386,3 +387,12 @@ class TestAssignmentService:
         model.save(store, "models/m")
         service = AssignmentService.from_store(store, "models/m", batch_size=128)
         assert np.array_equal(service.assign(X), labels)
+
+    def test_each_micro_batch_traced_as_a_span(self, fitted):
+        X, labels, model = fitted
+        tracer = Tracer()
+        with use_tracer(tracer):
+            assert np.array_equal(AssignmentService(model, batch_size=150).assign(X), labels)
+        spans = [r for r in tracer.sink.records if r["name"] == "serving.batch"]
+        assert all(r["type"] == "span" for r in spans)
+        assert [r["attributes"]["n_points"] for r in spans] == [150, 150, X.shape[0] - 300]

@@ -11,11 +11,9 @@ from repro.utils import (
     check_2d,
     check_labels,
     check_positive,
-    check_probability,
     check_square,
     dense_matrix_bytes,
     sparse_matrix_bytes,
-    spawn_rngs,
     timed,
     traced_peak,
 )
@@ -32,19 +30,6 @@ class TestRng:
 
     def test_none_gives_generator(self):
         assert isinstance(as_rng(None), np.random.Generator)
-
-    def test_spawn_count_and_independence(self):
-        children = spawn_rngs(3, 4)
-        assert len(children) == 4
-        draws = [c.integers(10**9) for c in children]
-        assert len(set(draws)) == 4  # overwhelmingly likely for independent streams
-
-    def test_spawn_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_spawn_zero_is_empty(self):
-        assert spawn_rngs(0, 0) == []
 
 
 class TestTiming:
@@ -213,8 +198,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_positive(0.0)
         assert check_positive(0.0, strict=False) == 0.0
-
-    def test_check_probability(self):
-        assert check_probability(0.5) == 0.5
-        with pytest.raises(ValueError):
-            check_probability(1.5)
