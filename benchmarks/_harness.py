@@ -10,10 +10,9 @@ criteria.
 
 Setting ``REPRO_TRACE_DIR=<dir>`` additionally records one JSON-lines
 trace per benchmark alongside the timings (view with
-``repro trace report <dir>/<bench>.jsonl``). Setting
-``REPRO_BENCH_DIR=<dir>`` on top distills each trace into a perf snapshot
-``<dir>/BENCH_<bench>.json`` right after the run (gate against a baseline
-with ``repro bench compare``).
+``repro trace report <dir>/<bench>.jsonl``, compare two runs with
+``repro trace diff``). These benches regenerate the paper's results; the
+performance harness that speed claims are measured with is ``perfbench/``.
 """
 
 import os
@@ -21,30 +20,14 @@ import re
 
 import numpy as np
 
-from repro.observability import (
-    build_snapshot,
-    read_trace,
-    snapshot_from_trace,
-    trace_to,
-    write_snapshot,
-)
-
-
-def snapshot_trace(trace_path: str, name: str, out_dir: str) -> str:
-    """Distill one recorded trace into ``<out_dir>/BENCH_<name>.json``."""
-    os.makedirs(out_dir, exist_ok=True)
-    entry = snapshot_from_trace(read_trace(trace_path), name)
-    out_path = os.path.join(out_dir, f"BENCH_{name}.json")
-    write_snapshot(build_snapshot(name, [entry]), out_path)
-    return out_path
+from repro.observability import trace_to
 
 
 def run_once(benchmark, fn):
     """Execute ``fn`` exactly once under the benchmark timer and return its result.
 
     When ``REPRO_TRACE_DIR`` is set, the run is traced into
-    ``$REPRO_TRACE_DIR/<benchmark name>.jsonl``; with ``REPRO_BENCH_DIR``
-    also set, the trace is distilled into a per-benchmark perf snapshot.
+    ``$REPRO_TRACE_DIR/<benchmark name>.jsonl``.
     """
     trace_dir = os.environ.get("REPRO_TRACE_DIR")
     if not trace_dir:
@@ -58,11 +41,7 @@ def run_once(benchmark, fn):
             tracer.meta(benchmark=name)
             return fn()
 
-    result = benchmark.pedantic(traced, rounds=1, iterations=1)
-    bench_dir = os.environ.get("REPRO_BENCH_DIR")
-    if bench_dir:
-        snapshot_trace(path, name, bench_dir)
-    return result
+    return benchmark.pedantic(traced, rounds=1, iterations=1)
 
 
 def print_table(title: str, header: list[str], rows: list[list]):

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Six subcommands, two of them with subcommands of their own:
+Five subcommands, one of them with subcommands of its own:
 
 * ``repro cluster`` — run DASC (or SC/PSC/NYST) on a CSV of feature rows
   and write a label column; prints accuracy when a label column is given.
@@ -20,12 +20,9 @@ Six subcommands, two of them with subcommands of their own:
 * ``repro trace critical-path`` — the trace-analysis plane: wall-clock
   drill-down, per-phase simulated critical path with bottleneck-node and
   straggler attribution, node utilization, and parallel efficiency.
-* ``repro trace diff`` — align two traces stage-by-stage, itemize deltas
-  (incl. new/vanished stages and the fault-ledger delta), and gate on
-  ``--fail-on 'PATTERN>NN%'`` regression rules (nonzero exit on violation).
-* ``repro bench snapshot`` / ``repro bench compare`` — distill traced
-  benchmark runs into schema-versioned ``BENCH_<tag>.json`` snapshots and
-  gate a current snapshot against a committed baseline in CI.
+* ``repro trace diff`` — align two traces stage-by-stage and itemize the
+  deltas: per-stage times and calls, new and vanished stages, the
+  fault-ledger delta and the schedule summary.
 
 Installed as ``python -m repro.cli ...`` (no console-script entry point is
 registered so that offline ``setup.py develop`` installs stay simple).
@@ -128,44 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_critical.add_argument("trace_file", help="JSON-lines trace path, or '-' for stdin")
     p_diff = trace_sub.add_parser(
-        "diff", help="align two traces stage-by-stage and gate on regressions"
+        "diff", help="align two traces stage-by-stage and report the deltas"
     )
     p_diff.add_argument("baseline", help="baseline JSON-lines trace path")
     p_diff.add_argument("current", help="current JSON-lines trace path")
-    p_diff.add_argument(
-        "--fail-on", action="append", default=[], metavar="SPEC",
-        help="regression rule '[self:|total:]PATTERN>NN%%' (glob over stage "
-        "names, e.g. 'mr.*>20%%'); repeatable; any violation exits nonzero",
-    )
-    p_diff.add_argument(
-        "--min-time", type=float, default=0.0, metavar="SECONDS",
-        help="noise floor: ignore stages whose time is below this on both sides",
-    )
-
-    p_bench = sub.add_parser("bench", help="perf-regression snapshot pipeline")
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-    p_snap = bench_sub.add_parser(
-        "snapshot", help="distill traced benchmark runs into a snapshot JSON"
-    )
-    p_snap.add_argument(
-        "traces", nargs="+", metavar="TRACE",
-        help="JSON-lines trace files (benchmark name = file stem)",
-    )
-    p_snap.add_argument("-o", "--output", required=True, help="snapshot JSON output path")
-    p_snap.add_argument("--tag", default="local", help="snapshot tag (default: local)")
-    p_compare = bench_sub.add_parser(
-        "compare", help="gate a current snapshot against a baseline snapshot"
-    )
-    p_compare.add_argument("baseline", help="baseline snapshot JSON path")
-    p_compare.add_argument("current", help="current snapshot JSON path")
-    p_compare.add_argument(
-        "--fail-on", action="append", default=[], metavar="SPEC",
-        help="regression rule '[self:|total:]PATTERN>NN%%'; repeatable",
-    )
-    p_compare.add_argument(
-        "--min-time", type=float, default=0.0, metavar="SECONDS",
-        help="noise floor: ignore stages whose time is below this on both sides",
-    )
     return parser
 
 
@@ -332,19 +295,9 @@ def _load_trace(path: str):
     return records
 
 
-def _parse_rules(specs: list[str]):
-    from repro.observability import parse_fail_on
-
-    try:
-        return [parse_fail_on(spec) for spec in specs]
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from exc
-
-
 def _cmd_trace(args) -> int:
     from repro.observability import (
         diff_traces,
-        evaluate_rules,
         render_critical_path,
         render_trace_diff,
         render_trace_report,
@@ -361,52 +314,11 @@ def _cmd_trace(args) -> int:
             print(render_critical_path(_load_trace(args.trace_file)), file=sys.stdout)
             return 0
         # trace diff
-        rules = _parse_rules(args.fail_on)
         diff = diff_traces(_load_trace(args.baseline), _load_trace(args.current))
     except _EmptyTraceError:
         return 1
-    violations = evaluate_rules(diff["stages"], rules, min_time=args.min_time) if rules else None
-    print(render_trace_diff(diff, violations), file=sys.stdout)
-    return 1 if violations else 0
-
-
-def _cmd_bench(args) -> int:
-    import os
-
-    from repro.observability import (
-        build_snapshot,
-        compare_snapshots,
-        read_snapshot,
-        render_snapshot_comparison,
-        snapshot_from_trace,
-        write_snapshot,
-    )
-
-    if args.bench_command == "snapshot":
-        entries = []
-        for path in args.traces:
-            name = os.path.splitext(os.path.basename(path))[0]
-            try:
-                entries.append(snapshot_from_trace(_load_trace(path), name))
-            except _EmptyTraceError:
-                return 1
-        write_snapshot(build_snapshot(args.tag, entries), args.output)
-        print(
-            f"snapshot of {len(entries)} benchmark(s) written to {args.output}",
-            file=sys.stderr,
-        )
-        return 0
-    # bench compare
-    rules = _parse_rules(args.fail_on)
-    try:
-        baseline = read_snapshot(args.baseline)
-        current = read_snapshot(args.current)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    comparison = compare_snapshots(baseline, current, rules, min_time=args.min_time)
-    print(render_snapshot_comparison(comparison), file=sys.stdout)
-    return 1 if comparison["violations"] else 0
+    print(render_trace_diff(diff), file=sys.stdout)
+    return 0
 
 
 def main(argv=None) -> int:
@@ -421,8 +333,6 @@ def main(argv=None) -> int:
         return _cmd_generate(args)
     if args.command == "trace":
         return _cmd_trace(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "verify":
         return _cmd_verify(args)
     return _cmd_analyze(args)

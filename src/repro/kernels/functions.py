@@ -1,8 +1,10 @@
 """Kernel function objects.
 
 Each kernel maps two sample matrices ``X (n, d)`` and ``Y (m, d)`` to an
-``(n, m)`` similarity matrix. All kernels here are positive semi-definite,
-which the spectral substrate relies on (non-negative Laplacian spectra).
+``(n, m)`` similarity matrix. The paper's kernel is Eq. (1)'s Gaussian;
+:class:`Kernel` is the plug-in point ``DASC(kernel=...)`` accepts. A kernel
+must be positive semi-definite, which the spectral substrate relies on
+(non-negative Laplacian spectra).
 """
 
 from __future__ import annotations
@@ -11,15 +13,7 @@ import numpy as np
 
 from repro.utils.validation import check_2d, check_positive
 
-__all__ = [
-    "Kernel",
-    "GaussianKernel",
-    "LaplacianKernel",
-    "LinearKernel",
-    "PolynomialKernel",
-    "CosineKernel",
-    "get_kernel",
-]
+__all__ = ["Kernel", "GaussianKernel"]
 
 
 class Kernel:
@@ -45,26 +39,6 @@ class Kernel:
         and return it. This generic version goes through one temporary; a
         kernel that can build in place overrides it."""
         out[...] = self.compute(X, Y)
-        return out
-
-    def diagonal(self, X) -> np.ndarray:
-        """k(x, x) for each row of X without forming the full matrix.
-
-        Generic fallback: evaluate the kernel on row chunks and keep each
-        chunk's diagonal — one vectorized ``compute`` per chunk instead of
-        one 1x1 Gram matrix per row. The working set stays bounded at
-        ``chunk x chunk``; subclasses with a closed form override this with
-        an O(n) expression.
-        """
-        X = check_2d(X)
-        n = X.shape[0]
-        chunk = 256
-        if n <= chunk:
-            return np.diagonal(self.compute(X, X)).copy()
-        out = np.empty(n)
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            out[start:stop] = np.diagonal(self.compute(X[start:stop], X[start:stop]))
         return out
 
 
@@ -111,91 +85,3 @@ class GaussianKernel(Kernel):
             rows /= scale
             np.exp(rows, out=rows)
         return out
-
-    def diagonal(self, X):
-        X = check_2d(X)
-        return np.ones(X.shape[0])
-
-
-class LaplacianKernel(Kernel):
-    """``exp(-||x - y||_1 / sigma)`` — heavier tails than the Gaussian."""
-
-    unit_range = True
-
-    def __init__(self, sigma: float = 1.0):
-        check_positive(sigma, name="sigma")
-        self.sigma = float(sigma)
-
-    def compute(self, X, Y):
-        l1 = np.abs(X[:, None, :] - Y[None, :, :]).sum(axis=2)
-        return np.exp(-l1 / self.sigma)
-
-    def diagonal(self, X):
-        X = check_2d(X)
-        return np.ones(X.shape[0])
-
-
-class LinearKernel(Kernel):
-    """Plain inner product ``x . y``."""
-
-    def compute(self, X, Y):
-        return X @ Y.T
-
-    def diagonal(self, X):
-        X = check_2d(X)
-        return np.einsum("ij,ij->i", X, X)
-
-
-class PolynomialKernel(Kernel):
-    """``(gamma x.y + coef0)^degree``; PSD when gamma > 0, coef0 >= 0."""
-
-    def __init__(self, degree: int = 3, gamma: float = 1.0, coef0: float = 1.0):
-        if degree < 1:
-            raise ValueError(f"degree must be >= 1, got {degree}")
-        check_positive(gamma, name="gamma")
-        if coef0 < 0:
-            raise ValueError(f"coef0 must be >= 0, got {coef0}")
-        self.degree = int(degree)
-        self.gamma = float(gamma)
-        self.coef0 = float(coef0)
-
-    def compute(self, X, Y):
-        return (self.gamma * (X @ Y.T) + self.coef0) ** self.degree
-
-    def diagonal(self, X):
-        X = check_2d(X)
-        return (self.gamma * np.einsum("ij,ij->i", X, X) + self.coef0) ** self.degree
-
-
-class CosineKernel(Kernel):
-    """Cosine similarity; the natural kernel for tf-idf document vectors."""
-
-    def compute(self, X, Y):
-        xn = np.linalg.norm(X, axis=1, keepdims=True)
-        yn = np.linalg.norm(Y, axis=1, keepdims=True)
-        xn = np.where(xn == 0, 1.0, xn)
-        yn = np.where(yn == 0, 1.0, yn)
-        return (X / xn) @ (Y / yn).T
-
-    def diagonal(self, X):
-        X = check_2d(X)
-        return np.where(np.linalg.norm(X, axis=1) == 0, 0.0, 1.0)
-
-
-_REGISTRY = {
-    "gaussian": GaussianKernel,
-    "rbf": GaussianKernel,
-    "laplacian": LaplacianKernel,
-    "linear": LinearKernel,
-    "polynomial": PolynomialKernel,
-    "cosine": CosineKernel,
-}
-
-
-def get_kernel(name: str, **params) -> Kernel:
-    """Instantiate a kernel by registry name (``'gaussian'``, ``'linear'``, ...)."""
-    try:
-        cls = _REGISTRY[name.lower()]
-    except KeyError:
-        raise ValueError(f"unknown kernel {name!r}; known: {sorted(set(_REGISTRY))}") from None
-    return cls(**params)

@@ -17,11 +17,8 @@ run instead of an ad-hoc measurement:
 * :mod:`~repro.observability.analysis` — the span DAG, wall-clock and
   simulated critical paths, per-node utilization, and parallel efficiency
   (``repro trace critical-path``);
-* :mod:`~repro.observability.diff` — two-trace stage diffing with
-  ``--fail-on`` regression gating (``repro trace diff``);
-* :mod:`~repro.observability.snapshot` — schema-versioned perf snapshots
-  distilled from traced benchmarks and the snapshot-vs-baseline compare
-  that CI gates on (``repro bench snapshot`` / ``repro bench compare``);
+* :mod:`~repro.observability.diff` — two-trace stage, fault and schedule
+  deltas (``repro trace diff``);
 * :mod:`~repro.observability.logging` — the single place handlers/levels
   for the ``repro`` logger namespace are configured.
 """
@@ -36,11 +33,8 @@ from repro.observability.analysis import (
     wall_critical_path,
 )
 from repro.observability.diff import (
-    RegressionRule,
     diff_stage_tables,
     diff_traces,
-    evaluate_rules,
-    parse_fail_on,
     render_trace_diff,
     stage_table,
 )
@@ -61,15 +55,6 @@ from repro.observability.report import (
     stage_breakdown,
 )
 from repro.observability.sink import InMemorySink, JsonLinesSink, read_trace
-from repro.observability.snapshot import (
-    SCHEMA_VERSION,
-    build_snapshot,
-    compare_snapshots,
-    read_snapshot,
-    render_snapshot_comparison,
-    snapshot_from_trace,
-    write_snapshot,
-)
 from repro.observability.trace import (
     NullTracer,
     Span,
@@ -88,42 +73,32 @@ __all__ = [
     "JsonLinesSink",
     "MetricsRegistry",
     "NullTracer",
-    "RegressionRule",
-    "SCHEMA_VERSION",
     "Span",
     "Tracer",
     "analyze_trace",
-    "build_snapshot",
     "build_span_tree",
-    "compare_snapshots",
     "configure",
     "configure_logging",
     "diff_stage_tables",
     "diff_traces",
-    "evaluate_rules",
     "fault_summary",
     "get_logger",
     "get_tracer",
     "node_utilization",
     "parallel_efficiency",
-    "parse_fail_on",
     "phase_critical_path",
     "pow2_buckets",
     "quantile_from_counts",
-    "read_snapshot",
     "read_trace",
     "render_critical_path",
-    "render_snapshot_comparison",
     "render_trace_diff",
     "render_trace_report",
     "set_tracer",
     "shuffle_volume",
-    "snapshot_from_trace",
     "stage_breakdown",
     "stage_table",
     "time_buckets",
     "trace_to",
     "use_tracer",
     "wall_critical_path",
-    "write_snapshot",
 ]

@@ -18,7 +18,7 @@ close to the hardware are we":
 * :func:`node_utilization` and :func:`parallel_efficiency` fold the same
   events into per-node busy/idle time and one scalar efficiency;
 * :func:`analyze_trace` bundles all of the above into the dict that
-  ``repro trace critical-path``, the perf-snapshot pipeline, and
+  ``repro trace critical-path``, ``repro trace diff`` and
   ``render_trace_report`` consume.
 
 Invariant (asserted by the chaos suite): a phase's critical-path length is
@@ -41,7 +41,6 @@ __all__ = [
     "phase_critical_path",
     "node_utilization",
     "parallel_efficiency",
-    "autoscale_timeline",
     "analyze_trace",
     "render_critical_path",
 ]
@@ -331,42 +330,6 @@ def _task_duration_quantiles(records: list[dict]) -> dict | None:
     }
 
 
-def autoscale_timeline(records: list[dict]) -> dict:
-    """The autoscaler's story as told by the trace.
-
-    ``decisions`` lists every ``autoscale.decision`` event's attributes in
-    trace order (the node-count trajectory: ``n_before`` → ``n_after``
-    with the policy's reason); ``overhead`` totals the cold-start and
-    drain latency charged by ``autoscale.cold_start`` / ``autoscale.drain``
-    events, and ``blocks_moved`` the block copies the decommission drains
-    re-replicated.
-    """
-    decisions: list[dict] = []
-    cold_start = 0.0
-    drain = 0.0
-    blocks = 0
-    for r in records:
-        if r.get("type") != "event":
-            continue
-        attrs = r.get("attributes", {}) or {}
-        name = r.get("name")
-        if name == "autoscale.decision":
-            decisions.append(dict(attrs))
-        elif name == "autoscale.cold_start":
-            cold_start += float(attrs.get("wasted_cost", 0.0) or 0.0)
-        elif name == "autoscale.drain":
-            drain += float(attrs.get("wasted_cost", 0.0) or 0.0)
-            blocks += int(attrs.get("blocks_moved", 0) or 0)
-    return {
-        "decisions": decisions,
-        "resizes": sum(1 for d in decisions if d.get("action") != "hold"),
-        "cold_start": cold_start,
-        "drain_cost": drain,
-        "blocks_moved": blocks,
-        "overhead": cold_start + drain,
-    }
-
-
 def analyze_trace(records: list[dict]) -> dict:
     """The full analysis bundle for one trace.
 
@@ -390,7 +353,6 @@ def analyze_trace(records: list[dict]) -> dict:
         "simulated_makespan": sum(p["makespan"] for p in phases),
         "parallel_efficiency": parallel_efficiency(phases),
         "nodes": node_utilization(phases),
-        "autoscale": autoscale_timeline(records),
         "task_quantiles": _task_duration_quantiles(records),
         "open_spans": len(tree.open_spans),
         "orphan_spans": len(tree.orphans),

@@ -1,14 +1,10 @@
-"""Trace diffing: align two runs stage-by-stage and gate on regressions.
+"""Trace diffing: align two runs stage by stage.
 
-``repro trace diff BASELINE CURRENT`` (and the snapshot pipeline's
-``repro bench compare``) answer "what changed between these two runs":
-per-stage total/self/count deltas, stages that appeared or vanished, the
-fault-ledger delta, and the simulated makespan / critical-path movement.
-Regression *gating* is a list of :class:`RegressionRule` objects parsed
-from ``--fail-on 'PATTERN>NN%'`` specs — a glob over stage names with a
-percentage threshold on self (default) or total time — evaluated against
-the aligned table; any violation makes the CLI exit nonzero, which is the
-whole CI story.
+``repro trace diff BASELINE CURRENT`` answers "what changed between these
+two runs": per-stage total/self/count deltas, stages that appeared or
+vanished, the fault-ledger delta, and the simulated makespan /
+critical-path movement. It is a report, not a gate: diffing two traces of
+the program is how a change shows which layer it moved.
 
 Stages are keyed by span name, refined with the span's ``phase`` attribute
 when present (``mr.schedule:map`` vs ``mr.schedule:reduce``), so a
@@ -17,58 +13,15 @@ reduce-side regression is not averaged away by a healthy map side.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-from fnmatch import fnmatchcase
-
 from repro.observability.analysis import analyze_trace
 from repro.observability.report import _table, fault_summary, stage_breakdown
 
 __all__ = [
-    "RegressionRule",
-    "parse_fail_on",
     "stage_table",
     "diff_stage_tables",
     "diff_traces",
-    "evaluate_rules",
     "render_trace_diff",
 ]
-
-_FAIL_ON = re.compile(r"^(?:(?P<metric>self|total):)?(?P<pattern>.+?)>(?P<pct>\d+(?:\.\d+)?)%$")
-
-
-@dataclass(frozen=True)
-class RegressionRule:
-    """One gating rule: stages matching ``pattern`` may not slow down by
-    more than ``threshold_pct`` percent on ``metric`` (``self`` or
-    ``total`` time)."""
-
-    pattern: str
-    threshold_pct: float
-    metric: str = "self"
-
-    def matches(self, stage: str) -> bool:
-        return fnmatchcase(stage, self.pattern)
-
-
-def parse_fail_on(spec: str) -> RegressionRule:
-    """Parse a ``--fail-on`` spec into a rule.
-
-    Grammar: ``[self:|total:]PATTERN>NN%`` where PATTERN is an
-    ``fnmatch``-style glob over stage keys (``mr.*``, ``dasc.fit``,
-    ``mr.schedule:reduce``) and NN the allowed slowdown percentage.
-    """
-    m = _FAIL_ON.match(spec.strip())
-    if not m:
-        raise ValueError(
-            f"bad --fail-on spec {spec!r}; expected '[self:|total:]PATTERN>NN%' "
-            "e.g. 'mr.*>20%' or 'total:dasc.fit>50%'"
-        )
-    return RegressionRule(
-        pattern=m.group("pattern"),
-        threshold_pct=float(m.group("pct")),
-        metric=m.group("metric") or "self",
-    )
 
 
 def stage_table(records: list[dict]) -> dict:
@@ -160,53 +113,15 @@ def diff_traces(base_records: list[dict], cur_records: list[dict]) -> dict:
     }
 
 
-def evaluate_rules(
-    stages_diff: dict, rules: list[RegressionRule], *, min_time: float = 0.0
-) -> list[dict]:
-    """Check every common stage against every rule.
-
-    A stage violates a rule when the rule's glob matches, the chosen metric
-    regressed past the rule's threshold, and the metric's larger side is at
-    least ``min_time`` seconds (the noise floor — sub-floor stages jitter
-    by large percentages without meaning anything). Returns one violation
-    dict per (stage, rule) hit, worst first.
-    """
-    violations: list[dict] = []
-    for stage, entry in stages_diff["common"].items():
-        for rule in rules:
-            if not rule.matches(stage):
-                continue
-            base = entry[f"base_{rule.metric}"]
-            cur = entry[f"cur_{rule.metric}"]
-            if max(base, cur) < min_time:
-                continue
-            pct = _pct(base, cur)
-            if pct is not None and pct > rule.threshold_pct:
-                violations.append(
-                    {
-                        "stage": stage,
-                        "metric": rule.metric,
-                        "base": base,
-                        "cur": cur,
-                        "pct": pct,
-                        "threshold_pct": rule.threshold_pct,
-                        "rule": f"{rule.metric}:{rule.pattern}>{rule.threshold_pct:g}%",
-                    }
-                )
-    violations.sort(key=lambda v: -v["pct"])
-    return violations
-
-
 def _fmt_pct(pct: float | None) -> str:
     return "new" if pct is None else f"{pct:+.1f}%"
 
 
-def render_trace_diff(diff: dict, violations: list[dict] | None = None) -> str:
+def render_trace_diff(diff: dict) -> str:
     """Human-readable diff report (``repro trace diff``).
 
     Common stages are ranked by absolute self-time delta; new and vanished
-    stages, fault-ledger deltas, and the schedule summary follow. When
-    ``violations`` is given, a final section itemizes each gating failure.
+    stages, fault-ledger deltas, and the schedule summary follow.
     """
     lines: list[str] = []
     stages = diff["stages"]
@@ -271,16 +186,4 @@ def render_trace_diff(diff: dict, violations: list[dict] | None = None) -> str:
             + " → "
             + ("-" if c is None else f"{100.0 * c:.1f}%")
         )
-
-    if violations is not None:
-        lines.append("")
-        lines.append("== Regression gate ==")
-        if violations:
-            for v in violations:
-                lines.append(
-                    f"  FAIL {v['stage']}: {v['metric']} {v['base']:.6f} → {v['cur']:.6f} "
-                    f"({v['pct']:+.1f}% > {v['threshold_pct']:g}% allowed by {v['rule']})"
-                )
-        else:
-            lines.append("  all rules passed")
     return "\n".join(lines) + "\n"

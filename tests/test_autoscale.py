@@ -42,7 +42,6 @@ from repro.mapreduce import (
 from repro.mapreduce.autoscale import AutoscalerState
 from repro.mapreduce.faults import NodeFailurePolicy
 from repro.observability import read_trace, trace_to
-from repro.observability.analysis import autoscale_timeline
 from repro.observability.report import fault_summary
 
 
@@ -374,11 +373,12 @@ class TestFlowIntegration:
         assert "autoscale.cold_start" in kinds
         assert faults["wasted_cost"] == pytest.approx(scaler.overhead)
 
-        timeline = autoscale_timeline(records)
-        assert timeline["overhead"] == pytest.approx(scaler.overhead)
-        assert [d["trigger"] for d in timeline["decisions"]] == [
-            t for t, _, _, _ in scaler.schedule()
+        triggers = [
+            r["attributes"]["trigger"]
+            for r in records
+            if r.get("type") == "event" and r.get("name") == "autoscale.decision"
         ]
+        assert triggers == [t for t, _, _, _ in scaler.schedule()]
 
     def test_flow_status_reports_current_size(self, balanced_blobs, static_run):
         emr = ElasticMapReduce()

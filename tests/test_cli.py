@@ -25,7 +25,16 @@ class TestParser:
             build_parser().parse_args(["cluster", "x.csv", "-k", "2", "-a", "magic"])
 
     @pytest.mark.parametrize(
-        "argv", [["chaos"], ["autoscale"], ["serve-bench"], ["verify", "--n-jobs", "2"]]
+        "argv",
+        [
+            ["chaos"],
+            ["autoscale"],
+            ["serve-bench"],
+            ["verify", "--n-jobs", "2"],
+            ["bench", "snapshot", "t.jsonl", "-o", "x.json"],
+            ["bench", "compare", "a.json", "b.json"],
+            ["trace", "diff", "a.jsonl", "b.jsonl", "--fail-on", "*>1%"],
+        ],
     )
     def test_deleted_drills_and_options_rejected(self, argv, capsys):
         with pytest.raises(SystemExit):

@@ -7,12 +7,8 @@ from hypothesis import strategies as st
 
 from repro.kernels import (
     BLOCKED_THRESHOLD,
-    CosineKernel,
     GaussianKernel,
-    LaplacianKernel,
-    LinearKernel,
-    PolynomialKernel,
-    get_kernel,
+    Kernel,
     gram_matrix,
     gram_matrix_auto,
     gram_matrix_blocked,
@@ -21,13 +17,16 @@ from repro.kernels import (
     pairwise_sq_distances,
 )
 
-ALL_KERNELS = [
-    GaussianKernel(0.7),
-    LaplacianKernel(1.2),
-    LinearKernel(),
-    PolynomialKernel(degree=2, gamma=0.5, coef0=1.0),
-    CosineKernel(),
-]
+
+class ComputeOnlyKernel(Kernel):
+    """A plug-in kernel that defines only ``compute``, so it fills a Gram
+    block through the base class's generic ``compute_into``."""
+
+    def compute(self, X, Y):
+        return (X @ Y.T + 1.0) ** 2
+
+
+ALL_KERNELS = [GaussianKernel(0.7), ComputeOnlyKernel()]
 
 
 def random_X(seed, n=20, d=5):
@@ -66,11 +65,6 @@ class TestKernelFunctions:
         eigs = np.linalg.eigvalsh((K + K.T) / 2)
         assert eigs.min() > -1e-8
 
-    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: type(k).__name__)
-    def test_diagonal_shortcut_matches(self, kernel):
-        X = random_X(2, n=8)
-        assert np.allclose(kernel.diagonal(X), np.diag(kernel(X)))
-
     def test_gaussian_eq1_value(self):
         """Eq. (1): S = exp(-||x-y||^2 / (2 sigma^2))."""
         k = GaussianKernel(sigma=2.0)
@@ -85,11 +79,6 @@ class TestKernelFunctions:
         X = np.array([[0.0], [1.0]])
         assert GaussianKernel(0.1)(X)[0, 1] < GaussianKernel(10.0)(X)[0, 1]
 
-    def test_cosine_zero_vector_safe(self):
-        X = np.array([[0.0, 0.0], [1.0, 0.0]])
-        K = CosineKernel()(X)
-        assert K[0, 1] == 0.0 and np.isfinite(K).all()
-
     def test_cross_kernel_shape(self):
         k = GaussianKernel(1.0)
         K = k(random_X(0, n=6), random_X(1, n=9))
@@ -99,25 +88,9 @@ class TestKernelFunctions:
         with pytest.raises(ValueError):
             GaussianKernel(1.0)(random_X(0, d=3), random_X(1, d=4))
 
-    @pytest.mark.parametrize("name,cls", [
-        ("gaussian", GaussianKernel), ("rbf", GaussianKernel),
-        ("linear", LinearKernel), ("cosine", CosineKernel),
-    ])
-    def test_registry(self, name, cls):
-        assert isinstance(get_kernel(name), cls)
-
-    def test_registry_unknown(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            get_kernel("sigmoid")
-
-    @pytest.mark.parametrize("bad", [
-        lambda: GaussianKernel(0.0),
-        lambda: PolynomialKernel(degree=0),
-        lambda: PolynomialKernel(coef0=-1.0),
-    ])
-    def test_invalid_params(self, bad):
+    def test_invalid_params(self):
         with pytest.raises(ValueError):
-            bad()
+            GaussianKernel(0.0)
 
 
 class TestGramMatrix:
@@ -293,26 +266,3 @@ class TestInPlaceGaussian:
         assert kernel.compute_into(X, Y, out) is out
         np.testing.assert_array_equal(out, kernel(X, Y))
         assert np.isnan(buffer[0]).all() and np.isnan(buffer[:, :2]).all()
-
-
-class TestDiagonalVectorized:
-    """Per-subclass diagonal shortcuts vs the full-Gram diagonal."""
-
-    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: type(k).__name__)
-    def test_large_input_chunked_path(self, kernel):
-        # n > the base class's 256-row chunk: exercises the chunked loop for
-        # kernels without a closed-form override.
-        X = random_X(3, n=700, d=4)
-        assert np.allclose(kernel.diagonal(X), np.diag(kernel(X)))
-
-    def test_linear_closed_form(self):
-        X = random_X(4, n=50)
-        k = LinearKernel()
-        assert np.array_equal(k.diagonal(X), np.einsum("ij,ij->i", X, X))
-
-    def test_polynomial_closed_form(self):
-        X = random_X(5, n=50)
-        k = PolynomialKernel(degree=3, gamma=0.25, coef0=0.5)
-        expected = (0.25 * np.einsum("ij,ij->i", X, X) + 0.5) ** 3
-        assert np.allclose(k.diagonal(X), expected)
-        assert np.allclose(k.diagonal(X), np.diag(k(X)))

@@ -2,13 +2,16 @@
 
 Covers the span/tracer mechanics, the null (disabled) path's identity
 semantics, histogram bucketing, the trace-file round trip through
-``repro trace report``, fault-event itemization under the fault-injecting
-engine, and driver traces surviving a crash/resume cycle.
+``repro trace report``, the bench harness's ``REPRO_TRACE_DIR`` hook,
+fault-event itemization under the fault-injecting engine, and driver
+traces surviving a crash/resume cycle.
 """
 
+import importlib.util
 import io
 import json
 import logging
+import pathlib
 
 import numpy as np
 import pytest
@@ -263,6 +266,35 @@ class TestSinkRoundTrip:
     def test_bad_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             JsonLinesSink(tmp_path / "t.jsonl", mode="x")
+
+
+class StubBenchmark:
+    """pytest-benchmark stand-in: runs the function once, records nothing."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def pedantic(self, fn, rounds=1, iterations=1):
+        return fn()
+
+
+class TestBenchHarnessTraceDir:
+    def test_run_once_writes_one_trace_per_benchmark(self, tmp_path, monkeypatch):
+        path = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "_harness.py"
+        spec = importlib.util.spec_from_file_location("bench_harness", path)
+        harness = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(harness)
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
+
+        def workload():
+            with get_tracer().span("stub.work"):
+                return 42
+
+        assert harness.run_once(StubBenchmark("test_stub[case]"), workload) == 42
+        records = read_trace(tmp_path / "traces" / "test_stub_case_.jsonl")
+        assert records[0]["type"] == "meta"
+        assert records[0]["attributes"] == {"benchmark": "test_stub_case_"}
+        assert "stub.work" in stage_breakdown(records)
 
 
 class TestPipelineTrace:
