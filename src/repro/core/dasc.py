@@ -244,7 +244,7 @@ class DASC:
         self.stopwatch_ = Stopwatch()
         self.memory_ = MemoryLedger()
 
-    # -- pipeline stages, individually callable for the MapReduce driver ----
+    # -- pipeline stages -----------------------------------------------------
 
     def _validate_active(self) -> bool:
         """Whether the invariant layer is on (config override or REPRO_VALIDATE)."""

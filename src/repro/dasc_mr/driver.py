@@ -18,11 +18,10 @@ The driver is crash-recoverable: :meth:`DistributedDASC.submit` provisions
 the flow, :meth:`~DistributedDASC.run` executes and collects it, and — if
 the driver dies between stages — :meth:`~DistributedDASC.resume` restarts
 from the last completed checkpoint (the LSH pass is *not* redone) and
-produces byte-identical labels. Degradation ladder on the way down:
-per-attempt task retries, node-loss re-execution, speculative backups
-(see :mod:`repro.mapreduce.faults`), nearest-neighbour repair for any
-unlabelled point, and a structured
-:class:`~repro.mapreduce.job.JobFlowError` when retries are exhausted.
+produces byte-identical labels. Degradation on the way down:
+nearest-neighbour repair for any unlabelled point, and a structured
+:class:`~repro.mapreduce.job.JobFlowError` naming the step when a task
+raises.
 
 The storage boundary is hardened the same way: driver artifacts (the
 uploaded input, the collected labels) and every job-flow checkpoint travel
@@ -189,12 +188,9 @@ class DistributedDASC:
         # (Eqs. 4-5 need dataset-wide spans and histograms).
         hasher = make_hasher(self.config, n_bits).fit(X)
 
-        # Only forward the autoscaler when one is set: EMR subclasses that
-        # predate elasticity (test fixtures, chaos wrappers) keep working.
-        flow_kwargs = {"split_size": self.split_size}
-        if self.autoscaler is not None:
-            flow_kwargs["autoscaler"] = self.autoscaler
-        flow_id, flow = self.emr.create_job_flow(self.n_nodes, **flow_kwargs)
+        flow_id, flow = self.emr.create_job_flow(
+            self.n_nodes, split_size=self.split_size, autoscaler=self.autoscaler
+        )
         # "Upload to S3" through the hardened client: the write is
         # checksummed, atomic, and retried under transient storage faults.
         self.emr.storage.put(f"{flow_id}/input", X)
@@ -272,9 +268,9 @@ class DistributedDASC:
 
         buckets = state["buckets"]
         if validation_enabled(self.config.validate):
-            # Conservation: one signature per point through stage 1 (retries
-            # must not inflate the tally), one reduce call per bucket in
-            # stage 2, and a complete in-range final labelling.
+            # Conservation: one signature per point through stage 1, one
+            # reduce call per bucket in stage 2, and a complete in-range
+            # final labelling.
             check_counter_equals(
                 stage1_result.counters, "dasc", "signatures_emitted", n,
                 stage="driver.collect",

@@ -21,28 +21,8 @@ from repro.mapreduce.types import JobSpec
 
 __all__ = [
     "signature_mapper",
-    "ConstantMapCost",
     "make_signature_job",
 ]
-
-
-class ConstantMapCost:
-    """Picklable constant per-record map cost.
-
-    A module-level class (not a lambda) so the JobSpec survives pickling and
-    the engine may dispatch its map tasks to worker processes.
-    """
-
-    __slots__ = ("cost",)
-
-    def __init__(self, cost: float):
-        self.cost = float(cost)
-
-    def __call__(self, key, value) -> float:
-        return self.cost
-
-    def __repr__(self) -> str:
-        return f"ConstantMapCost({self.cost!r})"
 
 
 def signature_mapper(index, vector, ctx):
@@ -77,11 +57,11 @@ def make_signature_job(dimensions, thresholds, *, name: str = "dasc-stage1-lsh")
     thr = np.asarray(thresholds, dtype=np.float64)
     if dims.shape != thr.shape or dims.ndim != 1 or dims.size == 0:
         raise ValueError("dimensions and thresholds must be equal-length non-empty vectors")
-    m = dims.size
+    cost = float(dims.size)  # O(M) hash work per vector
     return JobSpec(
         name=name,
         mapper=signature_mapper,
         reducer=None,  # map-only: the driver merges buckets before stage 2
-        map_cost=ConstantMapCost(m),  # O(M) hash work per vector
+        map_cost=lambda key, value: cost,
         params={"dimensions": dims, "thresholds": thr},
     )

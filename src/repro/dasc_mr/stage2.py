@@ -28,10 +28,6 @@ __all__ = [
 ]
 
 
-# Module-level (not nested) so stage-2 JobSpecs pickle cleanly and the
-# engine may run their tasks in worker processes.
-
-
 def identity_mapper(key, value, ctx):
     """Pass records through unchanged (stage 2 consumes stage 1's output)."""
     yield (key, value)
@@ -45,8 +41,8 @@ def bucket_partitioner(key, n: int) -> int:
 class SpectralReduceCost:
     """The paper's per-bucket complexity ``2 N_i^2 + 2 K_i N_i`` (Eq. 3).
 
-    A picklable callable closed over the driver's allocation table, which is
-    what makes the simulated makespans follow the paper's analysis.
+    A callable over the driver's allocation table; it is what makes the
+    simulated makespans follow the paper's analysis.
     """
 
     __slots__ = ("allocation",)

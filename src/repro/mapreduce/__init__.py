@@ -9,10 +9,12 @@ deployment story needs:
 * :mod:`repro.mapreduce.hdfs` — a simulated distributed filesystem
   (splits, replication, block placement),
 * :mod:`repro.mapreduce.cluster` — a simulated cluster: nodes with map and
-  reduce slots (Table 2's configuration), one LPT slot scheduler
-  (``SimulatedCluster.simulate_phase``) that places every phase, clean or
-  fault-injected, and a discrete cost model that yields simulated
-  makespans (the elasticity quantity of Table 3),
+  reduce slots (Table 2's configuration), one locality-aware LPT slot
+  scheduler (``SimulatedCluster.simulate_phase``) that places every phase,
+  and a discrete cost model that yields simulated makespans (the
+  elasticity quantity of Table 3),
+* :mod:`repro.mapreduce.job` — jobs and job flows of steps, checkpointed
+  per step so a crashed driver resumes bit-identically,
 * :mod:`repro.mapreduce.emr` — an Elastic-MapReduce-like service: an
   S3-like object store plus job flows of steps,
 * :mod:`repro.mapreduce.autoscale` — the closed loop over the cluster:
@@ -33,7 +35,7 @@ decides a job's makespan. The package spends no real cores:
 from repro.mapreduce.types import MapTaskResult, JobSpec
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.engine import MapReduceEngine, stable_hash
-from repro.mapreduce.hdfs import SimulatedHDFS, FileSplit, ReplicaUnavailableError
+from repro.mapreduce.hdfs import SimulatedHDFS, FileSplit
 from repro.mapreduce.storage import (
     StorageError,
     NoSuchKeyError,
@@ -55,7 +57,6 @@ from repro.mapreduce.cluster import (
     TaskStats,
     PhaseTask,
     ScaleReport,
-    SpeculationConfig,
 )
 from repro.mapreduce.autoscale import (
     Autoscaler,
@@ -66,13 +67,6 @@ from repro.mapreduce.autoscale import (
 )
 from repro.mapreduce.job import Job, JobFlow, JobFlowStep, JobFlowError
 from repro.mapreduce.emr import S3Store, ElasticMapReduce
-from repro.mapreduce.faults import (
-    FaultPolicy,
-    NodeFailurePolicy,
-    StragglerPolicy,
-    FaultyEngine,
-    TaskFailedError,
-)
 
 __all__ = [
     "MapTaskResult",
@@ -82,7 +76,6 @@ __all__ = [
     "stable_hash",
     "SimulatedHDFS",
     "FileSplit",
-    "ReplicaUnavailableError",
     "StorageError",
     "NoSuchKeyError",
     "TransientStorageError",
@@ -101,7 +94,6 @@ __all__ = [
     "TaskStats",
     "PhaseTask",
     "ScaleReport",
-    "SpeculationConfig",
     "Autoscaler",
     "AutoscalerState",
     "PhaseSignals",
@@ -113,9 +105,4 @@ __all__ = [
     "JobFlowError",
     "S3Store",
     "ElasticMapReduce",
-    "FaultPolicy",
-    "NodeFailurePolicy",
-    "StragglerPolicy",
-    "FaultyEngine",
-    "TaskFailedError",
 ]

@@ -7,9 +7,8 @@ module reproduces that mechanism: tasks carry abstract costs, nodes expose
 map/reduce slots (Table 2: 4 map + 2 reduce per tasktracker), and one
 longest-processing-time (LPT) list scheduler,
 :meth:`SimulatedCluster.simulate_phase`, assigns every phase's tasks to
-slots — data-locally for map tasks on HDFS splits, and under node kills,
-stragglers and speculation for the fault-injecting engine. The simulated
-makespan is the maximum finishing time over slots.
+slots, data-locally for map tasks on HDFS splits. The simulated makespan
+is the maximum finishing time over slots.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "TaskStats",
     "PhaseTask",
     "ScaleReport",
-    "SpeculationConfig",
     "SimulatedCluster",
 ]
 
@@ -68,20 +66,13 @@ class TaskStats:
     total_cost: float
     makespan: float
     per_slot_cost: list[float] = field(default_factory=list)
-    # Tasks whose surviving attempt paid no remote-read penalty (ran on a
-    # node holding their split, or had no placement to honour).
+    # Tasks that paid no remote-read penalty (ran on a node holding their
+    # split, or had no placement to honour).
     n_local_tasks: int = 0
-    # -- fault/speculation accounting (zero when the phase ran clean) --------
-    n_node_failures: int = 0  # nodes preempted during the phase
-    n_tasks_lost: int = 0  # in-flight attempts killed with their node
-    n_map_outputs_lost: int = 0  # completed map outputs lost with their node
-    speculative_launched: int = 0  # backup attempts started for stragglers
-    speculative_won: int = 0  # backups that beat the original attempt
-    wasted_cost: float = 0.0  # work charged to the clock but thrown away
     real_elapsed: float = 0.0  # measured wall-clock of the phase's compute
-    # Node (not slot) that produced each task's surviving output, indexed by
-    # the task's position in the submitted task list — what lets the trace
-    # analysis plane join `mr.map_task`/`mr.reduce_task` spans to nodes.
+    # Node (not slot) that ran each task, indexed by the task's position in
+    # the submitted task list — what lets the trace analysis plane join
+    # `mr.map_task`/`mr.reduce_task` spans to nodes.
     assigned_nodes: list[int] = field(default_factory=list)
 
     @property
@@ -103,40 +94,17 @@ class TaskStats:
 class PhaseTask:
     """One task entering :meth:`SimulatedCluster.simulate_phase`.
 
-    ``cost`` is the nominal work a healthy attempt charges; ``slowdown``
-    inflates the attempt's *runtime* (a straggling container / sick node)
-    without changing the work a re-execution or backup would need.
-    ``preferred_nodes`` are the nodes holding the task's split (empty: run
-    anywhere at nominal cost).
+    ``cost`` is the work the task charges to its slot when it reads its
+    split locally; ``preferred_nodes`` are the nodes holding the split
+    (empty: run anywhere at nominal cost).
     """
 
     cost: float
-    slowdown: float = 1.0
     preferred_nodes: tuple = ()
 
     def __post_init__(self):
         if self.cost < 0:
             raise ValueError("task costs must be non-negative")
-        if self.slowdown < 1.0:
-            raise ValueError(f"slowdown must be >= 1, got {self.slowdown}")
-
-
-@dataclass(frozen=True)
-class SpeculationConfig:
-    """Hadoop-style speculative execution knobs.
-
-    A backup attempt launches for any task whose runtime exceeds
-    ``lag_threshold`` times the phase's median task runtime, once the median
-    runtime has elapsed (the point where the JobTracker can tell the task is
-    lagging its peers). First finisher wins; the loser is killed and its
-    burned slot time stays on the clock.
-    """
-
-    lag_threshold: float = 1.5
-
-    def __post_init__(self):
-        if self.lag_threshold <= 1.0:
-            raise ValueError(f"lag_threshold must be > 1, got {self.lag_threshold}")
 
 
 @dataclass(frozen=True)
@@ -160,19 +128,6 @@ class ScaleReport:
     def overhead(self) -> float:
         """Total simulated latency this resize charges to the makespan."""
         return self.cold_start + self.drain_cost
-
-
-@dataclass(slots=True)
-class _Attempt:
-    """One execution attempt of a task on a slot (internal bookkeeping)."""
-
-    task: int
-    slot: int
-    start: float
-    end: float
-    charge: float
-    completes: bool  # whether this attempt currently produces the task's output
-    local: bool  # whether it ran without the remote-read penalty
 
 
 class SimulatedCluster:
@@ -232,11 +187,7 @@ class SimulatedCluster:
         ``fs.decommission_nodes`` when a :class:`SimulatedHDFS` is passed)
         before the node leaves, so no split loses all its replicas. The
         re-replication time — ``drain_cost_per_block`` per block copy moved
-        — is returned for the caller to charge to the makespan. A node
-        killed mid-drain (a :class:`NodeFailurePolicy` kill racing the
-        drain) stops serving as a copy *source*, but the blocks already
-        re-replicated survive; the filesystem falls back to the remaining
-        live replicas for the rest.
+        — is returned for the caller to charge to the makespan.
         """
         if count < 1:
             raise ValueError(f"must decommission at least one node, got {count}")
@@ -266,10 +217,9 @@ class SimulatedCluster:
         for the Table-3 makespan attribution in ``trace report``. The event
         also carries the scheduling attribution the trace-analysis plane
         needs: ``max_slot_cost`` (busy time of the most loaded slot — the
-        phase's critical path, equal to the makespan on gap-free schedules
-        and at most the makespan when faults introduce idle gaps),
-        ``n_slots``, and ``task_nodes`` (the node that produced each task's
-        surviving output, in task-submission order).
+        phase's critical path, equal to the makespan because every schedule
+        is gap-free), ``n_slots``, and ``task_nodes`` (the node that ran
+        each task, in task-submission order).
         """
         tracer = get_tracer()
         if not tracer.enabled:
@@ -292,51 +242,25 @@ class SimulatedCluster:
             locality_rate=stats.locality_rate,
             per_node_cost=[round(c, 9) for c in per_node],
             task_nodes=list(stats.assigned_nodes),
-            n_node_failures=stats.n_node_failures,
-            n_tasks_lost=stats.n_tasks_lost,
-            n_map_outputs_lost=stats.n_map_outputs_lost,
-            speculative_launched=stats.speculative_launched,
-            speculative_won=stats.speculative_won,
-            wasted_cost=stats.wasted_cost,
         )
 
     # -- the scheduler -------------------------------------------------------
 
-    def simulate_phase(
-        self,
-        tasks,
-        *,
-        phase: str = "map",
-        node_failures=(),
-        speculation: SpeculationConfig | None = None,
-    ) -> TaskStats:
+    def simulate_phase(self, tasks, *, phase: str = "map") -> TaskStats:
         """Schedule one phase's tasks on the cluster: its only scheduler.
 
         ``tasks`` is a list of :class:`PhaseTask`. Tasks are placed longest
-        runtime first (LPT, a 4/3-optimal makespan heuristic and a good model
-        of Hadoop's greedy task assignment), each on the least-loaded slot,
+        first (LPT, a 4/3-optimal makespan heuristic and a good model of
+        Hadoop's greedy task assignment), each on the least-loaded slot,
         ties going to the lowest slot. A task with ``preferred_nodes`` (its
         split's replicas) takes a data-local slot whenever that finishes no
         later than the best remote slot *including* the
         :data:`REMOTE_PENALTY` a remote read charges — the tradeoff Hadoop's
         scheduler makes.
 
-        Faults layer on that placement; without them this is the plain LPT
-        schedule. ``node_failures`` is a list of ``(node_id, time_fraction)``
-        kills: the node is preempted at ``time_fraction`` of the phase's
-        fault-free makespan, taking down its in-flight attempts and — Hadoop
-        map-output semantics — any map outputs it was holding; reduce outputs
-        are already on the DFS and survive. Lost work is re-placed on the
-        surviving nodes and re-charged to the clock. ``speculation`` races
-        stragglers (tasks with ``slowdown > 1``) with a backup attempt at
-        nominal speed; first finisher wins. A backup or re-run is data-local
-        only on a live node among ``preferred_nodes``; anywhere else it pays
-        the remote penalty and counts as remote.
-
-        Because task *results* are computed deterministically by the engine,
-        everything here is pure cost/latency accounting — the invariant the
-        fault-tolerance tests assert is that outputs never change, only the
-        makespan and the fault counters do.
+        Task *results* are computed deterministically by the engine, so this
+        is pure cost accounting. Every schedule is gap-free: a slot's busy
+        time is its finishing time, and the makespan is the largest.
         """
         if phase not in ("map", "reduce"):
             raise ValueError(f"phase must be 'map' or 'reduce', got {phase!r}")
@@ -344,22 +268,13 @@ class SimulatedCluster:
         n_slots = self.n_nodes * per_node
         n_tasks = len(tasks)
         costs = [float(t.cost) for t in tasks]
-        slowdowns = [float(t.slowdown) for t in tasks]
         preferred = [frozenset(int(p) % self.n_nodes for p in t.preferred_nodes) for t in tasks]
-        tracer = get_tracer()
-        stats = TaskStats(n_tasks=n_tasks, total_cost=0.0, makespan=0.0)
         free = [0.0] * n_slots
-        slot_charge = [0.0] * n_slots
-        attempts: list[_Attempt] = []
-        completion = [0.0] * n_tasks
-
-        durations = [c * s for c, s in zip(costs, slowdowns)]
-        median = sorted(durations)[n_tasks // 2] if n_tasks else 0.0
-
-        # -- pass 1: LPT placement (locality-aware) + speculative backups ----
-        # A stable reverse sort keeps equal runtimes in submission order.
-        for i in sorted(range(n_tasks), key=durations.__getitem__, reverse=True):
-            cost, slowdown, local_nodes = costs[i], slowdowns[i], preferred[i]
+        assigned = [0] * n_tasks
+        n_local = 0
+        # A stable reverse sort keeps equal costs in submission order.
+        for i in sorted(range(n_tasks), key=costs.__getitem__, reverse=True):
+            cost, local_nodes = costs[i], preferred[i]
             best_local = best_remote = None
             for slot in range(n_slots):
                 if local_nodes and slot // per_node in local_nodes:
@@ -369,154 +284,19 @@ class SimulatedCluster:
                     best_remote = slot
             remote_cost = cost * (1.0 + REMOTE_PENALTY) if local_nodes else cost
             use_local = best_local is not None and (
-                best_remote is None
-                or free[best_local] + cost * slowdown <= free[best_remote] + remote_cost * slowdown
+                best_remote is None or free[best_local] + cost <= free[best_remote] + remote_cost
             )
             slot = best_local if use_local else best_remote
-            run_cost = cost if use_local else remote_cost
-            dur = run_cost * slowdown
-            # Positional arguments: this runs once per task, keyword ones cost
-            # twice as much.
-            a = _Attempt(i, slot, free[slot], free[slot] + dur, run_cost, True,
-                         use_local or not local_nodes)
-            slot_charge[slot] += run_cost
-            free[slot] = a.end
-            attempts.append(a)
-            completion[i] = a.end
-
-            if (
-                speculation is not None
-                and median > 0
-                and dur > speculation.lag_threshold * median
-                and slowdown > 1.0
-            ):
-                # The task is visibly lagging once the median runtime has
-                # elapsed: launch a backup on the least-loaded slot of
-                # another node, running at nominal speed. A backup off the
-                # split's replicas reads it remotely and pays the penalty.
-                detect = a.start + median
-                backup_slot = None
-                for slot2 in range(n_slots):
-                    if slot2 // per_node == slot // per_node:
-                        continue
-                    if backup_slot is None or free[slot2] < free[backup_slot]:
-                        backup_slot = slot2
-                if backup_slot is None:
-                    continue  # single-node cluster: nowhere to speculate
-                b_local = not local_nodes or backup_slot // per_node in local_nodes
-                b_cost = cost if b_local else remote_cost
-                b_start = max(free[backup_slot], detect)
-                b_end = b_start + b_cost
-                if b_start >= a.end:
-                    continue  # original finishes before the backup could start
-                stats.speculative_launched += 1
-                won = b_end < a.end
-                if won:
-                    # Backup wins; the original is killed at the backup's finish.
-                    stats.speculative_won += 1
-                    attempts.append(_Attempt(task=i, slot=backup_slot, start=b_start, end=b_end,
-                                             charge=b_cost, completes=True, local=b_local))
-                    slot_charge[backup_slot] += b_cost
-                    free[backup_slot] = b_end
-                    a.completes = False
-                    burned = max(0.0, b_end - a.start)
-                    slot_charge[slot] += burned - a.charge
-                    a.charge = burned
-                    a.end = b_end
-                    free[slot] = b_end
-                    completion[i] = b_end
-                else:
-                    # Backup loses; it is killed when the original finishes.
-                    burned = a.end - b_start
-                    attempts.append(_Attempt(task=i, slot=backup_slot, start=b_start, end=a.end,
-                                             charge=burned, completes=False, local=b_local))
-                    slot_charge[backup_slot] += burned
-                    free[backup_slot] = a.end
-                stats.wasted_cost += burned
-                if tracer.enabled:
-                    tracer.event(
-                        "fault.speculation",
-                        phase=phase, task=i, won=won, slowdown=slowdown, wasted_cost=burned,
-                    )
-
-        # -- pass 2: node preemption, time-ordered --------------------------
-        dead: set[int] = set()
-        base_span = max(completion) if n_tasks else 0.0
-        kills = sorted(
-            ((int(node) % self.n_nodes, float(frac)) for node, frac in node_failures),
-            key=lambda kv: kv[1],
+            free[slot] += cost if use_local else remote_cost
+            assigned[i] = slot // per_node
+            n_local += use_local or not local_nodes
+        stats = TaskStats(
+            n_tasks=n_tasks,
+            total_cost=sum(free),
+            makespan=max(free),
+            per_slot_cost=free,
+            n_local_tasks=n_local,
+            assigned_nodes=assigned,
         )
-        for node, frac in kills:
-            if not 0.0 < frac <= 1.0:
-                raise ValueError(f"kill time fraction must be in (0, 1], got {frac}")
-            if node in dead:
-                continue
-            if len(dead) + 1 >= self.n_nodes:
-                break  # never preempt the last surviving node
-            t_kill = frac * base_span
-            dead.add(node)
-            stats.n_node_failures += 1
-            wasted_before = stats.wasted_cost
-            tasks_lost_before = stats.n_tasks_lost
-            outputs_lost_before = stats.n_map_outputs_lost
-            lost: list[int] = []
-            for a in attempts:
-                if a.slot // per_node != node:
-                    continue
-                if a.end > t_kill:
-                    # In-flight (or queued) when the node went away.
-                    burned = max(0.0, t_kill - a.start)
-                    slot_charge[a.slot] += burned - a.charge
-                    stats.wasted_cost += burned
-                    a.charge = burned
-                    a.end = min(a.end, max(a.start, t_kill))
-                    if a.completes:
-                        a.completes = False
-                        lost.append(a.task)
-                        stats.n_tasks_lost += 1
-                elif a.completes and phase == "map":
-                    # Completed, but its map output lived on the dead node.
-                    a.completes = False
-                    lost.append(a.task)
-                    stats.n_map_outputs_lost += 1
-                    stats.wasted_cost += a.charge
-            alive_slots = [s for s in range(n_slots) if s // per_node not in dead]
-            for i in sorted(set(lost), key=lambda j: (-costs[j], j)):
-                slot = min(alive_slots, key=lambda s: (max(free[s], t_kill), s))
-                # Only a live replica holder reads the split locally; once
-                # every preferred node is dead the re-run reads it remotely.
-                local = not preferred[i] or slot // per_node in preferred[i]
-                re_cost = costs[i] if local else costs[i] * (1.0 + REMOTE_PENALTY)
-                start = max(free[slot], t_kill)
-                a = _Attempt(task=i, slot=slot, start=start, end=start + re_cost,
-                             charge=re_cost, completes=True, local=local)
-                slot_charge[slot] += re_cost
-                free[slot] = a.end
-                attempts.append(a)
-                completion[i] = a.end
-            if tracer.enabled:
-                tracer.event(
-                    "fault.node_failure",
-                    phase=phase,
-                    node=node,
-                    kill_time=t_kill,
-                    tasks_lost=stats.n_tasks_lost - tasks_lost_before,
-                    map_outputs_lost=stats.n_map_outputs_lost - outputs_lost_before,
-                    wasted_cost=stats.wasted_cost - wasted_before,
-                )
-
-        # The surviving (completing) attempt determines which node each
-        # task's output came from and whether it paid the remote read —
-        # speculation wins and post-kill re-placements override the
-        # original placement.
-        assigned = [0] * n_tasks
-        for a in attempts:
-            if a.completes:
-                assigned[a.task] = a.slot // per_node
-                stats.n_local_tasks += a.local
-        stats.assigned_nodes = assigned
-        stats.per_slot_cost = slot_charge
-        stats.total_cost = sum(slot_charge)
-        stats.makespan = max(completion) if n_tasks else 0.0
         self._emit_phase_event(phase, stats)
         return stats

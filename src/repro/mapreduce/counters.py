@@ -18,17 +18,6 @@ class Counters:
     def __init__(self):
         self._data: dict[str, dict[str, int]] = defaultdict(_int_dict)
 
-    def __getstate__(self) -> dict:
-        # Plain dicts only: counters cross process boundaries in worker
-        # task results, and nested defaultdicts don't pickle.
-        return {"data": self.as_dict()}
-
-    def __setstate__(self, state: dict) -> None:
-        self._data = defaultdict(_int_dict)
-        for group, names in state["data"].items():
-            for name, amount in names.items():
-                self._data[group][name] = amount
-
     def increment(self, group: str, name: str, amount: int = 1) -> None:
         """Add ``amount`` to counter ``group:name``."""
         self._data[group][name] += amount

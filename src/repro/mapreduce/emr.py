@@ -94,8 +94,8 @@ class ElasticMapReduce:
         """Execute the steps of a provisioned flow.
 
         ``max_steps`` stops the driver loop early, leaving the flow
-        incomplete — the chaos tests use it to simulate a driver crash
-        between steps.
+        incomplete — the crash/resume tests use it to simulate a driver
+        crash between steps.
         """
         entry = self._flow(flow_id)
         if entry.terminated:

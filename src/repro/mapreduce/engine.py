@@ -9,12 +9,9 @@ runs is the simulated cluster's business (Table 3's elasticity), and only
 its makespan depends on it.
 
 Task bodies are pure module-level functions (:func:`execute_map_task`,
-:func:`execute_reduce_task`) so the plain engine and the fault-injecting
-engine's retries run literally the same code. Both engines place each
-phase through one hook, ``_schedule_phase``, on the cluster's one
-scheduler, :meth:`~repro.mapreduce.cluster.SimulatedCluster.simulate_phase`;
-the fault-injecting engine overrides the hook only to add its slowdown,
-kill and speculation draws.
+:func:`execute_reduce_task`). Each executed phase is placed on the
+cluster's one scheduler,
+:meth:`~repro.mapreduce.cluster.SimulatedCluster.simulate_phase`.
 """
 
 from __future__ import annotations
@@ -132,8 +129,6 @@ def _sort_key(item: tuple) -> tuple:
 
 
 # -- pure task bodies --------------------------------------------------------
-#
-# Module-level so that plain and fault-retried execution share one code path.
 
 
 def execute_map_task(job: JobSpec, records, ctx: TaskContext) -> MapTaskResult:
@@ -220,14 +215,12 @@ class MapReduceEngine:
         map_results = self._map_phase(job, split_records, counters, tracer)
         map_wall = time.perf_counter() - phase_start
         with tracer.span("mr.schedule", phase="map"):
-            map_stats = self._schedule_phase(
-                "map", [r.cost for r in map_results], placements, counters
-            )
+            map_stats = self._schedule_phase("map", [r.cost for r in map_results], placements)
         map_stats.real_elapsed = map_wall
         counters.increment("job", "map_tasks", len(map_results))
         if validate:
-            # Counter conservation: retries must tally each input record
-            # exactly once (the bit-identity contract).
+            # Counter conservation: the map phase must tally each input
+            # record exactly once, whatever the mapper emits.
             from repro.verify.invariants import check_counter_equals
 
             check_counter_equals(
@@ -273,9 +266,7 @@ class MapReduceEngine:
         if self.autoscaler is not None:
             self.autoscaler.between_phases(job.name, map_stats, reduce_costs)
         with tracer.span("mr.schedule", phase="reduce"):
-            reduce_stats = self._schedule_phase(
-                "reduce", reduce_costs, [()] * len(reduce_costs), counters
-            )
+            reduce_stats = self._schedule_phase("reduce", reduce_costs, [()] * len(reduce_costs))
         reduce_stats.real_elapsed = reduce_wall
         counters.increment("job", "reduce_tasks", len(reduce_costs))
         if validate:
@@ -304,7 +295,7 @@ class MapReduceEngine:
                 with tracer.span("mr.map_task", task=ctx.task_id) as task_span:
                     before = counters.copy() if tracer.enabled else None
                     start = time.perf_counter()
-                    result = self._run_map_task(job, records, ctx)
+                    result = execute_map_task(job, records, ctx)
                     if tracer.enabled:
                         elapsed = time.perf_counter() - start
                         task_span.set("cost", result.cost)
@@ -334,7 +325,7 @@ class MapReduceEngine:
                 with tracer.span("mr.reduce_task", task=ctx.task_id) as task_span:
                     before = counters.copy() if tracer.enabled else None
                     start = time.perf_counter()
-                    part_out, cost = self._run_reduce_task(job, partitions[p], ctx)
+                    part_out, cost = execute_reduce_task(job, partitions[p], ctx)
                     if tracer.enabled:
                         elapsed = time.perf_counter() - start
                         task_span.set("cost", cost)
@@ -354,22 +345,14 @@ class MapReduceEngine:
             raise
         return output, partition_outputs, reduce_costs
 
-    # -- scheduling hook (overridden by the fault-injecting engine) ----------
-
-    def _schedule_phase(self, phase: str, costs, placements, counters: Counters) -> TaskStats:
+    def _schedule_phase(self, phase: str, costs, placements) -> TaskStats:
         """Place one executed phase's task costs on the simulated cluster.
 
         ``placements[i]`` holds the nodes with task ``i``'s split (HDFS
-        replicas; empty for reduce tasks and plain-list splits). The
-        fault-injecting engine tallies its faults into ``counters``.
+        replicas; empty for reduce tasks and plain-list splits).
         """
         tasks = [PhaseTask(c, preferred_nodes=p) for c, p in zip(costs, placements)]
         return self.cluster.simulate_phase(tasks, phase=phase)
-
-    # -- task hooks (overridden by the fault-injecting engine) ---------------
-
-    def _run_map_task(self, job: JobSpec, records, ctx: TaskContext) -> MapTaskResult:
-        return execute_map_task(job, records, ctx)
 
     def _shuffle(self, job: JobSpec, map_results: list[MapTaskResult], counters: Counters):
         partitioner = job.partitioner or _default_partitioner
@@ -386,6 +369,3 @@ class MapReduceEngine:
         for p in partitions:
             partitions[p].sort(key=_sort_key)
         return partitions
-
-    def _run_reduce_task(self, job: JobSpec, records: list[tuple], ctx: TaskContext):
-        return execute_reduce_task(job, records, ctx)

@@ -10,9 +10,8 @@ is attached, every completed MapReduce step persists its output (plus its
 counters and scheduling stats), and ``run(resume=True)`` replays the flow
 restoring completed job steps from their checkpoints instead of re-executing
 them. Driver-side action steps are deterministic and cheap, so they re-run
-on resume. A step whose tasks exhaust their retry budget surfaces as a
-structured :class:`JobFlowError` carrying the failed step and its partial
-counters.
+on resume. A step whose mapper or reducer raises surfaces as a structured
+:class:`JobFlowError` carrying the failed step and its partial counters.
 
 Checkpoint I/O goes through the hardened
 :class:`~repro.mapreduce.storage.ResilientStore` client (a raw store passed
@@ -40,16 +39,16 @@ __all__ = ["Job", "JobFlowStep", "JobFlow", "JobFlowError"]
 
 
 class JobFlowError(RuntimeError):
-    """A job-flow step failed beyond its retry budget.
+    """A job-flow step raised; the original error is its ``__cause__``.
 
     Attributes
     ----------
     step_name / step_index:
         Which step died.
     counters:
-        Partial counter state of the failed job (``None`` when the failure
-        happened outside a counter scope), including the ``faults`` group
-        with the attempt history.
+        Partial counter state of the failed job: the tallies of every task
+        that finished before the error (``None`` when the failure happened
+        outside a counter scope).
     """
 
     def __init__(self, message: str, *, step_name: str, step_index: int, counters=None):
@@ -155,7 +154,8 @@ class JobFlow:
             they are deterministic driver code.
         max_steps:
             Stop after this many steps, leaving the flow incomplete — the
-            hook chaos tests use to simulate a driver crash mid-flow.
+            hook the crash/resume tests use to simulate a driver crash
+            mid-flow.
         """
         tracer = get_tracer()
         self.results = []

@@ -3,9 +3,8 @@
 The paper's Section 5.1 workflow leans entirely on remote storage — inputs
 go up to S3, job-flow checkpoints and results come back out — and a real
 EMR deployment fails most often at exactly that boundary: throttled
-requests, torn writes, flipped bits, reads that time out. This module gives
-the simulated storage plane the same chaos treatment the compute plane got
-from :mod:`repro.mapreduce.faults`, in three layers:
+requests, torn writes, flipped bits, reads that time out. This module
+models that boundary, and the client that survives it, in three layers:
 
 * :class:`S3Store` — the flat in-memory object store (bucket/key → value).
   Writes snapshot their object (a later caller-side mutation cannot corrupt
@@ -14,8 +13,8 @@ from :mod:`repro.mapreduce.faults`, in three layers:
 * :class:`ChaosStore` — a policy-driven fault injector wrapping any store:
   seeded per-op latency, transient request errors and ``SlowDown``-style
   throttling, torn writes (key promoted, payload truncated), bit-flip
-  corruption, and read-unavailability windows. The storage analogue of
-  :class:`~repro.mapreduce.faults.FaultyEngine`.
+  corruption, and read-unavailability windows: the test fake that drills
+  the hardened client.
 * :class:`ResilientStore` — the hardened client layered over any store:
   checksummed self-describing envelopes (CRC32 + format version over the
   pickled payload), atomic write-then-verify-then-promote, deterministic
@@ -28,8 +27,8 @@ from :mod:`repro.mapreduce.faults`, in three layers:
 Retries, corruption detections, and quarantines are emitted as
 ``storage.*`` trace events (with backoff time as ``wasted_cost``, so the
 fault ledger of :func:`repro.observability.report.fault_summary` itemizes
-storage waste next to compute waste) and tallied on the tracer's metrics
-registry.
+storage waste next to re-executed checkpoint steps) and tallied on the
+tracer's metrics registry.
 """
 
 from __future__ import annotations
@@ -276,10 +275,8 @@ class S3Store:
 class StorageFaultPolicy:
     """Deterministic, seeded storage-fault schedule for :class:`ChaosStore`.
 
-    The storage analogue of :class:`~repro.mapreduce.faults.FaultPolicy` /
-    :class:`~repro.mapreduce.faults.NodeFailurePolicy`: every fault draw
-    comes from one seeded generator consumed in a fixed per-op order, so a
-    given schedule replays identically.
+    Every fault draw comes from one seeded generator consumed in a fixed
+    per-op order, so a given schedule replays identically.
 
     Parameters
     ----------

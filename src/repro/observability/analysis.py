@@ -21,10 +21,10 @@ close to the hardware are we":
   ``repro trace critical-path``, ``repro trace diff`` and
   ``render_trace_report`` consume.
 
-Invariant (asserted by the chaos suite): a phase's critical-path length is
-the busy time of its most loaded slot, so it never exceeds the phase
-makespan — and equals it exactly on gap-free schedules (every clean run;
-fault re-placements introduce idle gaps, so chaos runs may fall short).
+Invariant: a phase's critical-path length is the busy time of its most
+loaded slot. The scheduler leaves no idle gaps, so it equals the phase
+makespan on every run. Both columns stay: the simulated critical path is
+what a measured task time is to be set against.
 """
 
 from __future__ import annotations
@@ -184,8 +184,8 @@ def phase_critical_path(records: list[dict]) -> list[dict]:
 
     One entry per ``cluster.phase`` event, in trace order. ``critical`` is
     the busy time of the phase's most loaded slot (``max_slot_cost``;
-    older traces without the attribute fall back to the makespan), the
-    quantity the chaos suite pins against the makespan. ``bottleneck_node``
+    older traces without the attribute fall back to the makespan), equal
+    to the makespan on every gap-free schedule. ``bottleneck_node``
     carries the largest per-node cost, and ``straggler`` names the
     highest-cost task of the phase with the node that executed it — the
     task to blame when the phase is skew-bound.
@@ -238,7 +238,6 @@ def phase_critical_path(records: list[dict]) -> list[dict]:
                 "bottleneck_node_cost": per_node[bottleneck] if bottleneck is not None else 0.0,
                 "per_node_cost": per_node,
                 "straggler": straggler,
-                "wasted_cost": float(attrs.get("wasted_cost", 0.0) or 0.0),
             }
         )
     return phases
@@ -271,8 +270,8 @@ def parallel_efficiency(phases: list[dict]) -> float | None:
     """Aggregate useful-work fraction: Σ total_cost / Σ (makespan × slots).
 
     1.0 means every slot was busy for every phase's whole makespan; lower
-    values quantify load imbalance plus fault-burned slack. ``None`` when
-    the trace contains no scheduled phases (a purely local run).
+    values quantify load imbalance. ``None`` when the trace contains no
+    scheduled phases (a purely local run).
     """
     capacity = sum(p["makespan"] * (p["n_slots"] or p["n_nodes"] or 1) for p in phases)
     if capacity <= 0.0:

@@ -3,8 +3,9 @@
 Given the records of one JSON-lines trace (see
 :mod:`repro.observability.sink`), these helpers reconstruct the per-stage
 wall-time breakdown the paper reports in Section 5.6 / Figure 6(a), plus a
-fault ledger itemizing every retry, node loss, and speculative attempt with
-its wasted time — the audit trail for the fault-injection machinery.
+fault ledger itemizing every storage retry, re-executed checkpoint step,
+label repair and resize with its wasted time — the audit trail for the
+recovery machinery.
 ``repro trace report`` is a thin CLI wrapper over :func:`render_trace_report`.
 """
 
@@ -55,14 +56,16 @@ def stage_breakdown(records: list[dict]) -> dict:
 def fault_summary(records: list[dict]) -> dict:
     """Itemize fault events and total their wasted time.
 
-    Every ``fault.*`` event (task retries, node failures, speculative
-    attempts), every ``storage.*`` event (retries with their backoff
-    time, corruption detections, quarantines), and every ``autoscale.*``
-    event (resize decisions, cold starts, decommission drains) appears in
-    ``items`` verbatim; ``wasted_cost`` sums whatever cost each event
-    reports as thrown-away work — for a storage retry the backoff delay
-    it burned, for a scale-up the cold-start latency, for a drain the
-    block re-replication time.
+    Every ``fault.*`` event (``fault.checkpoint_reexecuted`` when a damaged
+    checkpoint's step re-runs, ``fault.label_repair`` when the driver
+    repairs unlabelled points), every ``storage.*`` event (retries with
+    their backoff time, corruption detections, quarantines), and every
+    ``autoscale.*`` event (resize decisions, cold starts, decommission
+    drains) appears in ``items`` verbatim; ``wasted_cost`` sums whatever
+    cost each event reports as thrown-away work — for a re-executed step
+    its makespan, for a storage retry the backoff delay it burned, for a
+    scale-up the cold-start latency, for a drain the block
+    re-replication time.
     """
     items = [
         r

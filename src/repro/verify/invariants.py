@@ -24,8 +24,8 @@ Invariants checked (see DESIGN.md §10 for the full matrix):
   unit-norm (or exactly zero for isolated vertices).
 * ``labels.*`` — final labels are complete (no ``-1`` placeholders) and
   within the advertised cluster range.
-* ``counters.*`` — Hadoop-style counters are conserved: retries, merges,
-  and parallel execution must not inflate record tallies.
+* ``counters.*`` — Hadoop-style counters are conserved: merges and
+  checkpoint restores must not inflate record tallies.
 """
 
 from __future__ import annotations
@@ -339,7 +339,7 @@ def check_labels_range(labels, n_clusters: int | None = None, *, stage: str = "d
 
 
 def check_counter_equals(counters, group: str, name: str, expected: int, *, stage: str):
-    """Assert a counter holds exactly ``expected`` (conservation across retries/merges)."""
+    """Assert a counter holds exactly ``expected`` (conservation across merges)."""
     actual = counters.value(group, name)
     if actual != expected:
         _fail(

@@ -1,6 +1,6 @@
-"""Autoscaling plane: primitives, policies, flow integration, drain chaos.
+"""Autoscaling plane: primitives, policies, flow integration.
 
-Four layers of the DESIGN.md §15 contract:
+Three layers of the DESIGN.md §15 contract:
 
 * **cluster/HDFS primitives** — ``add_nodes`` / ``decommission_nodes``
   report their overheads and run the drain protocol (retiring nodes'
@@ -11,12 +11,9 @@ Four layers of the DESIGN.md §15 contract:
   but never past an indivisible dominant task, and sheds idle nodes);
 * **flow integration** — an autoscaled DASC flow reproduces the static
   run's labels/counters bit-identically, charges its overhead to the
-  makespan, folds ``autoscale.*`` events into the fault ledger, and a
-  crashed driver resumes by replaying the checkpointed schedule;
-* **chaos interaction** — a node kill racing a decommission drain: the
-  dead retiree stops serving as a copy source but every split survives on
-  live replicas, and a faulty autoscaled run still matches the clean
-  static labels bit-for-bit.
+  makespan, folds ``autoscale.*`` events into the fault ledger, sheds
+  idle nodes through the decommission drain without moving a label, and a
+  crashed driver resumes by replaying the checkpointed schedule.
 """
 
 import math
@@ -31,16 +28,13 @@ from repro.data import make_blobs
 from repro.mapreduce import (
     Autoscaler,
     ElasticMapReduce,
-    FaultyEngine,
     PhaseSignals,
-    ReplicaUnavailableError,
     ScaleDecision,
     SimulatedCluster,
     SimulatedHDFS,
     TargetMakespan,
 )
 from repro.mapreduce.autoscale import AutoscalerState
-from repro.mapreduce.faults import NodeFailurePolicy
 from repro.observability import read_trace, trace_to
 from repro.observability.report import fault_summary
 
@@ -116,36 +110,6 @@ class TestHdfsDrain:
         fs = SimulatedHDFS(2, replication=1)
         with pytest.raises(ValueError, match="cannot decommission every datanode"):
             fs.decommission_nodes(0, 1)
-
-    def test_kill_racing_drain_falls_back_to_live_replicas(self):
-        """Satellite 3: a retiring node dies mid-drain; its blocks survive.
-
-        The dead retiree cannot serve as a copy source, but every split
-        keeps at least one live replica among the survivors, so the drain
-        completes and all data remains readable.
-        """
-        fs = SimulatedHDFS(4, replication=2, default_split_size=4)
-        data = list(range(32))
-        fs.write("data", data)
-        fs.mark_dead(3)  # the kill lands while node 3 is draining
-        moved = fs.decommission_nodes(2, 3)
-        assert fs.n_nodes == 2
-        assert moved > 0
-        for placements in self._splits_on(fs, "data"):
-            assert all(n < 2 for n in placements)
-        assert fs.read("data") == data
-
-    def test_drain_with_no_live_holder_surfaces_loss(self):
-        fs = SimulatedHDFS(3, replication=1, default_split_size=4)
-        fs.write("data", list(range(12)))
-        stored = fs._files["data"]
-        # Find a split homed solely on the retiring node and kill it: the
-        # drain has nothing to copy from and must say so.
-        victim = next(s for s, p in stored.placements.items() if p == (2,))
-        fs.mark_dead(2)
-        with pytest.raises(ReplicaUnavailableError):
-            fs.decommission_nodes(2)
-        assert victim in stored.placements  # nothing silently dropped
 
 
 # -- signals -----------------------------------------------------------------
@@ -401,52 +365,29 @@ class TestFlowIntegration:
         with pytest.raises(RuntimeError, match="exactly one JobFlow"):
             scaler.bind(flow_b)
 
+    def test_scale_down_drain_keeps_labels_identical(self, blobs_small):
+        """A scale-down that drains HDFS blocks mid-flow never changes results.
 
-# -- chaos interaction: kills racing drains in a full flow -------------------
-
-class _FaultyAutoscaledEMR(ElasticMapReduce):
-    """EMR whose flows run node-kill fault injection under an autoscaler."""
-
-    def __init__(self, node_policy, **kwargs):
-        super().__init__(**kwargs)
-        self._node_policy = node_policy
-
-    def create_job_flow(self, n_nodes, *, split_size=1024, checkpoint=True, autoscaler=None):
-        flow_id, flow = super().create_job_flow(
-            n_nodes, split_size=split_size, checkpoint=checkpoint, autoscaler=autoscaler
-        )
-        flow.engine = FaultyEngine(flow.engine.cluster, node_policy=self._node_policy)
-        return flow_id, flow
-
-
-class TestChaosInteraction:
-    def test_node_kill_with_scale_down_keeps_labels_identical(self, blobs_small):
-        """A node kill racing a scale-down drain never changes results.
-
-        A TargetMakespan autoscaler with a target it cannot miss and
-        a 0.95 utilization floor sheds idle nodes before stage 2's reduce
-        phase (running the HDFS drain protocol) while a NodeFailurePolicy
-        kills nodes inside phases. Labels must match the clean static run
+        A TargetMakespan autoscaler with a target it cannot miss and a 0.95
+        utilization floor sheds idle nodes before stage 2's reduce phase,
+        running the HDFS drain protocol. Labels must match the static run
         bit-for-bit.
         """
         X, _ = blobs_small
-        clean = DistributedDASC(4, n_nodes=6, config=DASCConfig(seed=0)).run(X)
+        static = DistributedDASC(4, n_nodes=6, config=DASCConfig(seed=0)).run(X)
 
         scaler = Autoscaler(
             TargetMakespan(target=1e12, min_nodes=2, scale_down_utilization=0.95),
             drain_cost_per_block=1.0,
         )
-        emr = _FaultyAutoscaledEMR(NodeFailurePolicy(kills=((0, 5, 0.5), (2, 4, 0.4))))
-        faulty = DistributedDASC(
-            4, n_nodes=6, config=DASCConfig(seed=0), emr=emr, autoscaler=scaler
+        scaled = DistributedDASC(
+            4, n_nodes=6, config=DASCConfig(seed=0), autoscaler=scaler
         ).run(X)
 
-        assert np.array_equal(clean.labels, faulty.labels)
+        assert np.array_equal(static.labels, scaled.labels)
         downs = [entry for entry in scaler.decisions if entry["action"] == "down"]
         assert [d["trigger"] for d in downs] == [
             "step-002:dasc-stage2-spectral#1:between-phases"
         ]
         assert sum(d["blocks_moved"] for d in downs) > 0
-        assert scaler.overhead == pytest.approx(
-            sum(d["drain_cost"] for d in downs)
-        )
+        assert scaler.overhead == pytest.approx(sum(d["drain_cost"] for d in downs))

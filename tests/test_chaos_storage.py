@@ -1,20 +1,18 @@
 """Storage-plane chaos tests: the equivalence invariant under injected
 storage faults.
 
-The hardened-client contract, mirror image of the compute-plane contract in
-``test_chaos.py``: under any *survivable* storage-fault schedule — transient
-errors, throttling, torn writes, bit flips, bounded read outages — the
-distributed pipeline produces labels, buckets, counters, and makespan
-bit-identical to the fault-free run (storage faults never touch engine
-counters; only trace events and the retry ledger differ). An unsurvivable
-schedule surfaces a structured :class:`StorageError`, never a bare
-``KeyError``/``EOFError``, with the wasted cost itemized in the fault
-ledger.
+The hardened-client contract: under any *survivable* storage-fault
+schedule — transient errors, throttling, torn writes, bit flips, bounded
+read outages — the distributed pipeline produces labels, buckets,
+counters, and makespan bit-identical to the fault-free run (storage faults
+never touch engine counters; only trace events and the retry ledger
+differ). An unsurvivable schedule surfaces a structured
+:class:`StorageError`, never a bare ``KeyError``/``EOFError``, with the
+wasted cost itemized in the fault ledger.
 
 The ResilientStore commit protocol makes 4-5 chaos-visible requests per put
 attempt, so per-request fault rates compound; schedules here use calm rates
-with a generous retry budget (``max_attempts=16``), the same pattern the
-compute chaos tests use (``FaultPolicy(max_attempts=12..16)``).
+with a generous retry budget (``max_attempts=16``).
 """
 
 import numpy as np
@@ -25,12 +23,10 @@ from repro.dasc_mr import DistributedDASC
 from repro.mapreduce import (
     ChaosStore,
     ElasticMapReduce,
-    FaultyEngine,
     RetryPolicy,
     StorageError,
     StorageFaultPolicy,
 )
-from repro.mapreduce.faults import FaultPolicy
 from repro.observability import Tracer, fault_summary, use_tracer
 
 RETRY = dict(max_attempts=16, deadline=120.0)
@@ -76,7 +72,7 @@ class TestStorageChaosEquivalence:
         assert chaotic.n_clusters == baseline.n_clusters
         assert chaotic.n_buckets == baseline.n_buckets
         # Storage faults never touch engine counters or the cost model:
-        # unlike compute chaos, the FULL counter set and makespan match.
+        # the FULL counter set and makespan match.
         assert chaotic.counters == baseline.counters
         assert chaotic.makespan == baseline.makespan
 
@@ -98,30 +94,6 @@ class TestStorageChaosEquivalence:
         assert isinstance(chaos, ChaosStore)
         assert sum(chaos.injected.values()) > 0
         assert emr.storage.backoff_total > 0.0  # repairs cost simulated backoff
-
-    def test_combined_compute_and_storage_chaos(self, blobs_small):
-        """Both fault planes at once: the task-retry layer and the storage
-        retry layer converge independently to the clean answer."""
-
-        class BothPlanesChaosEMR(ElasticMapReduce):
-            def create_job_flow(self, n_nodes, *, split_size=1024, checkpoint=True):
-                flow_id, flow = super().create_job_flow(
-                    n_nodes, split_size=split_size, checkpoint=checkpoint
-                )
-                flow.engine = FaultyEngine(
-                    flow.engine.cluster,
-                    policy=FaultPolicy(failure_rate=0.15, max_attempts=12, seed=21),
-                )
-                return flow_id, flow
-
-        X, _ = blobs_small
-        baseline = run_dasc(X)
-        policy = SCHEDULES["transient-errors"]
-        emr = BothPlanesChaosEMR(
-            store=ChaosStore(policy=policy), retry=RetryPolicy(**RETRY, seed=policy.seed)
-        )
-        chaotic = run_dasc(X, emr=emr)
-        assert np.array_equal(chaotic.labels, baseline.labels)
 
 
 class TestUnsurvivableSchedules:

@@ -110,15 +110,14 @@ class TestQualityMetricsAgree:
 
 
 class TestGrandPipeline:
-    """Everything at once: crawl -> text pipeline -> distributed DASC on a
-    faulty cluster, verified streamingly."""
+    """Everything at once: crawl -> text pipeline -> distributed DASC on an
+    EMR cluster, verified streamingly."""
 
-    def test_end_to_end_with_faults_and_streaming(self):
+    def test_end_to_end_distributed_and_streaming(self):
         from repro.core import DASCConfig
         from repro.core.streaming import StreamingDASC
         from repro.dasc_mr import DistributedDASC
         from repro.mapreduce.emr import ElasticMapReduce
-        from repro.mapreduce.faults import FaultPolicy, FaultyEngine
 
         site = SyntheticWikipedia(n_documents=256, n_categories=6, seed=31)
         crawl = Crawler(site).crawl()
@@ -127,17 +126,10 @@ class TestGrandPipeline:
         X = TfIdfVectorizer(n_features=11).fit_transform(tokens)
         y = np.array([site.category_of(u) for u in urls])
 
-        class FaultyEMR(ElasticMapReduce):
-            def create_job_flow(self, n_nodes, *, split_size=1024):
-                flow_id, flow = super().create_job_flow(n_nodes, split_size=split_size)
-                flow.engine = FaultyEngine(
-                    flow.engine.cluster,
-                    policy=FaultPolicy(failure_rate=0.2, max_attempts=12, seed=31),
-                )
-                return flow_id, flow
-
-        # Distributed, under injected task failures.
-        res = DistributedDASC(6, n_nodes=4, config=DASCConfig(seed=0), emr=FaultyEMR()).run(X)
+        # Distributed, on a plain EMR cluster.
+        res = DistributedDASC(
+            6, n_nodes=4, config=DASCConfig(seed=0), emr=ElasticMapReduce()
+        ).run(X)
         assert clustering_accuracy(y, res.labels) > 0.8
 
         # The same data absorbed as a stream gives a consistent clustering.

@@ -7,8 +7,6 @@ from repro.core import DASCConfig
 from repro.dasc_mr import DistributedDASC
 from repro.mapreduce import (
     ElasticMapReduce,
-    FaultPolicy,
-    FaultyEngine,
     JobFlowError,
     JobSpec,
     MapReduceEngine,
@@ -84,16 +82,27 @@ class TestJobFlowCheckpointing:
         assert not results[0].from_checkpoint
 
 
+def mapper_failing_on_split_2(key, value, ctx):
+    if key >= 8:  # split_size=4: keys 8-9 are the third split
+        raise RuntimeError(f"mapper failed on record {key}")
+    yield (key, value * 2)
+
+
 class TestJobFlowError:
-    def test_exhausted_retries_surface_structured_error(self):
+    def test_failing_step_surfaces_structured_error(self):
         flow = make_flow()
-        flow.engine = FaultyEngine(policy=FaultPolicy(failure_rate=0.99, max_attempts=1, seed=0))
+        flow.steps[0].job.spec = JobSpec(name="double", mapper=mapper_failing_on_split_2)
         with pytest.raises(JobFlowError) as err:
             flow.run()
         assert err.value.step_index == 0
         assert err.value.step_name == "double"
-        assert err.value.counters is not None
-        assert err.value.counters.value("faults", "map_failures") > 0
+        assert isinstance(err.value.__cause__, RuntimeError)
+        # The partial counters are the tallies of the two splits that
+        # finished before the failing one.
+        assert err.value.counters.as_dict() == {
+            "map": {"input_records": 8, "output_records": 8},
+        }
+        assert not flow.fs.exists("mid")
 
 
 class TestDistributedDASCResume:

@@ -149,6 +149,21 @@ class TestHDFS:
         fs.write("f", [])
         assert len(fs.splits("f")) == 1
 
+    @pytest.mark.parametrize("split_size", [0, -1])
+    def test_split_size_below_one_rejected(self, split_size):
+        # An explicit 0 is a size, not "use the default".
+        fs = SimulatedHDFS(2, default_split_size=100)
+        with pytest.raises(ValueError, match="split_size must be >= 1"):
+            fs.write("f", list(range(10)), split_size=split_size)
+        assert not fs.exists("f")
+
+    def test_rejected_overwrite_keeps_the_file(self):
+        fs = SimulatedHDFS(2)
+        fs.write("f", [1, 2, 3])
+        with pytest.raises(ValueError, match="split_size must be >= 1"):
+            fs.write("f", [4], split_size=0, overwrite=True)
+        assert fs.read("f") == [1, 2, 3]
+
 
 class TestSimulatedCluster:
     def test_table2_defaults(self):
@@ -196,6 +211,19 @@ class TestSimulatedCluster:
     def test_utilization_bounds(self):
         stats = SimulatedCluster(2).simulate_phase([PhaseTask(1.0)] * 100)
         assert 0.0 < stats.utilization <= 1.0
+
+    def test_clean_phase_matches_plain_schedule(self):
+        # LPT by hand on 2 nodes x 2 map slots (slots 0-1 on node 0, 2-3 on
+        # node 1): 9->s0, 8->s1, 5->s2, 4->s3, 3 (task 1)->s3, 3 (task 7)->s2,
+        # 2->s3, and 1 ties s1 with s2 at 8 and takes the lower slot, s1.
+        cluster = SimulatedCluster(2, node=NodeConfig(map_slots=2, reduce_slots=1))
+        costs = [5.0, 3.0, 8.0, 1.0, 2.0, 9.0, 4.0, 3.0]
+        sim = cluster.simulate_phase([PhaseTask(c) for c in costs], phase="map")
+        assert sim.per_slot_cost == [9.0, 9.0, 8.0, 9.0]
+        assert sim.assigned_nodes == [1, 1, 0, 0, 1, 0, 1, 1]
+        assert sim.makespan == 9.0
+        assert sim.total_cost == 35.0
+        assert sim.n_local_tasks == 8
 
 
 class TestJobFlowAndEMR:

@@ -3,8 +3,8 @@
 Covers the span/tracer mechanics, the null (disabled) path's identity
 semantics, histogram bucketing, the trace-file round trip through
 ``repro trace report``, the bench harness's ``REPRO_TRACE_DIR`` hook,
-fault-event itemization under the fault-injecting engine, and driver
-traces surviving a crash/resume cycle.
+fault-ledger itemization of storage retries, and driver traces surviving
+a crash/resume cycle.
 """
 
 import importlib.util
@@ -18,9 +18,14 @@ import pytest
 
 from repro.core import DASC, DASCConfig
 from repro.dasc_mr import DistributedDASC
-from repro.mapreduce import ElasticMapReduce, FaultyEngine, JobSpec, MapReduceEngine
+from repro.mapreduce import (
+    ChaosStore,
+    ElasticMapReduce,
+    ResilientStore,
+    RetryPolicy,
+    StorageFaultPolicy,
+)
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.faults import FaultPolicy
 from repro.observability import (
     Histogram,
     InMemorySink,
@@ -41,18 +46,6 @@ from repro.observability import (
     use_tracer,
 )
 from repro.observability.trace import NULL_TRACER, _NULL_SPAN
-
-
-def wc_mapper(key, value, ctx):
-    for word in value.split():
-        yield (word, 1)
-
-
-def wc_reducer(key, values, ctx):
-    yield (key, sum(values))
-
-
-WC_SPLITS = [[(0, "a b a c")], [(1, "b b a")], [(2, "c a")]]
 
 
 class TestSpanMechanics:
@@ -235,7 +228,7 @@ class TestCountersZeroSkipAndDiff:
 
     def test_checkpoint_round_trip_does_not_resurrect_empty_groups(self):
         counters = Counters()
-        counters.increment("faults", "map_failures", 0)
+        counters.increment("reduce", "output_records", 0)
         counters.increment("job", "map_tasks", 3)
         assert Counters.from_dict(counters.as_dict()).as_dict() == {"job": {"map_tasks": 3}}
 
@@ -347,40 +340,46 @@ class TestPipelineTrace:
         assert main(["trace", "report", str(path)]) == 1
 
 
+def flaky_store_round_trips():
+    """Put and get ten objects through a store failing 40% of requests.
+
+    Returns ``(tracer, store)``; the seeds are chosen so the schedule fires.
+    """
+    chaos = ChaosStore(policy=StorageFaultPolicy(error_rate=0.4, seed=3))
+    store = ResilientStore(chaos, retry=RetryPolicy(max_attempts=16, deadline=120.0, seed=3))
+    tracer = Tracer()
+    with use_tracer(tracer):
+        for i in range(10):
+            store.put(f"k{i}", i)
+            assert store.get(f"k{i}") == i
+    assert chaos.injected["error"] > 0
+    return tracer, store
+
+
 class TestFaultItemization:
     def test_retries_itemized_with_wasted_cost(self):
-        job = JobSpec(name="wc", mapper=wc_mapper, reducer=wc_reducer)
-        engine = FaultyEngine(policy=FaultPolicy(failure_rate=0.4, max_attempts=10, seed=3))
-        tracer = Tracer()
-        with use_tracer(tracer):
-            faulty = engine.run(job, WC_SPLITS)
-        clean = MapReduceEngine().run(job, WC_SPLITS)
-        assert sorted(faulty.output) == sorted(clean.output)
+        tracer, store = flaky_store_round_trips()
         retries = [
             r for r in tracer.sink.records
-            if r["type"] == "event" and r["name"] in ("fault.map_retry", "fault.reduce_retry")
+            if r["type"] == "event" and r["name"] == "storage.retry"
         ]
-        n_counted = faulty.counters.value("faults", "map_failures") + faulty.counters.value(
-            "faults", "reduce_failures"
-        )
-        assert n_counted > 0  # seed chosen so the schedule actually fires
-        assert len(retries) == n_counted  # one event per failed attempt
+        assert retries
+        assert tracer.metrics.counter("storage.retries").value == len(retries)
         assert all(r["attributes"]["wasted_cost"] > 0 for r in retries)
+        # Each retry's backoff is its wasted cost, and they add up to the
+        # client's simulated backoff.
+        assert all(r["attributes"]["wasted_cost"] == r["attributes"]["delay"] for r in retries)
         summary = fault_summary(tracer.sink.records)
-        assert summary["wasted_cost"] == pytest.approx(
-            sum(r["attributes"]["wasted_cost"] for r in retries)
-        )
+        assert summary["by_kind"] == {"storage.retry": len(retries)}
         assert len(summary["items"]) == len(retries)
+        assert summary["wasted_cost"] == pytest.approx(store.backoff_total)
 
     def test_report_renders_fault_ledger(self):
-        job = JobSpec(name="wc", mapper=wc_mapper, reducer=wc_reducer)
-        engine = FaultyEngine(policy=FaultPolicy(failure_rate=0.4, max_attempts=10, seed=3))
-        tracer = Tracer()
-        with use_tracer(tracer):
-            engine.run(job, WC_SPLITS)
+        tracer, store = flaky_store_round_trips()
         report = render_trace_report(tracer.sink.records)
-        assert "Faults" in report
-        assert "total wasted cost" in report
+        assert "== Faults ==" in report
+        assert f"total wasted cost: {store.backoff_total:.4f}" in report
+        assert "storage.retry×" in report
 
 
 class TestDriverTraceSurvivesResume:

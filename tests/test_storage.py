@@ -2,14 +2,12 @@
 
 Covers the checksummed envelope format, the S3Store snapshot/diagnostic
 semantics, the seeded ChaosStore fault injector, the RetryPolicy backoff
-schedule, the ResilientStore commit protocol, and HDFS dead-replica
-failover.
+schedule, and the ResilientStore commit protocol.
 """
 
 import numpy as np
 import pytest
 
-from repro.mapreduce.hdfs import ReplicaUnavailableError, SimulatedHDFS
 from repro.mapreduce.storage import (
     ChaosStore,
     CorruptObjectError,
@@ -421,63 +419,3 @@ class TestResilientStore:
         store.put("k", 1)
         store.delete("k")
         assert not store.exists("k")
-
-
-class TestHDFSFailover:
-    def make_fs(self):
-        fs = SimulatedHDFS(n_nodes=4, replication=2, default_split_size=2)
-        fs.write("f", list(range(10)))
-        return fs
-
-    def test_reads_fail_over_to_live_replicas(self):
-        fs = self.make_fs()
-        fs.mark_dead(0)
-        assert fs.read("f") == list(range(10))
-        for split in fs.splits("f"):
-            assert split.preferred_nodes
-            assert 0 not in split.preferred_nodes
-
-    def test_all_replicas_dead_is_structured(self):
-        fs = self.make_fs()
-        placements = {n for s in fs.splits("f") for n in s.preferred_nodes}
-        # Kill every node holding split 0's replicas.
-        victim = fs.locations("f", 0)
-        fs.mark_dead(*victim)
-        with pytest.raises(ReplicaUnavailableError) as exc:
-            fs.read("f")
-        assert isinstance(exc.value, StorageError)
-        assert exc.value.path == "f"
-        with pytest.raises(ReplicaUnavailableError):
-            fs.splits("f")
-        assert placements  # sanity: the file was placed somewhere
-
-    def test_mark_alive_restores_reads(self):
-        fs = self.make_fs()
-        victim = fs.locations("f", 0)
-        fs.mark_dead(*victim)
-        fs.mark_alive(*victim)
-        assert fs.dead_nodes == frozenset()
-        assert fs.read("f") == list(range(10))
-
-    def test_cannot_kill_every_node(self):
-        fs = self.make_fs()
-        with pytest.raises(ValueError):
-            fs.mark_dead(0, 1, 2, 3)
-        assert fs.dead_nodes == frozenset()  # rejected atomically
-
-    def test_new_writes_avoid_dead_nodes(self):
-        fs = self.make_fs()
-        fs.mark_dead(1)
-        fs.write("g", list(range(6)))
-        for split in fs.splits("g"):
-            assert 1 not in split.preferred_nodes
-
-    def test_locations_reports_live_replicas(self):
-        fs = self.make_fs()
-        raw = fs.locations("f", 0)
-        fs.mark_dead(raw[0])
-        live = fs.locations("f", 0)
-        assert raw[0] not in live
-        fs.mark_dead(*raw[1:])
-        # All replicas dead: locations falls back to raw placements.
-        assert set(fs.locations("f", 0)) == set(raw)

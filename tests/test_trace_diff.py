@@ -39,7 +39,7 @@ def baseline_records():
         span("mr.reduce_task", 3, 1, 4.0, 8.0, 2),
         span("mr.schedule", 4, 1, 8.0, 9.0, 3, phase="map"),
         {
-            "type": "event", "name": "fault.task_retry", "span_id": None,
+            "type": "event", "name": "storage.retry", "span_id": None,
             "parent_id": 1, "seq": 4, "attributes": {"wasted_cost": 1.5},
         },
     ]
@@ -92,7 +92,7 @@ class TestDiffing:
     def test_fault_ledger_delta(self):
         diff = diff_traces(baseline_records(), slowed_records())
         faults = diff["faults"]
-        assert faults["by_kind"]["fault.task_retry"] == {"base": 1, "cur": 0}
+        assert faults["by_kind"]["storage.retry"] == {"base": 1, "cur": 0}
         assert faults["base_wasted"] == pytest.approx(1.5)
         assert faults["cur_wasted"] == 0.0
 
@@ -100,7 +100,7 @@ class TestDiffing:
         text = render_trace_diff(diff_traces(baseline_records(), slowed_records()))
         assert "== Stage deltas ==" in text
         assert "mr.reduce_task" in text
-        assert "fault.task_retry" in text
+        assert "storage.retry" in text
         assert "== Summary ==" in text
 
 
