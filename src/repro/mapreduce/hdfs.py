@@ -107,7 +107,7 @@ class SimulatedHDFS:
                 f"expected {sorted(range(n_after, self.n_nodes))}, got {sorted(removing)}"
             )
         moved = 0
-        for _, stored in sorted(self._files.items()):
+        for stored in self._files.values():
             for s in sorted(stored.placements):
                 placements = stored.placements[s]
                 keep = [n for n in placements if n not in removing]
